@@ -18,15 +18,18 @@
 #   6. bench smoke — the hot-path benchmarks at reduced iteration counts,
 #      plus a jq schema check over the BENCH_pka.json they emit (which
 #      must include the kmeans_sweep/bounded_simd fast-math entry)
-#   7. observability smoke — a traced `pka simulate` run whose
+#   7. perfbench — the repository benchmark's helper tests, then one
+#      traced `simulate` run whose last line must report `"correct": true`
+#      (every member's simulated cycles and errors equal the pinned values)
+#   8. observability smoke — a traced `pka simulate` run whose
 #      run_manifest.json is jq-validated (schema, a fired PKP stop rule,
 #      populated stage timings)
-#   8. stream smoke — online PKS over a synthetic 100k-kernel stream with
+#   9. stream smoke — online PKS over a synthetic 100k-kernel stream with
 #      `--verify-batch` (exact batch-vs-stream selected-K agreement,
 #      projected cycles within 1%), plus a jq schema check over the emitted
 #      `pka.stream_checkpoint/v1` file including the bounded-memory
 #      invariant (max_buffered <= reservoir cap + batch size)
-#   9. live observability smoke — a snapshot-emitting stream run whose
+#  10. live observability smoke — a snapshot-emitting stream run whose
 #      `pka.snapshot/v1` JSONL is jq-validated, `pka trace export` over its
 #      trace (valid Chrome trace-event JSON with worker lanes), and the
 #      `pka obs diff` regression gate: a counters-only diff against the
@@ -34,13 +37,13 @@
 #      against results/ci_baseline_bench.json (catastrophic-only tolerance
 #      — medians jitter across hosts), and a self-test proving the gate
 #      fires on an injected 1.3x stage-timing regression
-#  10. attribution smoke — a `pka.attribution/v1` artifact from
+#  11. attribution smoke — a `pka.attribution/v1` artifact from
 #      `--attribution-out`, jq-validated (schema, per-group terms summing
 #      exactly to the reported error), rendered through `pka obs explain`,
 #      byte-identical across --workers counts on the stream path, and a
 #      self-test proving the accuracy gate fires on an injected
 #      representative swap
-#  11. server smoke — `pka serve` driven end-to-end over HTTP with curl:
+#  12. server smoke — `pka serve` driven end-to-end over HTTP with curl:
 #      a streaming session must report the same selected K and projected
 #      cycles as the batch CLI run and serve byte-identical checkpoint and
 #      attribution artifacts (`cmp`), including under `--shards 2`; a
@@ -100,6 +103,19 @@ if command -v jq >/dev/null 2>&1; then
 else
     echo "jq not found; skipping bench json schema check" >&2
 fi
+
+echo "==> perfbench (helper tests, traced simulate smoke)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+PERFBENCH_OUT="$(mktemp -t perfbench_simulate.XXXXXX.txt)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload simulate --seed 1 --seconds 45 --trace 1 > "$PERFBENCH_OUT"
+if command -v jq >/dev/null 2>&1; then
+    tail -n 1 "$PERFBENCH_OUT" | jq -e '.correct == true' >/dev/null
+else
+    tail -n 1 "$PERFBENCH_OUT" | grep -q '"correct": true'
+fi
+echo "perfbench simulate OK (every pinned cycle count and error matched)"
+rm -f "$PERFBENCH_OUT"
 
 echo "==> observability smoke (traced pka simulate)"
 OBS_MANIFEST="$(mktemp -t pka_manifest.XXXXXX.json)"

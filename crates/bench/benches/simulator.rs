@@ -1,11 +1,12 @@
 //! Timing-simulator throughput: warp instructions simulated per second on
-//! the behavioural archetypes, plus the overhead of attaching a PKP
+//! the behavioural archetypes, a launch-bound sequence of hundreds of tiny
+//! kernels on one simulator, plus the overhead of attaching a PKP
 //! monitor (which must be negligible — the whole point of an online
 //! detector is that watching is free compared to simulating).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pka_core::{PkpConfig, PkpMonitor};
-use pka_gpu::{GpuConfig, KernelDescriptor};
+use pka_gpu::{GpuConfig, KernelDescriptor, KernelId};
 use pka_sim::{SimOptions, Simulator};
 use std::hint::black_box;
 
@@ -51,6 +52,27 @@ fn bench_throughput(c: &mut Criterion) {
             b.iter(|| sim.run_kernel(black_box(&kernel)).unwrap())
         });
     }
+
+    // The micro regime: `gauss_208`'s 414 kernels of ~2,800 cycles each on
+    // one full-size V100 simulator, where per-kernel setup rather than the
+    // cycle loop sets the pace.
+    let gauss = pka_workloads::rodinia::workloads()
+        .into_iter()
+        .find(|w| w.name() == "gauss_208")
+        .expect("gauss_208 exists");
+    let kernels: Vec<KernelDescriptor> = (0..gauss.kernel_count())
+        .map(|id| gauss.kernel(KernelId::new(id)))
+        .collect();
+    let v100 = Simulator::new(GpuConfig::v100(), SimOptions::default());
+    group.throughput(Throughput::Elements(kernels.len() as u64));
+    group.bench_function("micro_kernel_sequence", |b| {
+        b.iter(|| {
+            kernels
+                .iter()
+                .map(|k| v100.run_kernel(black_box(k)).unwrap().cycles)
+                .sum::<u64>()
+        })
+    });
     group.finish();
 }
 

@@ -3,7 +3,7 @@
 //! bodies, keep-alive, no chunked transfer coding), so the server stays
 //! zero-external-dependency like the rest of the workspace.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, IoSlice, Write};
 
 use serde_json::Value;
 
@@ -186,22 +186,34 @@ impl Response {
         Self::json(status, &serde_json::json!({ "error": message }))
     }
 
-    /// Serialises status line, headers and body to `w`.
+    /// Serialises status line, headers and body to `w` as one vectored
+    /// write (a single `writev` on a socket, the body not copied), so the
+    /// response leaves as one burst rather than a train of small segments
+    /// that Nagle's algorithm would hold back behind the client's delayed
+    /// ACKs.
     ///
     /// # Errors
     ///
     /// Propagates transport failures.
     pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> std::io::Result<()> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        write!(
-            w,
+        let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len()
-        )?;
-        w.write_all(&self.body)?;
+        );
+        let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(&self.body)];
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match w.write_vectored(parts) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 }

@@ -299,6 +299,9 @@ impl PkaServer {
         let timeout = Duration::from_millis(self.config.read_timeout_ms.max(1));
         let _ = stream.set_read_timeout(Some(timeout));
         let _ = stream.set_write_timeout(Some(timeout));
+        // Responses and SSE frames are each written whole; Nagle would only
+        // delay them.
+        let _ = stream.set_nodelay(true);
         let Ok(write_half) = stream.try_clone() else {
             return;
         };

@@ -24,6 +24,9 @@ pub struct SetAssocCache {
     tags: Vec<u64>,
     /// Per-line logical timestamp for LRU.
     stamps: Vec<u64>,
+    /// Sets filled since the last reset, recorded on their first fill (at
+    /// most `sets / 4 + 1` entries; past that, `reset` clears everything).
+    touched: Vec<u32>,
     clock: u64,
     accesses: u64,
     misses: u64,
@@ -34,10 +37,11 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or `line_bytes` is not a power of
-    /// two.
+    /// Panics if `sets` or `ways` is zero, `sets` does not fit in a `u32`, or
+    /// `line_bytes` is not a power of two.
     pub fn new(sets: usize, ways: usize, line_bytes: u64) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have sets and ways");
+        assert!(u32::try_from(sets).is_ok(), "cache must have at most 2^32 - 1 sets");
         assert!(
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -48,6 +52,7 @@ impl SetAssocCache {
             line_shift: line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; sets * ways],
             stamps: vec![0; sets * ways],
+            touched: Vec::new(),
             clock: 0,
             accesses: 0,
             misses: 0,
@@ -78,8 +83,16 @@ impl SetAssocCache {
             return true;
         }
         self.misses += 1;
-        // Fill into invalid or LRU way.
+        // Fill into invalid or LRU way. Valid ways always form a prefix of
+        // the set, so an invalid way 0 means the set is empty: this is its
+        // first fill since the last reset.
         let victim = match slots.iter().position(|&t| t == u64::MAX) {
+            Some(0) => {
+                if self.touched.len() <= self.sets / 4 {
+                    self.touched.push(set as u32);
+                }
+                0
+            }
             Some(w) => w,
             None => {
                 let stamps = &self.stamps[base..base + self.ways];
@@ -112,10 +125,24 @@ impl SetAssocCache {
         }
     }
 
-    /// Invalidates all lines and resets statistics.
+    /// Invalidates all lines and resets statistics; the cache then behaves
+    /// exactly like a new one.
+    ///
+    /// Costs time in proportion to the sets filled since the last reset; a
+    /// cache that touched more than a quarter of its sets is cleared whole.
+    /// LRU stamps are left as they are: a stamp is read only when its set
+    /// is full, and by then every way of the set has been filled, stamp
+    /// included, since the reset.
     pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
+        if self.touched.len() > self.sets / 4 {
+            self.tags.fill(u64::MAX);
+        } else {
+            for &set in &self.touched {
+                let base = set as usize * self.ways;
+                self.tags[base..base + self.ways].fill(u64::MAX);
+            }
+        }
+        self.touched.clear();
         self.clock = 0;
         self.accesses = 0;
         self.misses = 0;
@@ -130,6 +157,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     #[should_panic(expected = "sets and ways")]
@@ -202,5 +230,69 @@ mod tests {
         c.reset();
         assert_eq!(c.accesses(), 0);
         assert!(!c.access(0), "reset must invalidate");
+    }
+
+    const SETS: usize = 64;
+    const WAYS: usize = 4;
+
+    /// Runs `before` on a cache, resets it, then checks that `after` sees
+    /// exactly what it sees on a new cache. Returns how many sets `before`
+    /// recorded as touched, so callers can pin which reset path ran.
+    fn reset_matches_new(before: &[u64], after: &[u64]) -> Result<usize, TestCaseError> {
+        let mut reused = SetAssocCache::new(SETS, WAYS, 32);
+        for &a in before {
+            reused.access(a);
+        }
+        let touched = reused.touched.len();
+        reused.reset();
+        let mut fresh = SetAssocCache::new(SETS, WAYS, 32);
+        prop_assert!(reused.tags == fresh.tags, "every line must be invalid");
+        let hits_reused: Vec<bool> = after.iter().map(|&a| reused.access(a)).collect();
+        let hits_fresh: Vec<bool> = after.iter().map(|&a| fresh.access(a)).collect();
+        prop_assert_eq!(hits_reused, hits_fresh);
+        prop_assert_eq!(reused.accesses(), fresh.accesses());
+        prop_assert_eq!(reused.misses(), fresh.misses());
+        Ok(touched)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Few sets touched: `reset` clears only the recorded sets.
+        #[test]
+        fn sparse_reset_matches_a_new_cache(
+            before in prop::collection::vec(0u64..1 << 20, 0..SETS / 4 + 1),
+            after in prop::collection::vec(0u64..1 << 20, 0..400),
+        ) {
+            let touched = reset_matches_new(&before, &after)?;
+            prop_assert!(touched <= SETS / 4);
+        }
+
+        /// More than a quarter of the sets touched: `reset` clears the
+        /// whole cache.
+        #[test]
+        fn full_reset_matches_a_new_cache(
+            before in prop::collection::vec(0u64..1 << 20, 200..600),
+            after in prop::collection::vec(0u64..1 << 20, 0..400),
+        ) {
+            let touched = reset_matches_new(&before, &after)?;
+            prop_assert!(touched > SETS / 4);
+        }
+
+        /// Hits that refill no set and evictions of full sets add nothing
+        /// to the record: every set appears in it at most once.
+        #[test]
+        fn touched_sets_are_recorded_once(
+            addrs in prop::collection::vec(0u64..1 << 12, 0..400),
+        ) {
+            let mut c = SetAssocCache::new(SETS, WAYS, 32);
+            for &a in &addrs {
+                c.access(a);
+            }
+            let mut sets = c.touched.clone();
+            sets.sort_unstable();
+            sets.dedup();
+            prop_assert_eq!(sets.len(), c.touched.len());
+        }
     }
 }

@@ -2,6 +2,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 use pka_gpu::{
     base_latency, warp_throughput, GpuConfig, GpuError, InstClass, KernelDescriptor, Occupancy,
@@ -212,18 +213,45 @@ impl KernelSimResult {
 
 /// The cycle-level GPU timing simulator.
 ///
-/// See the [crate documentation](crate) for the model description; a single
-/// `Simulator` is immutable and can run any number of kernels.
-#[derive(Debug, Clone)]
+/// See the [crate documentation](crate) for the model description. A
+/// `Simulator`'s configuration and options never change, and it can run any
+/// number of kernels, from any number of threads at once. Between runs it
+/// keeps the large per-kernel engine state (warp arrays and caches) in a
+/// private pool, so the next kernel resets that state instead of allocating
+/// it again; every result is identical to a new `Simulator`'s.
 pub struct Simulator {
     config: GpuConfig,
     options: SimOptions,
+    /// Engine state idle between runs: at most one entry per thread that
+    /// ran this simulator at the same time.
+    pool: Mutex<Vec<EngineState>>,
+}
+
+impl Clone for Simulator {
+    /// Clones the configuration and options; the clone starts with an
+    /// empty pool.
+    fn clone(&self) -> Self {
+        Self::new(self.config.clone(), self.options)
+    }
+}
+
+impl fmt::Debug for Simulator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Simulator")
+            .field("config", &self.config)
+            .field("options", &self.options)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Simulator {
     /// Creates a simulator for `config`.
     pub fn new(config: GpuConfig, options: SimOptions) -> Self {
-        Self { config, options }
+        Self {
+            config,
+            options,
+            pool: Mutex::new(Vec::new()),
+        }
     }
 
     /// The simulated architecture.
@@ -258,13 +286,13 @@ impl Simulator {
         monitor: &mut dyn SimMonitor,
     ) -> Result<KernelSimResult, SimError> {
         if !pka_obs::enabled() {
-            return Engine::new(&self.config, &self.options, kernel)?.run(monitor);
+            return self.simulate(kernel, monitor);
         }
         // Stage time is accumulated directly (no span) so a fullsim over
         // tens of thousands of kernels does not flood the trace sink with
         // one line per kernel.
         let start = std::time::Instant::now();
-        let result = Engine::new(&self.config, &self.options, kernel)?.run(monitor);
+        let result = self.simulate(kernel, monitor);
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         pka_obs::stage("sim.run_kernel").record_ns(ns);
         if let Ok(r) = &result {
@@ -277,6 +305,24 @@ impl Simulator {
             }
             obs.kernel_cycles.record(r.cycles);
         }
+        result
+    }
+
+    /// Runs `kernel` on engine state taken from the pool (or built when the
+    /// pool is empty), and returns the state to the pool however the run
+    /// ends: completion, a monitor stop or an error.
+    fn simulate(
+        &self,
+        kernel: &KernelDescriptor,
+        monitor: &mut dyn SimMonitor,
+    ) -> Result<KernelSimResult, SimError> {
+        let occ = Occupancy::compute(kernel, &self.config)?;
+        let pooled = self.pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let state = pooled.unwrap_or_else(|| EngineState::new(&self.config));
+        let mut engine = Engine::new(&self.config, &self.options, kernel, &occ, state);
+        let result = engine.run(monitor);
+        let state = engine.into_state();
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner).push(state);
         result
     }
 }
@@ -342,7 +388,7 @@ struct Warp {
     active: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BlockSlot {
     active: bool,
     block_id: u64,
@@ -373,6 +419,73 @@ struct Sm {
     l1: SetAssocCache,
 }
 
+impl Sm {
+    fn new(config: &GpuConfig) -> Self {
+        Sm {
+            warps: Vec::new(),
+            blocks: Vec::new(),
+            ready: Vec::new(),
+            ready_count: 0,
+            slot_order: Vec::new(),
+            pending_next: Vec::new(),
+            sleeping: BinaryHeap::new(),
+            credits: [0.0; InstClass::ALL.len()],
+            l1: SetAssocCache::with_capacity(config.l1_bytes(), 4, 32),
+        }
+    }
+
+    /// Puts the SM in the state a new one starts a kernel in, with `slots`
+    /// idle block slots of `warps_per_block` warps each, keeping every
+    /// allocation it already holds.
+    fn reset(&mut self, slots: usize, warps_per_block: usize, cursor: WarpCursor) {
+        self.warps.clear();
+        self.warps.resize_with(slots * warps_per_block, || Warp {
+            cursor,
+            block_slot: 0,
+            stream: UnitStream::new(0),
+            issued: 0,
+            active: false,
+        });
+        self.blocks.resize_with(slots, BlockSlot::default);
+        for b in &mut self.blocks {
+            b.active = false;
+            b.block_id = 0;
+            b.warps_done = 0;
+            b.barrier_arrived = 0;
+            b.barrier_waiting.clear();
+        }
+        self.ready.resize_with(slots, Vec::new);
+        for bucket in &mut self.ready {
+            bucket.clear();
+        }
+        self.ready_count = 0;
+        self.slot_order.clear();
+        self.slot_order.extend(0..slots);
+        self.pending_next.clear();
+        self.sleeping.clear();
+        self.credits = [0.0; InstClass::ALL.len()];
+        self.l1.reset();
+    }
+}
+
+/// The large engine state a [`Simulator`] pools between kernels: every SM
+/// (warps, block slots, scheduler queues, L1) and the L2. Its size depends
+/// only on the GPU configuration; [`Engine::new`] resets it for a kernel.
+#[derive(Debug)]
+struct EngineState {
+    sms: Vec<Sm>,
+    l2: SetAssocCache,
+}
+
+impl EngineState {
+    fn new(config: &GpuConfig) -> Self {
+        Self {
+            sms: (0..config.num_sms()).map(|_| Sm::new(config)).collect(),
+            l2: SetAssocCache::with_capacity(config.l2_bytes(), 16, 32),
+        }
+    }
+}
+
 struct Engine<'a> {
     config: &'a GpuConfig,
     options: &'a SimOptions,
@@ -399,12 +512,15 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// Sets up `kernel` on `state` (reset to a new engine's state) and
+    /// performs the initial wave dispatch.
     fn new(
         config: &'a GpuConfig,
         options: &'a SimOptions,
         kernel: &'a KernelDescriptor,
-    ) -> Result<Self, SimError> {
-        let occ = Occupancy::compute(kernel, config)?;
+        occ: &Occupancy,
+        state: EngineState,
+    ) -> Self {
         let program = WarpProgram::from_descriptor(kernel);
         let warps_per_block = kernel.warps_per_block();
         let slots_per_sm = occ.blocks_per_sm() as usize;
@@ -420,27 +536,12 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let sms = (0..config.num_sms())
-            .map(|_| Sm {
-                warps: Vec::new(),
-                blocks: (0..slots_per_sm)
-                    .map(|_| BlockSlot {
-                        active: false,
-                        block_id: 0,
-                        warps_done: 0,
-                        barrier_arrived: 0,
-                        barrier_waiting: Vec::new(),
-                    })
-                    .collect(),
-                ready: (0..slots_per_sm).map(|_| Vec::new()).collect(),
-                ready_count: 0,
-                slot_order: (0..slots_per_sm).collect(),
-                pending_next: Vec::new(),
-                sleeping: BinaryHeap::new(),
-                credits: [0.0; InstClass::ALL.len()],
-                l1: SetAssocCache::with_capacity(config.l1_bytes(), 4, 32),
-            })
-            .collect();
+        let EngineState { mut sms, mut l2 } = state;
+        let cursor = program.cursor();
+        for sm in &mut sms {
+            sm.reset(slots_per_sm, warps_per_block as usize, cursor);
+        }
+        l2.reset();
 
         let mut engine = Engine {
             config,
@@ -454,7 +555,7 @@ impl<'a> Engine<'a> {
             latencies,
             active_classes,
             sms,
-            l2: SetAssocCache::with_capacity(config.l2_bytes(), 16, 32),
+            l2,
             icnt: options
                 .interconnect
                 .then(|| Interconnect::new(config)),
@@ -474,23 +575,20 @@ impl<'a> Engine<'a> {
             ws_sectors: (kernel.working_set_bytes() / 32).max(1),
         };
 
-        // Pre-size warp slot arrays and perform the initial wave dispatch.
         for sm in 0..engine.sms.len() {
-            let slots = slots_per_sm * warps_per_block as usize;
-            engine.sms[sm].warps = (0..slots)
-                .map(|_| Warp {
-                    cursor: engine.program.cursor(),
-                    block_slot: 0,
-                    stream: UnitStream::new(0),
-                    issued: 0,
-                    active: false,
-                })
-                .collect();
             for slot in 0..slots_per_sm {
                 engine.try_dispatch(sm, slot);
             }
         }
-        Ok(engine)
+        engine
+    }
+
+    /// Hands the reusable state back for the pool.
+    fn into_state(self) -> EngineState {
+        EngineState {
+            sms: self.sms,
+            l2: self.l2,
+        }
     }
 
     /// Places the next pending block into `(sm, slot)` if any work remains.
@@ -563,7 +661,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self, monitor: &mut dyn SimMonitor) -> Result<KernelSimResult, SimError> {
+    fn run(&mut self, monitor: &mut dyn SimMonitor) -> Result<KernelSimResult, SimError> {
         let interval = self.options.sample_interval;
         let mut series: Vec<IpcSample> = Vec::new();
         let mut last_sample_cycle = 0u64;
@@ -675,12 +773,12 @@ impl<'a> Engine<'a> {
     fn wake(&mut self, sm_idx: usize) {
         let now = self.cycle;
         let sm = &mut self.sms[sm_idx];
-        let pending = std::mem::take(&mut sm.pending_next);
-        for idx in pending {
+        for &idx in &sm.pending_next {
             let slot = sm.warps[idx].block_slot;
             sm.ready[slot].push(idx);
             sm.ready_count += 1;
         }
+        sm.pending_next.clear();
         while let Some(Reverse((t, idx))) = sm.sleeping.peek().copied() {
             if t > now {
                 break;
@@ -850,18 +948,18 @@ impl<'a> Engine<'a> {
             InstClass::LdGlobal | InstClass::LdLocal | InstClass::AtomicGlobal => result_at,
             _ => result_at.min(now + 8),
         };
-        let (next_issue_at, executed) = {
+        let next_issue_at = {
             let sm = &mut self.sms[sm_idx];
             let warp = &mut sm.warps[warp_idx];
             warp.issued += 1;
             let dependent = warp.issued.is_multiple_of(DEP_EVERY);
             self.program.advance(&mut warp.cursor);
-            (
-                if dependent { dep_wait.max(now + 1) } else { now + 1 },
-                warp.cursor.executed(),
-            )
+            if dependent {
+                dep_wait.max(now + 1)
+            } else {
+                now + 1
+            }
         };
-        let _ = executed;
         self.instructions += 1;
 
         let sm = &mut self.sms[sm_idx];
@@ -876,27 +974,19 @@ impl<'a> Engine<'a> {
     fn arrive_barrier(&mut self, sm_idx: usize, warp_idx: usize) {
         self.instructions += 1;
         let now = self.cycle;
-        let release: Option<Vec<usize>> = {
-            let sm = &mut self.sms[sm_idx];
-            let warp = &mut sm.warps[warp_idx];
-            warp.issued += 1;
-            self.program.advance(&mut warp.cursor);
-            let slot = warp.block_slot;
-            let block = &mut sm.blocks[slot];
-            block.barrier_arrived += 1;
-            block.barrier_waiting.push(warp_idx);
-            if block.barrier_arrived == self.warps_per_block {
-                block.barrier_arrived = 0;
-                Some(std::mem::take(&mut block.barrier_waiting))
-            } else {
-                None
-            }
-        };
-        if let Some(waiting) = release {
-            let sm = &mut self.sms[sm_idx];
-            for w in waiting {
+        let sm = &mut self.sms[sm_idx];
+        let warp = &mut sm.warps[warp_idx];
+        warp.issued += 1;
+        self.program.advance(&mut warp.cursor);
+        let block = &mut sm.blocks[warp.block_slot];
+        block.barrier_arrived += 1;
+        block.barrier_waiting.push(warp_idx);
+        if block.barrier_arrived == self.warps_per_block {
+            block.barrier_arrived = 0;
+            for &w in &block.barrier_waiting {
                 sm.sleeping.push(Reverse((now + BARRIER_RELEASE_LATENCY, w)));
             }
+            block.barrier_waiting.clear();
         }
     }
 
@@ -1161,6 +1251,142 @@ mod tests {
     fn interconnect_is_off_by_default() {
         assert!(!SimOptions::default().interconnect());
         assert!(SimOptions::default().with_interconnect(true).interconnect());
+    }
+
+    /// One step of a reuse scenario: a full run, or a run stopped by a
+    /// cycle budget.
+    #[derive(Clone)]
+    enum Step {
+        Full(KernelDescriptor),
+        StopAt(KernelDescriptor, u64),
+    }
+
+    fn run_step(sim: &Simulator, step: &Step) -> Result<KernelSimResult, SimError> {
+        match step {
+            Step::Full(k) => sim.run_kernel(k),
+            Step::StopAt(k, budget) => {
+                sim.run_kernel_monitored(k, &mut crate::monitor::MaxCyclesMonitor::new(*budget))
+            }
+        }
+    }
+
+    /// A kernel of `blocks` blocks of `threads` threads that streams through
+    /// a large working set, so it fills sets all over both caches.
+    fn streaming(blocks: u32, threads: u32) -> KernelDescriptor {
+        KernelDescriptor::builder("stream")
+            .grid_blocks(blocks)
+            .block_threads(threads)
+            .fp32_per_thread(8)
+            .global_loads_per_thread(12)
+            .global_stores_per_thread(2)
+            .l1_locality(0.3)
+            .l2_locality(0.3)
+            .working_set_bytes(64 << 20)
+            .coalescing_sectors(4.0)
+            .build()
+            .unwrap()
+    }
+
+    /// The mixed sequence the reuse tests replay: a large grid then a tiny
+    /// one, block shapes whose warps per block and slots per SM shrink and
+    /// grow, a barrier kernel, and a run stopped mid-flight (sleepers,
+    /// next-cycle and ready warps all live) followed by a full run of the
+    /// same kernel.
+    fn mixed_steps() -> Vec<Step> {
+        let barrier = KernelDescriptor::builder("sync")
+            .grid_blocks(12)
+            .block_threads(128)
+            .fp32_per_thread(40)
+            .shared_loads_per_thread(10)
+            .global_loads_per_thread(4)
+            .syncs_per_thread(3)
+            .build()
+            .unwrap();
+        let stopped = kernel(96, 200, 8);
+        vec![
+            Step::Full(streaming(64, 256)),
+            Step::Full(kernel(1, 1, 2)),
+            Step::Full(streaming(8, 1024)),
+            Step::Full(streaming(40, 32)),
+            Step::Full(streaming(12, 512)),
+            Step::Full(barrier),
+            Step::StopAt(stopped.clone(), 1_500),
+            Step::Full(stopped),
+            Step::Full(kernel(2, 3, 1)),
+        ]
+    }
+
+    fn assert_matches_fresh(sim: &Simulator, steps: &[Step], got: &[Result<KernelSimResult, SimError>]) {
+        for (i, (step, got)) in steps.iter().zip(got).enumerate() {
+            let fresh = Simulator::new(sim.config().clone(), *sim.options());
+            assert_eq!(got, &run_step(&fresh, step), "step {i} differs from a new simulator");
+        }
+    }
+
+    #[test]
+    fn reused_state_matches_a_new_simulator() {
+        for options in [
+            SimOptions::default(),
+            SimOptions::default().with_interconnect(true),
+        ] {
+            let sim = Simulator::new(tiny_config(), options);
+            let steps = mixed_steps();
+            let got: Vec<_> = steps.iter().map(|s| run_step(&sim, s)).collect();
+            assert!(got.iter().all(Result::is_ok));
+            assert!(got.iter().any(|r| r.as_ref().is_ok_and(|r| r.early_stop)));
+            assert_matches_fresh(&sim, &steps, &got);
+            assert_eq!(sim.pool.lock().unwrap().len(), 1, "one thread, one pooled state");
+        }
+    }
+
+    #[test]
+    fn state_reused_after_an_error_matches_a_new_simulator() {
+        let sim = Simulator::new(tiny_config(), SimOptions::default().with_max_cycles(3_000));
+        let unlaunchable = KernelDescriptor::builder("fat")
+            .grid_blocks(1)
+            .block_threads(1024)
+            .regs_per_thread(255)
+            .fp32_per_thread(1)
+            .build()
+            .unwrap();
+        let steps = [
+            Step::Full(streaming(64, 256)),
+            Step::Full(kernel(2, 3, 1)),
+            Step::Full(unlaunchable),
+            Step::Full(kernel(2, 3, 1)),
+        ];
+        let got: Vec<_> = steps
+            .iter()
+            .map(|s| {
+                let r = run_step(&sim, s);
+                assert_eq!(sim.pool.lock().unwrap().len(), 1, "the state went back to the pool");
+                r
+            })
+            .collect();
+        assert!(matches!(got[0], Err(SimError::CycleBudgetExhausted { .. })));
+        assert!(matches!(got[2], Err(SimError::Gpu(_))));
+        assert_matches_fresh(&sim, &steps, &got);
+    }
+
+    #[test]
+    fn concurrent_runs_share_the_pool_and_match_a_new_simulator() {
+        let steps: Vec<Step> = mixed_steps().into_iter().cycle().take(18).collect();
+        for workers in [2, 4] {
+            let sim = Simulator::new(tiny_config(), SimOptions::default());
+            let got = pka_stats::Executor::new(workers).map(&steps, |_, s| run_step(&sim, s));
+            assert_matches_fresh(&sim, &steps, &got);
+            let pooled = sim.pool.lock().unwrap().len();
+            assert!((1..=workers).contains(&pooled), "{pooled} states for {workers} workers");
+        }
+    }
+
+    #[test]
+    fn clone_and_debug_leave_the_pool_out() {
+        let sim = Simulator::new(tiny_config(), SimOptions::default());
+        sim.run_kernel(&kernel(2, 3, 1)).unwrap();
+        assert_eq!(sim.clone().pool.lock().unwrap().len(), 0);
+        let shown = format!("{sim:?}");
+        assert!(shown.contains("options") && !shown.contains("pool"), "{shown}");
     }
 
     #[test]

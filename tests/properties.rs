@@ -47,6 +47,25 @@ fn arb_kernel() -> impl Strategy<Value = KernelDescriptor> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A `Simulator` reuses its engine state across kernels; whatever ran
+    /// before, each result equals a new simulator's.
+    #[test]
+    fn reused_simulator_matches_a_new_one(ks in prop::collection::vec(arb_kernel(), 2..5)) {
+        let config = GpuConfig::builder("prop4").num_sms(4).build().expect("valid");
+        let reused = Simulator::new(config.clone(), SimOptions::default());
+        for k in &ks {
+            let fresh = Simulator::new(config.clone(), SimOptions::default());
+            prop_assert_eq!(
+                reused.run_kernel(k).expect("in-range kernels simulate"),
+                fresh.run_kernel(k).expect("in-range kernels simulate")
+            );
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]

@@ -510,3 +510,63 @@ fn session_caps_and_lru_eviction() {
     assert_eq!(summary["status"], json!("cancelled"));
     assert!(registry.get(&second_id).is_none(), "retain 0 evicts it too");
 }
+
+/// Sends `n` keep-alive `GET /healthz` requests on one connection, each
+/// after the previous reply is read in full; returns the time the loop took
+/// and every status line that was not a 200.
+fn keep_alive_round_trips(addr: SocketAddr, n: usize) -> std::io::Result<(Duration, Vec<String>)> {
+    let stream = TcpStream::connect(addr)?;
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    let mut bad = Vec::new();
+    let start = std::time::Instant::now();
+    for _ in 0..n {
+        writer.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")?;
+        let mut status_line = String::new();
+        reader.read_line(&mut status_line)?;
+        if !status_line.starts_with("HTTP/1.1 200") {
+            bad.push(status_line);
+        }
+        let mut content_length = 0usize;
+        loop {
+            let mut h = String::new();
+            reader.read_line(&mut h)?;
+            let h = h.trim_end();
+            if h.is_empty() {
+                break;
+            }
+            if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
+                content_length = v.trim().parse().unwrap_or(0);
+            }
+        }
+        let mut body = vec![0u8; content_length];
+        reader.read_exact(&mut body)?;
+    }
+    Ok((start.elapsed(), bad))
+}
+
+/// Keep-alive latency with a client that leaves delayed ACKs on, as a plain
+/// `std::net` client does. A response sent as several small segments stalls
+/// ~40 ms each behind Nagle's algorithm until the client's ACK timer fires;
+/// a response sent as one write on a no-delay socket does not.
+#[test]
+fn keep_alive_requests_do_not_stall_on_delayed_acks() {
+    let server = PkaServer::bind(ServerConfig::default()).expect("bind");
+    let addr = server.addr().expect("addr");
+    // The server is shut down before any assertion, so a failure reports
+    // instead of leaving the scope waiting on a running server.
+    let outcome = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run().expect("run"));
+        let outcome = keep_alive_round_trips(addr, 20);
+        let (status, _) = request(addr, "POST", "/v1/shutdown", "");
+        handle.join().expect("server thread");
+        assert_eq!(status, 200);
+        outcome
+    });
+    let (elapsed, bad) = outcome.expect("keep-alive client");
+    assert!(bad.is_empty(), "non-200 replies: {bad:?}");
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 keep-alive requests took {elapsed:?}"
+    );
+}

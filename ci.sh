@@ -15,9 +15,10 @@
 #      entirely (PKA_NO_SIMD=1): the differential parity proof must hold
 #      on every dispatch path, and the forced-scalar fallback must pass
 #      the identical suite with zero test changes
-#   6. bench smoke — the hot-path benchmarks at reduced iteration counts,
-#      plus a jq schema check over the BENCH_pka.json they emit (which
-#      must include the kmeans_sweep/bounded_simd fast-math entry)
+#   6. bench smoke — the hot-path and simulator benchmarks at reduced
+#      iteration counts, plus a jq schema check over the BENCH_pka.json
+#      they emit (which must include the kmeans_sweep/bounded_simd
+#      fast-math entry and the simulator's micro_kernel_sequence row)
 #   7. perfbench — the repository benchmark's helper tests, then one
 #      traced `simulate` run whose last line must report `"correct": true`
 #      (every member's simulated cycles and errors equal the pinned values)
@@ -88,6 +89,8 @@ trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
 rm -f "$BENCH_SMOKE_JSON"
 PKA_BENCH_JSON="$BENCH_SMOKE_JSON" PKA_BENCH_SAMPLES=2 PKA_BENCH_WARMUP=1 \
     cargo bench -q -p pka-bench --bench hot_paths
+PKA_BENCH_JSON="$BENCH_SMOKE_JSON" PKA_BENCH_SAMPLES=2 PKA_BENCH_WARMUP=1 \
+    cargo bench -q -p pka-bench --bench simulator
 if command -v jq >/dev/null 2>&1; then
     jq -e '
         type == "array" and length >= 3
@@ -98,6 +101,7 @@ if command -v jq >/dev/null 2>&1; then
         and any(.[]; .name == "stream_ingest/sharded_s2/500000")
         and any(.[]; .name == "stream_ingest/sharded_s4/500000")
         and any(.[]; .name == "server_session_roundtrip/http_session/100000")
+        and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
     ' "$BENCH_SMOKE_JSON" >/dev/null
     echo "bench json OK ($(jq length "$BENCH_SMOKE_JSON") records)"
 else

@@ -6,6 +6,11 @@
 /// model (no MSHR merging), which is the fidelity level the PKA methodology
 /// needs — miss rates and the resulting latency/bandwidth pressure.
 ///
+/// Each set keeps its tags in recency order, most recent first: a hit moves
+/// its line to the front, and a fill inserts at the front and, in a full
+/// set, evicts the line at the back. That order alone decides true LRU, so
+/// the cache stores one tag per line and nothing else.
+///
 /// # Examples
 ///
 /// ```
@@ -20,14 +25,12 @@ pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// `tags[set * ways + way]`, each set most recently used first;
+    /// `u64::MAX` = invalid. The valid ways of a set are a prefix of it.
     tags: Vec<u64>,
-    /// Per-line logical timestamp for LRU.
-    stamps: Vec<u64>,
     /// Sets filled since the last reset, recorded on their first fill (at
     /// most `sets / 4 + 1` entries; past that, `reset` clears everything).
     touched: Vec<u32>,
-    clock: u64,
     accesses: u64,
     misses: u64,
 }
@@ -51,9 +54,7 @@ impl SetAssocCache {
             ways,
             line_shift: line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
             touched: Vec::new(),
-            clock: 0,
             accesses: 0,
             misses: 0,
         }
@@ -71,39 +72,29 @@ impl SetAssocCache {
     /// Probes (and fills on miss) the line containing `addr`. Returns `true`
     /// on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         self.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line as usize) % self.sets;
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
 
-        if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
-            return true;
+        // One pass finds the line, or else the way to refill: the first
+        // invalid one, or the least recent (last) one of a full set. Either
+        // way the line then moves to the front.
+        let found = slots.iter().position(|&t| t == line || t == u64::MAX);
+        let hit = found.is_some_and(|way| slots[way] == line);
+        if !hit {
+            self.misses += 1;
+            // An invalid way 0 means the set is empty: this is its first
+            // fill since the last reset.
+            if slots[0] == u64::MAX && self.touched.len() <= self.sets / 4 {
+                self.touched.push(set as u32);
+            }
         }
-        self.misses += 1;
-        // Fill into invalid or LRU way. Valid ways always form a prefix of
-        // the set, so an invalid way 0 means the set is empty: this is its
-        // first fill since the last reset.
-        let victim = match slots.iter().position(|&t| t == u64::MAX) {
-            Some(0) => {
-                if self.touched.len() <= self.sets / 4 {
-                    self.touched.push(set as u32);
-                }
-                0
-            }
-            Some(w) => w,
-            None => {
-                let stamps = &self.stamps[base..base + self.ways];
-                (0..self.ways)
-                    .min_by_key(|&w| stamps[w])
-                    .expect("ways > 0")
-            }
-        };
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        false
+        let way = found.unwrap_or(self.ways - 1);
+        slots.copy_within(..way, 1);
+        slots[0] = line;
+        hit
     }
 
     /// Total probes so far.
@@ -130,9 +121,6 @@ impl SetAssocCache {
     ///
     /// Costs time in proportion to the sets filled since the last reset; a
     /// cache that touched more than a quarter of its sets is cleared whole.
-    /// LRU stamps are left as they are: a stamp is read only when its set
-    /// is full, and by then every way of the set has been filled, stamp
-    /// included, since the reset.
     pub fn reset(&mut self) {
         if self.touched.len() > self.sets / 4 {
             self.tags.fill(u64::MAX);
@@ -143,7 +131,6 @@ impl SetAssocCache {
             }
         }
         self.touched.clear();
-        self.clock = 0;
         self.accesses = 0;
         self.misses = 0;
     }
@@ -230,6 +217,92 @@ mod tests {
         c.reset();
         assert_eq!(c.accesses(), 0);
         assert!(!c.access(0), "reset must invalidate");
+    }
+
+    /// The stamp-based true-LRU cache the recency-ordered sets replaced,
+    /// kept as the reference oracle: every line carries the clock value of
+    /// its last access, and a full set evicts its smallest stamp.
+    struct StampLru {
+        sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+        accesses: u64,
+        misses: u64,
+    }
+
+    impl StampLru {
+        fn new(sets: usize, ways: usize) -> Self {
+            Self {
+                sets,
+                ways,
+                tags: vec![u64::MAX; sets * ways],
+                stamps: vec![0; sets * ways],
+                clock: 0,
+                accesses: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            self.accesses += 1;
+            let line = addr >> 5;
+            let base = (line as usize % self.sets) * self.ways;
+            let slots = &self.tags[base..base + self.ways];
+            if let Some(way) = slots.iter().position(|&t| t == line) {
+                self.stamps[base + way] = self.clock;
+                return true;
+            }
+            self.misses += 1;
+            let victim = slots
+                .iter()
+                .position(|&t| t == u64::MAX)
+                .unwrap_or_else(|| {
+                    let stamps = &self.stamps[base..base + self.ways];
+                    (0..self.ways).min_by_key(|&w| stamps[w]).expect("ways > 0")
+                });
+            self.tags[base + victim] = line;
+            self.stamps[base + victim] = self.clock;
+            false
+        }
+
+        fn reset(&mut self) {
+            *self = Self::new(self.sets, self.ways);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Recency-ordered sets give the hit/miss sequence and counters of
+        /// the stamp-based oracle, across geometries and resets.
+        #[test]
+        fn recency_order_matches_the_stamp_oracle(
+            geometry in (0usize..3, 0usize..4, 0usize..3),
+            ops in prop::collection::vec((0u32..100, any::<u64>()), 0..600),
+        ) {
+            let (s, w, span) = geometry;
+            let (sets, ways) = ([1, 3, 64][s], [1, 2, 4, 16][w]);
+            let span = [1u64 << 8, 1 << 12, 1 << 16][span];
+            let mut cache = SetAssocCache::new(sets, ways, 32);
+            let mut oracle = StampLru::new(sets, ways);
+            let (mut hits, mut oracle_hits) = (Vec::new(), Vec::new());
+            for &(op, raw) in &ops {
+                if op < 3 {
+                    cache.reset();
+                    oracle.reset();
+                } else {
+                    let addr = raw % span;
+                    hits.push(cache.access(addr));
+                    oracle_hits.push(oracle.access(addr));
+                }
+                prop_assert_eq!(cache.accesses(), oracle.accesses);
+                prop_assert_eq!(cache.misses(), oracle.misses);
+            }
+            prop_assert_eq!(hits, oracle_hits);
+        }
     }
 
     const SETS: usize = 64;

@@ -378,6 +378,11 @@ const DEP_EVERY: u64 = 6;
 /// Per-warp hot-region size for L1-local reuse, in 32 B sectors (2 KiB:
 /// small enough that even short kernels re-touch it within their lifetime).
 const HOT_SECTORS: u64 = 64;
+/// Ready-queue tag of a warp that has executed its whole program; the
+/// other tags are instruction class indices.
+const RETIRE: u8 = InstClass::ALL.len() as u8;
+/// Distinct ready-queue tags: one per instruction class, plus [`RETIRE`].
+const TAGS: usize = InstClass::ALL.len() + 1;
 
 #[derive(Debug)]
 struct Warp {
@@ -397,6 +402,15 @@ struct BlockSlot {
     barrier_waiting: Vec<usize>,
 }
 
+/// A warp in a ready bucket, tagged with what it does when it next issues:
+/// an instruction class index, or [`RETIRE`]. The tag is decoded once, when
+/// the warp becomes ready; its cursor cannot move before it issues.
+#[derive(Debug, Clone, Copy)]
+struct ReadyWarp {
+    warp: u32,
+    tag: u8,
+}
+
 #[derive(Debug)]
 struct Sm {
     warps: Vec<Warp>,
@@ -404,9 +418,12 @@ struct Sm {
     /// Ready warps bucketed per block slot; issued oldest-block-first
     /// (greedy-then-oldest, the scheduling policy Accel-Sim models) by
     /// walking `slot_order`.
-    ready: Vec<Vec<usize>>,
-    /// Total warps across the `ready` buckets.
-    ready_count: usize,
+    ready: Vec<Vec<ReadyWarp>>,
+    /// Ready warps per tag, across the `ready` buckets.
+    tag_counts: [u32; TAGS],
+    /// Bit `t` is set while `tag_counts[t] > 0`; zero means no warp is
+    /// ready.
+    present: u32,
     /// Block slots in ascending-block-age order (a re-dispatched slot moves
     /// to the back).
     slot_order: Vec<usize>,
@@ -425,7 +442,8 @@ impl Sm {
             warps: Vec::new(),
             blocks: Vec::new(),
             ready: Vec::new(),
-            ready_count: 0,
+            tag_counts: [0; TAGS],
+            present: 0,
             slot_order: Vec::new(),
             pending_next: Vec::new(),
             sleeping: BinaryHeap::new(),
@@ -436,9 +454,9 @@ impl Sm {
 
     /// Puts the SM in the state a new one starts a kernel in, with `slots`
     /// idle block slots of `warps_per_block` warps each, keeping every
-    /// allocation it already holds.
+    /// allocation it already holds. Warps keep what the last kernel left in
+    /// them: nothing reads a warp before `try_dispatch` sets every field.
     fn reset(&mut self, slots: usize, warps_per_block: usize, cursor: WarpCursor) {
-        self.warps.clear();
         self.warps.resize_with(slots * warps_per_block, || Warp {
             cursor,
             block_slot: 0,
@@ -458,7 +476,8 @@ impl Sm {
         for bucket in &mut self.ready {
             bucket.clear();
         }
-        self.ready_count = 0;
+        self.tag_counts = [0; TAGS];
+        self.present = 0;
         self.slot_order.clear();
         self.slot_order.extend(0..slots);
         self.pending_next.clear();
@@ -466,14 +485,53 @@ impl Sm {
         self.credits = [0.0; InstClass::ALL.len()];
         self.l1.reset();
     }
+
+    /// Appends warp `idx` to its block's ready bucket, tagged with what it
+    /// issues next.
+    fn push_ready(&mut self, idx: usize, program: &WarpProgram) {
+        let warp = &self.warps[idx];
+        let tag = program
+            .fetch(&warp.cursor)
+            .map_or(RETIRE, |class| class.index() as u8);
+        self.ready[warp.block_slot].push(ReadyWarp {
+            warp: idx as u32,
+            tag,
+        });
+        self.tag_counts[tag as usize] += 1;
+        self.present |= 1 << tag;
+    }
+
+    /// Removes entry `i` of `slot`'s ready bucket (which swaps the last
+    /// entry into its place).
+    fn remove_ready(&mut self, slot: usize, i: usize) {
+        let tag = self.ready[slot].swap_remove(i).tag as usize;
+        self.tag_counts[tag] -= 1;
+        if self.tag_counts[tag] == 0 {
+            self.present &= !(1 << tag);
+        }
+    }
+
+    /// The first cycle at which this SM can have a warp to issue: the next
+    /// one while a warp is ready or due next cycle, else its earliest
+    /// sleeper's wake-up, else never. Before then, visiting the SM would
+    /// wake nothing and issue nothing.
+    fn next_event(&self, now: u64) -> u64 {
+        if self.present != 0 || !self.pending_next.is_empty() {
+            now + 1
+        } else {
+            self.sleeping.peek().map_or(u64::MAX, |Reverse((t, _))| *t)
+        }
+    }
 }
 
 /// The large engine state a [`Simulator`] pools between kernels: every SM
-/// (warps, block slots, scheduler queues, L1) and the L2. Its size depends
-/// only on the GPU configuration; [`Engine::new`] resets it for a kernel.
+/// (warps, block slots, scheduler queues, L1), each SM's next event cycle,
+/// and the L2. Its size depends only on the GPU configuration;
+/// [`Engine::new`] resets it for a kernel.
 #[derive(Debug)]
 struct EngineState {
     sms: Vec<Sm>,
+    next_event: Vec<u64>,
     l2: SetAssocCache,
 }
 
@@ -481,6 +539,7 @@ impl EngineState {
     fn new(config: &GpuConfig) -> Self {
         Self {
             sms: (0..config.num_sms()).map(|_| Sm::new(config)).collect(),
+            next_event: Vec::new(),
             l2: SetAssocCache::with_capacity(config.l2_bytes(), 16, 32),
         }
     }
@@ -499,7 +558,15 @@ struct Engine<'a> {
     /// Classes the kernel actually executes — the only credits worth
     /// refilling each cycle.
     active_classes: Vec<usize>,
+    /// Tag bits of the classes whose credit stall has no side effect, so
+    /// the issue stage may skip their later warps once one has stalled:
+    /// every class but global memory (which draws its coalescing coin
+    /// before the credit check) and `Sync` (which never stalls).
+    skippable_tags: u32,
     sms: Vec<Sm>,
+    /// `next_event[sm]` is [`Sm::next_event`] as of the SM's last visit;
+    /// the cycle loop skips the SM until then.
+    next_event: Vec<u64>,
     l2: SetAssocCache,
     icnt: Option<Interconnect>,
     dram: DramModel,
@@ -528,19 +595,30 @@ impl<'a> Engine<'a> {
         let mut rates = [0.0; InstClass::ALL.len()];
         let mut latencies = [0u64; InstClass::ALL.len()];
         let mut active_classes = Vec::new();
+        let mut skippable_tags = 0;
         for (i, &class) in InstClass::ALL.iter().enumerate() {
             rates[i] = warp_throughput(config, class);
             latencies[i] = base_latency(config, class) as u64;
             if kernel.count(class) > 0 && class != InstClass::Sync {
                 active_classes.push(i);
             }
+            if !class.is_global_memory() && class != InstClass::Sync {
+                skippable_tags |= 1 << i;
+            }
         }
 
-        let EngineState { mut sms, mut l2 } = state;
+        let EngineState {
+            mut sms,
+            mut next_event,
+            mut l2,
+        } = state;
         let cursor = program.cursor();
         for sm in &mut sms {
             sm.reset(slots_per_sm, warps_per_block as usize, cursor);
         }
+        // Every SM is visited on the first cycle.
+        next_event.clear();
+        next_event.resize(sms.len(), 0);
         l2.reset();
 
         let mut engine = Engine {
@@ -554,7 +632,9 @@ impl<'a> Engine<'a> {
             rates,
             latencies,
             active_classes,
+            skippable_tags,
             sms,
+            next_event,
             l2,
             icnt: options
                 .interconnect
@@ -587,6 +667,7 @@ impl<'a> Engine<'a> {
     fn into_state(self) -> EngineState {
         EngineState {
             sms: self.sms,
+            next_event: self.next_event,
             l2: self.l2,
         }
     }
@@ -640,8 +721,7 @@ impl<'a> Engine<'a> {
         block_id: u64,
         warm_sectors: u64,
         ws_sectors: u64,
-    ) -> (u64, bool) {
-        // Returns (sector address, is_l1_candidate).
+    ) -> u64 {
         let u = stream.next_f64();
         let l1p = kernel.l1_locality();
         let l2p = kernel.l2_locality();
@@ -649,15 +729,15 @@ impl<'a> Engine<'a> {
             // Per-block hot region: fits in L1 comfortably.
             let base = (block_id * HOT_SECTORS * 7) % ws_sectors;
             let s = base + stream.next_u64() % HOT_SECTORS;
-            ((s % ws_sectors) * 32, true)
+            (s % ws_sectors) * 32
         } else if u < l1p + (1.0 - l1p) * l2p {
             // Kernel-wide warm region sized to (half) the L2.
             let s = stream.next_u64() % warm_sectors;
-            (s * 32, false)
+            s * 32
         } else {
             // Cold: anywhere in the working set.
             let s = stream.next_u64() % ws_sectors;
-            (s * 32, false)
+            s * 32
         }
     }
 
@@ -675,13 +755,24 @@ impl<'a> Engine<'a> {
                 });
             }
 
+            // Only this SM's own visit changes its warps, so an SM whose
+            // next event lies ahead has nothing to wake or issue. Visiting
+            // the rest in ascending order keeps the order in which the L2,
+            // DRAM and interconnect see requests.
             let mut any_ready = false;
-            for sm_idx in 0..self.sms.len() {
+            let mut sm_idx = 0;
+            while let Some(skipped) = self.next_event[sm_idx..]
+                .iter()
+                .position(|&t| t <= self.cycle)
+            {
+                sm_idx += skipped;
                 self.wake(sm_idx);
-                if self.sms[sm_idx].ready_count > 0 {
+                if self.sms[sm_idx].present != 0 {
                     any_ready = true;
                     self.issue_cycle(sm_idx);
                 }
+                self.next_event[sm_idx] = self.sms[sm_idx].next_event(self.cycle);
+                sm_idx += 1;
             }
 
             // IPC sampling + monitor callback.
@@ -713,17 +804,10 @@ impl<'a> Engine<'a> {
             if any_ready {
                 self.cycle += 1;
             } else {
-                // Nothing issued anywhere: jump to the next wake-up event.
-                let pending = self.sms.iter().any(|sm| !sm.pending_next.is_empty());
-                let next = if pending {
-                    Some(self.cycle + 1)
-                } else {
-                    self.sms
-                        .iter()
-                        .filter_map(|sm| sm.sleeping.peek().map(|Reverse((t, _))| *t))
-                        .min()
-                };
-                match next {
+                // No SM had a ready warp, so none issued and none is due
+                // next cycle: jump to the next wake-up event.
+                let next = self.next_event.iter().copied().min();
+                match next.filter(|&t| t != u64::MAX) {
                     Some(t) => {
                         let jump = t.max(self.cycle + 1);
                         // Cap the jump so sampling cadence is preserved.
@@ -773,10 +857,9 @@ impl<'a> Engine<'a> {
     fn wake(&mut self, sm_idx: usize) {
         let now = self.cycle;
         let sm = &mut self.sms[sm_idx];
-        for &idx in &sm.pending_next {
-            let slot = sm.warps[idx].block_slot;
-            sm.ready[slot].push(idx);
-            sm.ready_count += 1;
+        for i in 0..sm.pending_next.len() {
+            let idx = sm.pending_next[i];
+            sm.push_ready(idx, &self.program);
         }
         sm.pending_next.clear();
         while let Some(Reverse((t, idx))) = sm.sleeping.peek().copied() {
@@ -784,9 +867,7 @@ impl<'a> Engine<'a> {
                 break;
             }
             sm.sleeping.pop();
-            let slot = sm.warps[idx].block_slot;
-            sm.ready[slot].push(idx);
-            sm.ready_count += 1;
+            sm.push_ready(idx, &self.program);
         }
     }
 
@@ -805,6 +886,11 @@ impl<'a> Engine<'a> {
 
         let issue_width = self.config.issue_width() as usize;
         let mut issued = 0usize;
+        // Tag bits of skippable classes that stalled this cycle. Credits
+        // only fall between refills, so every later warp of such a class
+        // would stall too, with no side effect: skip it untried, and stop
+        // once every ready warp is of a blocked class.
+        let mut blocked = 0u32;
         // Greedy-then-oldest: walk slots oldest block first; warps that
         // stall on a structural hazard stay in their bucket for next cycle.
         let n_slots = self.sms[sm_idx].slot_order.len();
@@ -812,47 +898,38 @@ impl<'a> Engine<'a> {
             let slot = self.sms[sm_idx].slot_order[oi];
             let mut i = 0;
             loop {
-                if issued >= issue_width {
+                let sm = &self.sms[sm_idx];
+                if issued >= issue_width || sm.present & !blocked == 0 {
                     break 'slots;
                 }
-                let warp_idx = {
-                    let bucket = &self.sms[sm_idx].ready[slot];
-                    if i >= bucket.len() {
-                        break;
-                    }
-                    bucket[i]
+                let Some(&entry) = sm.ready[slot].get(i) else {
+                    break;
                 };
-                match self.try_issue(sm_idx, warp_idx) {
+                if blocked & (1 << entry.tag) != 0 {
+                    i += 1;
+                    continue;
+                }
+                match self.try_issue(sm_idx, entry) {
                     IssueOutcome::Issued => {
-                        let sm = &mut self.sms[sm_idx];
-                        sm.ready[slot].swap_remove(i);
-                        sm.ready_count -= 1;
+                        self.sms[sm_idx].remove_ready(slot, i);
                         issued += 1;
                     }
-                    IssueOutcome::Retired => {
-                        let sm = &mut self.sms[sm_idx];
-                        sm.ready[slot].swap_remove(i);
-                        sm.ready_count -= 1;
+                    IssueOutcome::Retired => self.sms[sm_idx].remove_ready(slot, i),
+                    IssueOutcome::Stalled => {
+                        blocked |= (1 << entry.tag) & self.skippable_tags;
+                        i += 1;
                     }
-                    IssueOutcome::Stalled => i += 1,
                 }
             }
         }
     }
 
-    fn try_issue(&mut self, sm_idx: usize, warp_idx: usize) -> IssueOutcome {
+    fn try_issue(&mut self, sm_idx: usize, entry: ReadyWarp) -> IssueOutcome {
         let now = self.cycle;
-        let class = {
-            let sm = &self.sms[sm_idx];
-            let warp = &sm.warps[warp_idx];
-            match self.program.fetch(&warp.cursor) {
-                Some(c) => c,
-                None => {
-                    // Warp retired.
-                    self.retire_warp(sm_idx, warp_idx);
-                    return IssueOutcome::Retired;
-                }
-            }
+        let warp_idx = entry.warp as usize;
+        let Some(&class) = InstClass::ALL.get(usize::from(entry.tag)) else {
+            self.retire_warp(sm_idx, warp_idx);
+            return IssueOutcome::Retired;
         };
         let class_idx = class.index();
 
@@ -865,54 +942,39 @@ impl<'a> Engine<'a> {
         // Credit check: memory operations consume credit proportional to
         // their sector count (the coalescer occupies the LDST pipe longer
         // for divergent accesses).
-        let sectors = if class.is_global_memory() {
-            let sm = &mut self.sms[sm_idx];
-            let warp = &mut sm.warps[warp_idx];
+        let sm = &mut self.sms[sm_idx];
+        let warp = &mut sm.warps[warp_idx];
+        let memory = class.is_global_memory();
+        let (sectors, cost) = if memory {
             let c = self.kernel.coalescing_sectors();
             let base = c.floor() as u64;
             let frac = c - base as f64;
-            base + if warp.stream.next_f64() < frac { 1 } else { 0 }
+            let sectors = base + if warp.stream.next_f64() < frac { 1 } else { 0 };
+            (sectors, (sectors as f64 / 4.0).max(0.25))
         } else {
-            0
+            (0, 1.0)
         };
-        let cost = if class.is_global_memory() {
-            (sectors as f64 / 4.0).max(0.25)
-        } else {
-            1.0
-        };
-        {
-            // Leaky-bucket issue: a warp may issue while the class credit is
-            // positive and drive it negative (so a 32-sector divergent access
-            // still issues, then blocks the pipe for the cycles it deserves).
-            let sm = &mut self.sms[sm_idx];
-            if sm.credits[class_idx] <= 0.0 {
-                return IssueOutcome::Stalled;
-            }
-            sm.credits[class_idx] -= cost;
+        // Leaky-bucket issue: a warp may issue while the class credit is
+        // positive and drive it negative (so a 32-sector divergent access
+        // still issues, then blocks the pipe for the cycles it deserves).
+        if sm.credits[class_idx] <= 0.0 {
+            return IssueOutcome::Stalled;
         }
+        sm.credits[class_idx] -= cost;
 
         // Determine when the warp can issue its next instruction.
         let mut result_at = now + self.latencies[class_idx];
-        if class.is_global_memory() {
-            let block_id = {
-                let sm = &self.sms[sm_idx];
-                let slot = sm.warps[warp_idx].block_slot;
-                sm.blocks[slot].block_id
-            };
+        if memory {
+            let block_id = sm.blocks[warp.block_slot].block_id;
             let mut worst = now + 1;
             for _ in 0..sectors.max(1) {
-                let (addr, _) = {
-                    let sm = &mut self.sms[sm_idx];
-                    let warp = &mut sm.warps[warp_idx];
-                    Self::gen_address(
-                        &mut warp.stream,
-                        self.kernel,
-                        block_id,
-                        self.warm_sectors,
-                        self.ws_sectors,
-                    )
-                };
-                let sm = &mut self.sms[sm_idx];
+                let addr = Self::gen_address(
+                    &mut warp.stream,
+                    self.kernel,
+                    block_id,
+                    self.warm_sectors,
+                    self.ws_sectors,
+                );
                 let ready = if sm.l1.access(addr) {
                     now + self.latencies[class_idx]
                 } else {
@@ -948,21 +1010,16 @@ impl<'a> Engine<'a> {
             InstClass::LdGlobal | InstClass::LdLocal | InstClass::AtomicGlobal => result_at,
             _ => result_at.min(now + 8),
         };
-        let next_issue_at = {
-            let sm = &mut self.sms[sm_idx];
-            let warp = &mut sm.warps[warp_idx];
-            warp.issued += 1;
-            let dependent = warp.issued.is_multiple_of(DEP_EVERY);
-            self.program.advance(&mut warp.cursor);
-            if dependent {
-                dep_wait.max(now + 1)
-            } else {
-                now + 1
-            }
+        warp.issued += 1;
+        let dependent = warp.issued.is_multiple_of(DEP_EVERY);
+        self.program.advance(&mut warp.cursor);
+        let next_issue_at = if dependent {
+            dep_wait.max(now + 1)
+        } else {
+            now + 1
         };
         self.instructions += 1;
 
-        let sm = &mut self.sms[sm_idx];
         if next_issue_at <= now + 1 {
             sm.pending_next.push(warp_idx);
         } else {

@@ -150,10 +150,15 @@ impl WarpProgram {
                             excess -= body_len;
                             segments.pop();
                         } else {
-                            // Partial body remainder: move to epilogue.
+                            // Partial body remainder: move to epilogue. A
+                            // segment left with no iterations goes, or no
+                            // cursor could ever walk past it.
                             seg.iterations -= 1;
                             let keep = body_len - excess;
                             epilogue = seg.body[..keep as usize].to_vec();
+                            if seg.iterations == 0 {
+                                segments.pop();
+                            }
                             excess = 0;
                         }
                     }
@@ -257,6 +262,7 @@ impl WarpCursor {
 mod tests {
     use super::*;
     use pka_gpu::KernelPhase;
+    use proptest::prelude::*;
 
     fn drain(program: &WarpProgram) -> Vec<InstClass> {
         let mut out = Vec::new();
@@ -364,6 +370,75 @@ mod tests {
         let p = WarpProgram::from_descriptor(&k);
         assert_eq!(p.len(), 1);
         assert!(!p.is_empty());
+    }
+
+    /// The three phases of an irregular (BFS-like) kernel.
+    fn three_phases() -> Vec<KernelPhase> {
+        vec![
+            KernelPhase {
+                fraction: 0.25,
+                mem_scale: 1.8,
+                compute_scale: 0.6,
+            },
+            KernelPhase {
+                fraction: 0.5,
+                mem_scale: 1.0,
+                compute_scale: 1.0,
+            },
+            KernelPhase {
+                fraction: 0.25,
+                mem_scale: 0.6,
+                compute_scale: 1.3,
+            },
+        ]
+    }
+
+    /// Walks `program` for at most `limit` instructions; a walk that hits
+    /// the limit never ended.
+    fn walk(program: &WarpProgram, limit: u64) -> u64 {
+        let mut cur = program.cursor();
+        let mut n = 0;
+        while n < limit && program.fetch(&cur).is_some() {
+            program.advance(&mut cur);
+            n += 1;
+        }
+        n
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Walking any multi-phase program retires exactly `len()`
+        /// instructions, and no segment is empty: fitting the phases' loop
+        /// counts to the instruction total can shave a segment down to
+        /// zero iterations, and no cursor walks past such a segment.
+        #[test]
+        fn multi_phase_walks_retire_exactly_len(
+            counts in (0u32..40, 0u32..8, 0u32..200, 0u32..12, 0u32..6, 0u32..6),
+            phased in 0u32..2,
+        ) {
+            let (int, branches, fp32, loads, stores, shared) = counts;
+            let phases = if phased == 0 {
+                three_phases()
+            } else {
+                three_phases()[..2].to_vec()
+            };
+            let built = KernelDescriptor::builder("walk")
+                .int_per_thread(int)
+                .branches_per_thread(branches)
+                .fp32_per_thread(fp32)
+                .global_loads_per_thread(loads)
+                .global_stores_per_thread(stores)
+                .shared_loads_per_thread(shared)
+                .phases(phases)
+                .build();
+            // A kernel that executes nothing is rejected at build time.
+            let Ok(k) = built else { return Ok(()); };
+            let p = WarpProgram::from_descriptor(&k);
+            prop_assert_eq!(p.len(), k.instructions_per_thread());
+            prop_assert!(p.segments.iter().all(|s| s.iterations >= 1));
+            prop_assert_eq!(walk(&p, 10 * p.len() + 10), p.len());
+        }
     }
 
     #[test]

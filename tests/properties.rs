@@ -1,7 +1,8 @@
 //! Property-based tests over the core invariants, spanning crates.
 
 use principal_kernel_analysis::gpu::{
-    GpuConfig, GpuGeneration, KernelDescriptor, KernelMetrics, Occupancy, SiliconExecutor,
+    GpuConfig, GpuGeneration, KernelDescriptor, KernelMetrics, KernelPhase, Occupancy,
+    SiliconExecutor,
 };
 use principal_kernel_analysis::ml::{KMeans, Matrix};
 use principal_kernel_analysis::sim::{SimOptions, Simulator, WarpProgram};
@@ -44,6 +45,48 @@ fn arb_kernel() -> impl Strategy<Value = KernelDescriptor> {
                     .expect("all strategy values are in range")
             },
         )
+}
+
+/// The three phases of an irregular (BFS-like) kernel: memory-heavy,
+/// balanced, then compute-heavy.
+fn three_phases() -> Vec<KernelPhase> {
+    [(0.25, 1.8, 0.6), (0.5, 1.0, 1.0), (0.25, 0.6, 1.3)]
+        .into_iter()
+        .map(|(fraction, mem_scale, compute_scale)| KernelPhase {
+            fraction,
+            mem_scale,
+            compute_scale,
+        })
+        .collect()
+}
+
+/// Fitting this mix's three phases to its instruction total shaves the
+/// last loop segment down to zero iterations. Such a segment must be
+/// dropped: no warp walks past it, so the kernel would never complete.
+#[test]
+fn shaved_multi_phase_kernel_simulates_to_completion() {
+    let k = KernelDescriptor::builder("shaved")
+        .grid_blocks(8)
+        .block_threads(64)
+        .int_per_thread(0)
+        .branches_per_thread(0)
+        .fp32_per_thread(94)
+        .global_loads_per_thread(2)
+        .phases(three_phases())
+        .build()
+        .expect("valid kernel");
+    let sim = Simulator::new(
+        GpuConfig::builder("prop4")
+            .num_sms(4)
+            .build()
+            .expect("valid"),
+        SimOptions::default().with_max_cycles(1_000_000),
+    );
+    let r = sim
+        .run_kernel(&k)
+        .expect("the kernel completes within the budget");
+    assert_eq!(r.instructions, k.total_warp_instructions());
+    assert_eq!(r.blocks_completed, k.total_blocks());
 }
 
 proptest! {

@@ -51,9 +51,16 @@ fn digest(r: &KernelSimResult) -> u64 {
         dram_util_pct,
     } in ipc_series
     {
-        words.extend([*cycle, ipc.to_bits(), l2_miss_pct.to_bits(), dram_util_pct.to_bits()]);
+        words.extend([
+            *cycle,
+            ipc.to_bits(),
+            l2_miss_pct.to_bits(),
+            dram_util_pct.to_bits(),
+        ]);
     }
-    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| mix64(h ^ w))
+    words
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &w| mix64(h ^ w))
 }
 
 fn first_kernel(workload: &str) -> KernelDescriptor {
@@ -65,7 +72,10 @@ fn first_kernel(workload: &str) -> KernelDescriptor {
 }
 
 fn tiny4() -> GpuConfig {
-    GpuConfig::builder("tiny4").num_sms(4).build().expect("valid config")
+    GpuConfig::builder("tiny4")
+        .num_sms(4)
+        .build()
+        .expect("valid config")
 }
 
 /// An L2-heavy kernel that queues at the interconnect's L2 slices.
@@ -111,9 +121,8 @@ fn long_compute() -> KernelDescriptor {
         .expect("valid kernel")
 }
 
-/// One pinned run. `cycles` and `digest` were recorded on the engine that
-/// visited every SM each cycle and kept LRU stamps in its caches; a change
-/// that only makes the simulator faster must leave them as they are.
+/// One pinned run. A change that only makes the simulator faster must leave
+/// `cycles` and `digest` as they are.
 struct Case {
     name: &'static str,
     config: fn() -> GpuConfig,
@@ -224,10 +233,16 @@ fn simulator_results_match_their_pins() {
 
 #[test]
 fn pinned_cases_keep_their_shape() {
-    let stopped = CASES.iter().find(|c| c.stop_at.is_some()).expect("an early-stop case");
+    let stopped = CASES
+        .iter()
+        .find(|c| c.stop_at.is_some())
+        .expect("an early-stop case");
     let r = stopped.run(&stopped.simulator());
     assert!(r.early_stop && r.blocks_completed < r.blocks_total, "{r:?}");
-    let barrier = CASES.iter().find(|c| c.name.starts_with("barrier")).expect("a barrier case");
+    let barrier = CASES
+        .iter()
+        .find(|c| c.name.starts_with("barrier"))
+        .expect("a barrier case");
     let r = barrier.run(&barrier.simulator());
     assert_eq!(r.instructions, r.instructions_total);
 }
@@ -241,6 +256,11 @@ fn pins_hold_on_reused_simulators() {
         let stopped = sim.run_kernel_monitored(&long_compute(), &mut MaxCyclesMonitor::new(1_500));
         assert!(stopped.expect("the warm-up kernel launches").early_stop);
         let r = case.run(&sim);
-        assert_eq!((r.cycles, digest(&r)), (case.cycles, case.digest), "{}", case.name);
+        assert_eq!(
+            (r.cycles, digest(&r)),
+            (case.cycles, case.digest),
+            "{}",
+            case.name
+        );
     }
 }

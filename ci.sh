@@ -18,7 +18,8 @@
 #   6. bench smoke — the hot-path and simulator benchmarks at reduced
 #      iteration counts, plus a jq schema check over the BENCH_pka.json
 #      they emit (which must include the kmeans_sweep/bounded_simd
-#      fast-math entry and the simulator's micro_kernel_sequence row)
+#      fast-math entry, the simulator's micro_kernel_sequence row and the
+#      pka_evaluate/backprop_full whole-evaluation row)
 #   7. perfbench — the repository benchmark's helper tests, then one
 #      traced `simulate` run whose last line must report `"correct": true`
 #      (every member's simulated cycles and errors equal the pinned values)
@@ -102,6 +103,7 @@ if command -v jq >/dev/null 2>&1; then
         and any(.[]; .name == "stream_ingest/sharded_s4/500000")
         and any(.[]; .name == "server_session_roundtrip/http_session/100000")
         and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
+        and any(.[]; .name == "pka_evaluate/backprop_full")
     ' "$BENCH_SMOKE_JSON" >/dev/null
     echo "bench json OK ($(jq length "$BENCH_SMOKE_JSON") records)"
 else

@@ -2,10 +2,11 @@
 //! the behavioural archetypes, a launch-bound sequence of hundreds of tiny
 //! kernels on one simulator, plus the overhead of attaching a PKP
 //! monitor (which must be negligible — the whole point of an online
-//! detector is that watching is free compared to simulating).
+//! detector is that watching is free compared to simulating), and whole
+//! PKA evaluations with the full-simulation baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pka_core::{PkpConfig, PkpMonitor};
+use pka_core::{Pka, PkaConfig, PkpConfig, PkpMonitor};
 use pka_gpu::{GpuConfig, KernelDescriptor, KernelId};
 use pka_sim::{SimOptions, Simulator};
 use std::hint::black_box;
@@ -130,10 +131,31 @@ fn bench_interconnect_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_evaluate(c: &mut Criterion) {
+    // `evaluate_in_simulation(w, true)` on V100: the full-simulation
+    // baseline plus PKS and PKA, where each representative takes one
+    // engine pass. `backprop` runs its representatives to completion;
+    // `sad` stops one of its two early.
+    let pka = Pka::new(GpuConfig::v100(), PkaConfig::default());
+    let mut group = c.benchmark_group("pka_evaluate");
+    group.sample_size(10);
+    for name in ["backprop", "sad"] {
+        let workload = pka_workloads::all_workloads()
+            .into_iter()
+            .find(|w| w.name() == name)
+            .expect("workload exists");
+        group.bench_function(format!("{name}_full"), |b| {
+            b.iter(|| pka.evaluate_in_simulation(black_box(&workload), true).unwrap())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_throughput,
     bench_monitor_overhead,
-    bench_interconnect_ablation
+    bench_interconnect_ablation,
+    bench_evaluate
 );
 criterion_main!(benches);

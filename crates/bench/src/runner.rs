@@ -219,17 +219,16 @@ impl ExperimentRunner {
         let selection = self.selection(workload)?;
         let sim = Simulator::new(gpu.clone(), self.options.pka.sim_options());
 
-        // One work item per representative (full run + fresh PKP monitor);
+        // One work item per representative: one engine pass under a fresh
+        // PKP monitor gives both the full run and the result at the stop;
         // weighted reductions fold in representative order below.
         let reps: Vec<_> = selection.representative_ids();
         let rep_runs = self.options.pka.executor().try_map(&reps, |_, &id| {
-            let kernel = workload.kernel(id);
-            let full = sim.run_kernel(&kernel)?;
             let mut monitor = PkpMonitor::new(
                 self.options.pka.pkp(),
                 self.options.pka.sim_options().sample_interval(),
             );
-            let stopped = sim.run_kernel_monitored(&kernel, &mut monitor)?;
+            let (full, stopped) = sim.run_kernel_with_stop(&workload.kernel(id), &mut monitor)?;
             let projected = ProjectedKernel::from_monitored(&stopped, &monitor);
             Ok::<_, PkaError>((full.cycles, full.instructions_total, projected))
         })?;

@@ -400,47 +400,66 @@ impl Pka {
         let silicon = self.profiler.silicon_run(workload)?;
         let simulator = Simulator::new(self.gpu.clone(), self.config.sim);
 
-        // Baseline: full simulation of every kernel, one per work item;
-        // weighted DRAM utilisation folds in launch-stream order.
-        let (fullsim_cycles, fullsim_dram, sim_error) = if run_full_sim {
+        // Each representative takes one engine pass: run to completion for
+        // PKS, with the result at the PKP stop recorded on the way for PKA.
+        // The monitor is item-local state, so items stay independent.
+        let reps: Vec<_> = selection.representative_ids();
+        let simulate_rep = |kernel: &pka_gpu::KernelDescriptor| {
+            let mut monitor = PkpMonitor::new(self.config.pkp, self.config.sim.sample_interval());
+            let (full, stopped) = simulator.run_kernel_with_stop(kernel, &mut monitor)?;
+            Ok::<_, PkaError>((full, ProjectedKernel::from_monitored(&stopped, &monitor)))
+        };
+
+        // Baseline: full simulation of every kernel, one per work item. A
+        // representative's item is its one pass above, whose full result
+        // also counts toward the baseline. Weighted DRAM utilisation folds
+        // in launch-stream order; `rep_slot` maps a kernel id to its
+        // representative's position, where its outcome lands.
+        let (fullsim_cycles, fullsim_dram, sim_error, rep_runs) = if run_full_sim {
             let _span = pka_obs::span("pka.fullsim_baseline");
+            let mut rep_slot = vec![None; workload.kernel_count() as usize];
+            for (i, id) in reps.iter().enumerate() {
+                rep_slot[id.index() as usize] = Some(i);
+            }
             let ids: Vec<u64> = (0..workload.kernel_count()).collect();
             let runs = self.config.exec.try_map(&ids, |_, &id| {
                 let kernel = workload.kernel(pka_gpu::KernelId::new(id));
-                let r = simulator.run_kernel(&kernel)?;
-                Ok::<_, PkaError>((r.cycles, r.dram_util_pct))
+                if rep_slot[id as usize].is_some() {
+                    let (full, projected) = simulate_rep(&kernel)?;
+                    Ok((full.cycles, full.dram_util_pct, Some(projected)))
+                } else {
+                    let r = simulator.run_kernel(&kernel)?;
+                    Ok::<_, PkaError>((r.cycles, r.dram_util_pct, None))
+                }
             })?;
             let mut total = 0u64;
             let mut dram_weighted = 0.0f64;
-            for (cycles, dram_util_pct) in runs {
+            let mut rep_runs = vec![None; reps.len()];
+            for ((cycles, dram_util_pct, projected), slot) in runs.into_iter().zip(&rep_slot) {
                 total += cycles;
                 dram_weighted += dram_util_pct * cycles as f64;
+                if let (Some(i), Some(projected)) = (slot, projected) {
+                    rep_runs[*i] = Some((cycles, projected));
+                }
             }
             let dram = dram_weighted / total.max(1) as f64;
             (
                 Some(total),
                 Some(dram),
                 Some(abs_pct_error(total as f64, silicon.total_cycles as f64)),
+                rep_runs
+                    .into_iter()
+                    .map(|run| run.expect("every representative is a kernel of the workload"))
+                    .collect(),
             )
         } else {
-            (None, None, None)
+            let _rep_span = pka_obs::span("pka.rep_sim");
+            let rep_runs = self.config.exec.try_map(&reps, |_, &id| {
+                let (full, projected) = simulate_rep(&workload.kernel(id))?;
+                Ok::<_, PkaError>((full.cycles, projected))
+            })?;
+            (None, None, None, rep_runs)
         };
-
-        // Each representative is one work item: PKS simulates it to
-        // completion, PKA re-simulates it under a fresh PKP monitor. The
-        // monitor is item-local state, so items stay independent; the
-        // weighted DRAM reduction folds in representative order.
-        let _rep_span = pka_obs::span("pka.rep_sim");
-        let reps: Vec<_> = selection.representative_ids();
-        let rep_runs = self.config.exec.try_map(&reps, |_, &id| {
-            let kernel = workload.kernel(id);
-            let full = simulator.run_kernel(&kernel)?;
-            let mut monitor =
-                PkpMonitor::new(self.config.pkp, self.config.sim.sample_interval());
-            let stopped = simulator.run_kernel_monitored(&kernel, &mut monitor)?;
-            let projected = ProjectedKernel::from_monitored(&stopped, &monitor);
-            Ok::<_, PkaError>((full.cycles, projected))
-        })?;
 
         // PKS-only: representatives simulated to completion.
         let mut pks_rep_cycles = Vec::with_capacity(selection.k());

@@ -275,7 +275,8 @@ impl Simulator {
     }
 
     /// Simulates `kernel` under an online monitor (the PKP integration
-    /// point).
+    /// point). The run ends when the kernel completes or when the monitor
+    /// returns [`SimControl::Stop`].
     ///
     /// # Errors
     ///
@@ -285,18 +286,99 @@ impl Simulator {
         kernel: &KernelDescriptor,
         monitor: &mut dyn SimMonitor,
     ) -> Result<KernelSimResult, SimError> {
-        if !pka_obs::enabled() {
-            return self.simulate(kernel, monitor);
-        }
-        // Stage time is accumulated directly (no span) so a fullsim over
-        // tens of thousands of kernels does not flood the trace sink with
-        // one line per kernel.
-        let start = std::time::Instant::now();
-        let result = self.simulate(kernel, monitor);
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        pka_obs::stage("sim.run_kernel").record_ns(ns);
-        if let Ok(r) = &result {
-            let obs = sim_obs();
+        let [result] = observed(|| Ok([self.simulate(kernel, monitor, false)?.0]))?;
+        Ok(result)
+    }
+
+    /// Simulates `kernel` to completion under `monitor` in one engine pass
+    /// and returns `(full, stopped)`: `full` is what
+    /// [`run_kernel`](Self::run_kernel) returns, and `stopped` is what
+    /// [`run_kernel_monitored`](Self::run_kernel_monitored) returns with the
+    /// same monitor, bit for bit. When the monitor stops the kernel, the
+    /// engine records the result at that point, stops consulting the
+    /// monitor and runs on; the monitor is left as it was at the stop. If
+    /// it never stops the kernel, `stopped == full`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pka_gpu::{GpuConfig, KernelDescriptor};
+    /// use pka_sim::{MaxCyclesMonitor, SimOptions, Simulator};
+    ///
+    /// let sim = Simulator::new(GpuConfig::v100(), SimOptions::default());
+    /// let kernel = KernelDescriptor::builder("k")
+    ///     .grid_blocks(400)
+    ///     .block_threads(128)
+    ///     .fp32_per_thread(200)
+    ///     .global_loads_per_thread(8)
+    ///     .build()?;
+    /// let (full, stopped) = sim.run_kernel_with_stop(&kernel, &mut MaxCyclesMonitor::new(2_000))?;
+    /// assert_eq!(full, sim.run_kernel(&kernel)?);
+    /// assert_eq!(
+    ///     stopped,
+    ///     sim.run_kernel_monitored(&kernel, &mut MaxCyclesMonitor::new(2_000))?
+    /// );
+    /// assert!(stopped.early_stop && stopped.cycles < full.cycles);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run_kernel`](Self::run_kernel); an error in the part of the
+    /// run after the stop is returned too.
+    pub fn run_kernel_with_stop(
+        &self,
+        kernel: &KernelDescriptor,
+        monitor: &mut dyn SimMonitor,
+    ) -> Result<(KernelSimResult, KernelSimResult), SimError> {
+        let [full, stopped] = observed(|| {
+            let (full, stopped) = self.simulate(kernel, monitor, true)?;
+            let stopped = stopped.unwrap_or_else(|| full.clone());
+            Ok([full, stopped])
+        })?;
+        Ok((full, stopped))
+    }
+
+    /// Runs `kernel` on engine state taken from the pool (or built when the
+    /// pool is empty), and returns the state to the pool however the run
+    /// ends: completion, a monitor stop or an error. See [`Engine::run`]
+    /// for `finish`.
+    fn simulate(
+        &self,
+        kernel: &KernelDescriptor,
+        monitor: &mut dyn SimMonitor,
+        finish: bool,
+    ) -> Result<(KernelSimResult, Option<KernelSimResult>), SimError> {
+        let occ = Occupancy::compute(kernel, &self.config)?;
+        let pooled = self.pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let state = pooled.unwrap_or_else(|| EngineState::new(&self.config));
+        let mut engine = Engine::new(&self.config, &self.options, kernel, &occ, state);
+        let result = engine.run(monitor, finish);
+        let state = engine.into_state();
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner).push(state);
+        result
+    }
+}
+
+/// Runs `run`, one engine pass. With observability on, records the pass as
+/// one `sim.run_kernel` stage call and every result it returns in the
+/// `sim.*` counters.
+fn observed<const N: usize>(
+    run: impl FnOnce() -> Result<[KernelSimResult; N], SimError>,
+) -> Result<[KernelSimResult; N], SimError> {
+    if !pka_obs::enabled() {
+        return run();
+    }
+    // Stage time is accumulated directly (no span) so a fullsim over tens
+    // of thousands of kernels does not flood the trace sink with one line
+    // per kernel.
+    let start = std::time::Instant::now();
+    let results = run();
+    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    pka_obs::stage("sim.run_kernel").record_ns(ns);
+    if let Ok(results) = &results {
+        let obs = sim_obs();
+        for r in results {
             obs.kernels.incr();
             obs.cycles.add(r.cycles);
             obs.instructions.add(r.instructions);
@@ -305,26 +387,8 @@ impl Simulator {
             }
             obs.kernel_cycles.record(r.cycles);
         }
-        result
     }
-
-    /// Runs `kernel` on engine state taken from the pool (or built when the
-    /// pool is empty), and returns the state to the pool however the run
-    /// ends: completion, a monitor stop or an error.
-    fn simulate(
-        &self,
-        kernel: &KernelDescriptor,
-        monitor: &mut dyn SimMonitor,
-    ) -> Result<KernelSimResult, SimError> {
-        let occ = Occupancy::compute(kernel, &self.config)?;
-        let pooled = self.pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        let state = pooled.unwrap_or_else(|| EngineState::new(&self.config));
-        let mut engine = Engine::new(&self.config, &self.options, kernel, &occ, state);
-        let result = engine.run(monitor);
-        let state = engine.into_state();
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner).push(state);
-        result
-    }
+    results
 }
 
 /// Cached simulator metric handles (kernel-rate hot path: one relaxed load
@@ -741,12 +805,24 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(&mut self, monitor: &mut dyn SimMonitor) -> Result<KernelSimResult, SimError> {
+    /// Runs the kernel, consulting `monitor` at every IPC sample. When the
+    /// monitor stops the kernel, a run without `finish` ends there and
+    /// returns `(stopped, None)`. A run with `finish` records the result at
+    /// that point, stops consulting the monitor and runs to completion,
+    /// returning `(full, Some(stopped))`. The monitor has no effect on the
+    /// engine, so the rest of the run is the one a run without a monitor
+    /// makes. A run the monitor never stops returns `(full, None)`.
+    fn run(
+        &mut self,
+        monitor: &mut dyn SimMonitor,
+        finish: bool,
+    ) -> Result<(KernelSimResult, Option<KernelSimResult>), SimError> {
         let interval = self.options.sample_interval;
         let mut series: Vec<IpcSample> = Vec::new();
         let mut last_sample_cycle = 0u64;
         let mut last_sample_insts = 0u64;
         let mut early_stop = false;
+        let mut stopped = None;
 
         'outer: while self.blocks_done < self.blocks_total {
             if self.cycle >= self.options.max_cycles {
@@ -795,9 +871,12 @@ impl<'a> Engine<'a> {
                     blocks_total: self.blocks_total,
                     wave_blocks: self.wave_blocks,
                 };
-                if monitor.observe(&ctx) == SimControl::Stop {
-                    early_stop = true;
-                    break 'outer;
+                if stopped.is_none() && monitor.observe(&ctx) == SimControl::Stop {
+                    if !finish {
+                        early_stop = true;
+                        break 'outer;
+                    }
+                    stopped = Some(self.result(series.clone(), true));
                 }
             }
 
@@ -824,32 +903,35 @@ impl<'a> Engine<'a> {
             }
         }
 
+        Ok((self.result(series, early_stop), stopped))
+    }
+
+    /// The result of the run so far.
+    fn result(&self, ipc_series: Vec<IpcSample>, early_stop: bool) -> KernelSimResult {
         let cycles = self.cycle.max(1) + KERNEL_LAUNCH_OVERHEAD;
-        Ok(KernelSimResult {
+        let (l1_accesses, l1_misses) = self
+            .sms
+            .iter()
+            .fold((0u64, 0u64), |(a, m), sm| (a + sm.l1.accesses(), m + sm.l1.misses()));
+        KernelSimResult {
             cycles,
             instructions: self.instructions,
             instructions_total: self.kernel.total_warp_instructions(),
             launch_overhead_cycles: KERNEL_LAUNCH_OVERHEAD,
             warp_ipc: self.instructions as f64 / cycles as f64,
-            ipc_series: series,
+            ipc_series,
             dram_util_pct: self.dram.utilization_pct(cycles),
             l2_miss_rate_pct: self.l2.miss_rate_pct(),
-            l1_miss_rate_pct: {
-                let (a, m) = self
-                    .sms
-                    .iter()
-                    .fold((0u64, 0u64), |(a, m), sm| (a + sm.l1.accesses(), m + sm.l1.misses()));
-                if a == 0 {
-                    0.0
-                } else {
-                    m as f64 / a as f64 * 100.0
-                }
+            l1_miss_rate_pct: if l1_accesses == 0 {
+                0.0
+            } else {
+                l1_misses as f64 / l1_accesses as f64 * 100.0
             },
             blocks_completed: self.blocks_done,
             blocks_total: self.blocks_total,
             wave_blocks: self.wave_blocks,
             early_stop,
-        })
+        }
     }
 
     /// Moves due sleepers (and the next-cycle fast-path batch) into their

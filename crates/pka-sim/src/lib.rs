@@ -21,7 +21,8 @@
 //!   DRAM utilisation, L2 miss rate and block-completion state.
 //! * [`SimMonitor`] — an online observer invoked at every IPC sample; PKA's
 //!   stability detector and the 1-billion-instruction baseline both plug in
-//!   here.
+//!   here. [`Simulator::run_kernel_with_stop`] returns both the full run and
+//!   the run up to the monitor's stop from one engine pass.
 //! * [`cost`] — the wall-clock cost model used to *project* simulation
 //!   times for workloads that would take years to actually run (Figures 1
 //!   and 6).

@@ -113,6 +113,45 @@ fn simulation_report_parity_across_worker_counts() {
     }
 }
 
+/// A representative's one engine pass serves the full-sim baseline, PKS
+/// and PKA alike, so every sampled number (and the per-representative PKP
+/// table) must not depend on whether the baseline ran, and the attribution
+/// must not depend on the worker count. The workloads cover the memory,
+/// micro and early-stop regimes on V100. `backprop`'s and `sad`'s
+/// representatives are not in launch order, so each one's outcome must
+/// land in its own slot.
+#[test]
+fn sampled_numbers_do_not_depend_on_the_full_sim_baseline() {
+    for name in ["backprop", "mri", "sad", "gauss_208"] {
+        let w = workload(name);
+        let evaluate = |workers: usize| {
+            Pka::new(GpuConfig::v100(), PkaConfig::default().with_workers(workers))
+                .evaluate_with_attribution(&w, true)
+                .expect("evaluation")
+        };
+        let (with_baseline, attribution) = evaluate(1);
+        for workers in [2, 4] {
+            assert_eq!(
+                evaluate(workers),
+                (with_baseline.clone(), attribution.clone()),
+                "{name}: report or attribution diverged at {workers} workers"
+            );
+        }
+        let without = Pka::new(GpuConfig::v100(), PkaConfig::default())
+            .evaluate_in_simulation(&w, false)
+            .expect("evaluation");
+        assert!(with_baseline.fullsim_cycles.is_some() && without.fullsim_cycles.is_none());
+        let sampled_only = SimulationReport {
+            fullsim_cycles: None,
+            fullsim_dram_util_pct: None,
+            sim_error_pct: None,
+            fullsim_hours: without.fullsim_hours,
+            ..with_baseline
+        };
+        assert_eq!(sampled_only, without, "{name}: the baseline moved a sampled number");
+    }
+}
+
 #[test]
 fn silicon_report_parity_across_worker_counts() {
     // The cross-generation silicon path: selection on Volta, re-execution

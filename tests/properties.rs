@@ -1,11 +1,15 @@
 //! Property-based tests over the core invariants, spanning crates.
 
+use principal_kernel_analysis::core::{PkpConfig, PkpMonitor};
 use principal_kernel_analysis::gpu::{
     GpuConfig, GpuGeneration, KernelDescriptor, KernelMetrics, KernelPhase, Occupancy,
     SiliconExecutor,
 };
 use principal_kernel_analysis::ml::{KMeans, Matrix};
-use principal_kernel_analysis::sim::{SimOptions, Simulator, WarpProgram};
+use principal_kernel_analysis::sim::{
+    IpcSample, KernelSimResult, MaxCyclesMonitor, MaxInstructionsMonitor, NullMonitor,
+    SimMonitor, SimOptions, Simulator, WarpProgram,
+};
 use principal_kernel_analysis::stats::{OnlineStats, RollingStats};
 use proptest::prelude::*;
 
@@ -104,6 +108,122 @@ proptest! {
                 reused.run_kernel(k).expect("in-range kernels simulate"),
                 fresh.run_kernel(k).expect("in-range kernels simulate")
             );
+        }
+    }
+}
+
+/// Every field of `r` as words, `f64`s as their bits, so two results
+/// compare bit for bit. The destructuring is exhaustive: a new field fails
+/// to compile here until it is listed.
+fn result_bits(r: &KernelSimResult) -> Vec<u64> {
+    let KernelSimResult {
+        cycles,
+        instructions,
+        instructions_total,
+        launch_overhead_cycles,
+        warp_ipc,
+        ipc_series,
+        dram_util_pct,
+        l2_miss_rate_pct,
+        l1_miss_rate_pct,
+        blocks_completed,
+        blocks_total,
+        wave_blocks,
+        early_stop,
+    } = r;
+    let mut words = vec![
+        *cycles,
+        *instructions,
+        *instructions_total,
+        *launch_overhead_cycles,
+        warp_ipc.to_bits(),
+        dram_util_pct.to_bits(),
+        l2_miss_rate_pct.to_bits(),
+        l1_miss_rate_pct.to_bits(),
+        *blocks_completed,
+        *blocks_total,
+        *wave_blocks,
+        u64::from(*early_stop),
+    ];
+    for IpcSample {
+        cycle,
+        ipc,
+        l2_miss_pct,
+        dram_util_pct,
+    } in ipc_series
+    {
+        words.extend([*cycle, ipc.to_bits(), l2_miss_pct.to_bits(), dram_util_pct.to_bits()]);
+    }
+    words
+}
+
+/// Runs `kernel` once through `run_kernel_with_stop` on `sim` and checks
+/// both halves against `run_kernel` and `run_kernel_monitored` on a new
+/// simulator, each under a new monitor from `monitor`. Returns the
+/// one-pass monitor and the stop-only run's monitor, as each run left it.
+fn check_one_pass<M: SimMonitor>(
+    sim: &Simulator,
+    kernel: &KernelDescriptor,
+    monitor: impl Fn() -> M,
+) -> Result<(M, M), TestCaseError> {
+    let fresh = Simulator::new(sim.config().clone(), *sim.options());
+    let full = fresh.run_kernel(kernel).expect("in-range kernels simulate");
+    let mut stop_only = monitor();
+    let stopped = fresh
+        .run_kernel_monitored(kernel, &mut stop_only)
+        .expect("in-range kernels simulate");
+    let mut one_pass = monitor();
+    let (got_full, got_stopped) = sim
+        .run_kernel_with_stop(kernel, &mut one_pass)
+        .expect("in-range kernels simulate");
+    prop_assert_eq!(result_bits(&got_full), result_bits(&full));
+    prop_assert_eq!(result_bits(&got_stopped), result_bits(&stopped));
+    Ok((one_pass, stop_only))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One engine pass returns exactly the full run and the stop-only run,
+    /// under every monitor PKA and its baselines use, on a new simulator
+    /// and on one whose pooled state a previous run left mid-flight. A PKP
+    /// monitor ends in the state the stop-only run leaves it in.
+    #[test]
+    fn one_pass_matches_a_full_and_a_stopped_run(
+        k in arb_kernel(),
+        watch in 0usize..6,
+        budget in 1u64..8_000,
+        warm_up in arb_kernel(),
+    ) {
+        let config = GpuConfig::builder("prop4").num_sms(4).build().expect("valid");
+        let new = Simulator::new(config.clone(), SimOptions::default());
+        let warm = Simulator::new(config, SimOptions::default());
+        warm.run_kernel_monitored(&warm_up, &mut MaxCyclesMonitor::new(budget / 4 + 1))
+            .expect("in-range kernels simulate");
+        let interval = new.options().sample_interval();
+        for sim in [&new, &warm] {
+            match watch {
+                0 => {
+                    check_one_pass(sim, &k, || NullMonitor)?;
+                }
+                1 => {
+                    check_one_pass(sim, &k, || MaxCyclesMonitor::new(budget))?;
+                }
+                2 => {
+                    check_one_pass(sim, &k, || MaxInstructionsMonitor::new(budget * 8))?;
+                }
+                _ => {
+                    let s = [2.5, 0.25, 0.025][watch - 3];
+                    let pkp = PkpConfig::default().with_threshold(s);
+                    let (one_pass, stop_only) =
+                        check_one_pass(sim, &k, || PkpMonitor::new(pkp, interval))?;
+                    prop_assert_eq!(one_pass.stopped_at(), stop_only.stopped_at());
+                    prop_assert_eq!(
+                        one_pass.stable_ipc().map(f64::to_bits),
+                        stop_only.stable_ipc().map(f64::to_bits)
+                    );
+                }
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 
 use principal_kernel_analysis::gpu::{GpuConfig, KernelDescriptor, KernelId};
 use principal_kernel_analysis::sim::{
-    IpcSample, KernelSimResult, MaxCyclesMonitor, SimOptions, Simulator,
+    IpcSample, KernelSimResult, MaxCyclesMonitor, NullMonitor, SimOptions, Simulator,
 };
 use principal_kernel_analysis::stats::hash::mix64;
 use principal_kernel_analysis::workloads::all_workloads;
@@ -245,6 +245,56 @@ fn pinned_cases_keep_their_shape() {
         .expect("a barrier case");
     let r = barrier.run(&barrier.simulator());
     assert_eq!(r.instructions, r.instructions_total);
+}
+
+/// A one-pass run holds the pins on both halves: the stopped half of the
+/// monitor-stopped case, and the full half of each V100 case whether or not
+/// a monitor stopped it halfway (with no stop, both halves are the pin).
+#[test]
+fn one_pass_runs_hold_the_pins() {
+    for case in CASES
+        .iter()
+        .filter(|c| c.stop_at.is_some() || c.name.ends_with(" on V100"))
+    {
+        let sim = case.simulator();
+        let kernel = (case.kernel)();
+        let pinned = |half: &str, r: &KernelSimResult| {
+            assert_eq!(
+                (r.cycles, digest(r)),
+                (case.cycles, case.digest),
+                "{}: {half} half",
+                case.name
+            );
+        };
+        let run = |budget: Option<u64>| {
+            let pair = match budget {
+                Some(budget) => sim.run_kernel_with_stop(&kernel, &mut MaxCyclesMonitor::new(budget)),
+                None => sim.run_kernel_with_stop(&kernel, &mut NullMonitor),
+            };
+            pair.unwrap_or_else(|e| panic!("{}: {e}", case.name))
+        };
+        match case.stop_at {
+            Some(budget) => {
+                let (full, stopped) = run(Some(budget));
+                pinned("stopped", &stopped);
+                let reference = sim.run_kernel(&kernel).expect("runs to completion");
+                assert_eq!(digest(&full), digest(&reference), "{}: full half", case.name);
+            }
+            None => {
+                let (full, stopped) = run(None);
+                pinned("full", &full);
+                pinned("stopped", &stopped);
+                let halfway = (full.cycles - full.launch_overhead_cycles) / 2;
+                let (full, stopped) = run(Some(halfway));
+                pinned("full", &full);
+                assert!(stopped.early_stop, "{}: stops at cycle {halfway}", case.name);
+                let reference = sim
+                    .run_kernel_monitored(&kernel, &mut MaxCyclesMonitor::new(halfway))
+                    .expect("runs to the stop");
+                assert_eq!(digest(&stopped), digest(&reference), "{}: stopped half", case.name);
+            }
+        }
+    }
 }
 
 /// The same pins hold on a simulator whose pooled engine state a previous

@@ -48,7 +48,7 @@
 #  12. server smoke — `pka serve` driven end-to-end over HTTP with curl:
 #      a streaming session must report the same selected K and projected
 #      cycles as the batch CLI run and serve byte-identical checkpoint and
-#      attribution artifacts (`cmp`), including under `--shards 2`; a
+#      attribution artifacts (`cmp`); a
 #      DELETE mid-stream must exit cleanly leaving a resumable checkpoint
 #      the CLI can finish from. Live telemetry rides the same service run:
 #      `/metrics` is awk-validated raw (every sample family carries a
@@ -99,8 +99,6 @@ if command -v jq >/dev/null 2>&1; then
                      and has("median_ns") and has("stddev_ns"))
         and any(.[]; .name == "kmeans_sweep/bounded_simd/50000")
         and any(.[]; .name == "stream_ingest/online_pks/500000")
-        and any(.[]; .name == "stream_ingest/sharded_s2/500000")
-        and any(.[]; .name == "stream_ingest/sharded_s4/500000")
         and any(.[]; .name == "server_session_roundtrip/http_session/100000")
         and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
         and any(.[]; .name == "pka_evaluate/backprop_full")
@@ -164,31 +162,6 @@ if command -v jq >/dev/null 2>&1; then
     echo "stream checkpoint OK (K=$(jq .selected_k "$STREAM_CKPT"), max_buffered=$(jq .max_buffered "$STREAM_CKPT"))"
 else
     echo "jq not found; skipping stream checkpoint schema check" >&2
-fi
-
-echo "==> sharded stream smoke (4 shards, forced reshard, verify-batch)"
-SHARD_CKPT="$(mktemp -t pka_shard_ckpt.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE_JSON" "$OBS_MANIFEST" "$OBS_TRACE" "$STREAM_CKPT" "$SHARD_CKPT"' EXIT
-# --reshard-at migrates a shard to a different lane mid-run; lanes are pure
-# scheduling, so the final checkpoint must stay byte-identical to an
-# unperturbed run and the batch-PKS parity check must still pass.
-./target/release/pka stream --source synthetic:100000 --prefix 1000 \
-    --checkpoint-every 20000 --checkpoint "$SHARD_CKPT" \
-    --shards 4 --reshard-at 50000:1:3 --workers 4 --verify-batch >/dev/null
-if command -v jq >/dev/null 2>&1; then
-    jq -e '
-        .schema == "pka.stream_checkpoint/v1"
-        and .records == 100000
-        and .topology.shards == 4
-        and (.shards | length) == 4
-        and ([.shards[].records] | add) == (.records - .prefix)
-        and .selected_k >= 1
-        and (.merged | has("centroids"))
-        and (.config | has("pks"))
-    ' "$SHARD_CKPT" >/dev/null
-    echo "sharded checkpoint OK (K=$(jq .selected_k "$SHARD_CKPT"), map_hash=$(jq .topology.map_hash "$SHARD_CKPT"))"
-else
-    echo "jq not found; skipping sharded checkpoint schema check" >&2
 fi
 
 echo "==> live observability smoke (snapshots, trace export, obs diff gate)"
@@ -333,7 +306,7 @@ if command -v jq >/dev/null 2>&1; then
     echo "attribution gate OK (injected representative swap detected)"
 fi
 
-echo "==> server smoke (pka serve: HTTP session parity, sharded, teardown)"
+echo "==> server smoke (pka serve: HTTP session parity, teardown)"
 SRV_DIR="$(mktemp -d -t pka_srv.XXXXXX)"
 SERVE_PID=""
 cleanup_server() {
@@ -347,9 +320,6 @@ if command -v curl >/dev/null 2>&1 && command -v jq >/dev/null 2>&1; then
     ./target/release/pka stream --source synthetic:60000 --prefix 800 \
         --checkpoint-every 20000 --checkpoint "$SRV_DIR/cli_ckpt.json" \
         --attribution-out "$SRV_DIR/cli_attr.json" >/dev/null
-    ./target/release/pka stream --source synthetic:60000 --prefix 800 \
-        --checkpoint-every 20000 --shards 2 \
-        --checkpoint "$SRV_DIR/cli_shard_ckpt.json" >/dev/null
 
     ./target/release/pka serve --addr 127.0.0.1:0 --read-timeout-ms 5000 \
         --trace-out "$SRV_DIR/serve_trace.jsonl" > "$SRV_DIR/serve.log" 2>&1 &
@@ -429,15 +399,6 @@ if command -v curl >/dev/null 2>&1 && command -v jq >/dev/null 2>&1; then
     grep -q "REGRESSION" "$SRV_DIR/scrape_diff_out.txt"
     echo "server scrape gate OK ($(jq '.counters | length' "$SRV_DIR/scrape1.json") counter series)"
 
-    # Sharded session: same contract under --shards 2.
-    SID="$(curl -sf -X POST "http://$ADDR/v1/sessions" \
-        -d '{"mode":"stream","source":"synthetic:60000","prefix":800,"checkpoint_every":20000,"shards":2}' \
-        | jq -r .id)"
-    wait_result "$SID"
-    curl -sf "http://$ADDR/v1/sessions/$SID/checkpoint" -o "$SRV_DIR/srv_shard_ckpt.json"
-    cmp -s "$SRV_DIR/cli_shard_ckpt.json" "$SRV_DIR/srv_shard_ckpt.json"
-    echo "server sharded parity OK (map_hash=$(jq .topology.map_hash "$SRV_DIR/srv_shard_ckpt.json"))"
-
     # DELETE mid-stream: cancellation-safe teardown must stop at a batch
     # boundary and leave a checkpoint the CLI can resume to completion.
     SID="$(curl -sf -X POST "http://$ADDR/v1/sessions" \
@@ -454,7 +415,7 @@ if command -v curl >/dev/null 2>&1 && command -v jq >/dev/null 2>&1; then
     ./target/release/pka obs scrape "http://$ADDR" --out "$SRV_DIR/scrape2.json"
     jq -e '
         .gauges.pka_server_sessions_active == 1
-        and .counters.pka_server_sessions_created_total == 3
+        and .counters.pka_server_sessions_created_total == 2
     ' "$SRV_DIR/scrape2.json" >/dev/null
     # Counters and stage totals only move forward between scrapes.
     jq -en --slurpfile a "$SRV_DIR/scrape1.json" --slurpfile b "$SRV_DIR/scrape2.json" '

@@ -13,10 +13,7 @@
 //!   per-kernel cost.
 //! * `stream_ingest` — end-to-end online PKS over a synthetic workload
 //!   stream (detailed prefix + classified tail), the `pka-stream`
-//!   bounded-memory ingestion cost per kernel. `online_pks` is the
-//!   single-pipeline reference; `sharded_s{2,4}` run the sharded engine
-//!   (hash-ring routing + batched tail classification) on the same
-//!   sequential executor, so the ratio isolates the per-core win.
+//!   bounded-memory ingestion cost per kernel (`online_pks`).
 //! * `server_session_roundtrip` — the full `pka-server` service path:
 //!   `POST /v1/sessions` over a real socket, a 100k-record synthetic
 //!   streaming session, and `GET .../result`. The delta against
@@ -35,9 +32,7 @@ use pka_server::{PkaServer, ServerConfig};
 use pka_sim::{SimOptions, Simulator};
 use pka_stats::hash::UnitStream;
 use pka_stats::Executor;
-use pka_stream::{
-    synthetic_workload, KernelSource, ShardedStreamPks, StreamConfig, StreamPks, WorkloadSource,
-};
+use pka_stream::{synthetic_workload, KernelSource, StreamConfig, StreamPks, WorkloadSource};
 use std::hint::black_box;
 
 /// Synthetic kernel-metric cloud: `n` points around 24 behavioural centres
@@ -181,8 +176,7 @@ fn bench_stream_ingest(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(N));
 
-    // Single-pipeline reference: the pre-sharding `StreamPks` tail.
-    let mut source = WorkloadSource::new(workload.clone(), Profiler::new(GpuConfig::v100()));
+    let mut source = WorkloadSource::new(workload, Profiler::new(GpuConfig::v100()));
     group.bench_function(BenchmarkId::new("online_pks", N), |b| {
         b.iter(|| {
             source.restart().expect("restart");
@@ -195,22 +189,6 @@ fn bench_stream_ingest(c: &mut Criterion) {
         })
     });
 
-    // Sharded engine on the same stream and executor budget: the batched
-    // tail classifier amortises centroid loads across the mini-batch, so
-    // the speedup is per-core, not worker-count parallelism.
-    for shards in [2usize, 4] {
-        group.bench_function(BenchmarkId::new(format!("sharded_s{shards}"), N), |b| {
-            b.iter(|| {
-                source.restart().expect("restart");
-                ShardedStreamPks::new(config, shards)
-                    .with_executor(Executor::sequential())
-                    .run(black_box(&mut source), |_| Ok(()))
-                    .expect("sharded stream runs")
-                    .report
-                    .records
-            })
-        });
-    }
     group.finish();
 }
 

@@ -21,8 +21,7 @@
 //!
 //! Everything here is a pure function of the selection, the provenance and
 //! the per-representative simulation samples, so artifacts are
-//! byte-identical across worker counts and across sharded vs.
-//! single-pipeline runs.
+//! byte-identical across worker counts.
 
 use serde::value::{Map, Value, ValueError};
 use serde::{Deserialize, Serialize};
@@ -116,26 +115,11 @@ pub struct GroupAttribution {
     pub dram_share_pct: Option<f64>,
 }
 
-/// Per-shard provenance section of a sharded streaming run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardAttribution {
-    /// Shard index (hash-ring order).
-    pub shard: usize,
-    /// Tail records this shard consumed.
-    pub records: u64,
-    /// Per-group classified-member counts this shard contributed, in group
-    /// order (summing shard sections in shard-id order reproduces the
-    /// merged group weights).
-    pub tail_counts: Vec<u64>,
-}
-
 /// The `pka.attribution/v1` artifact: an exact per-group decomposition of
 /// the reported projection error plus each representative's provenance.
 ///
-/// Serialization skips the `None` simulation-only fields and an empty
-/// `shards` section, so batch / single-pipeline artifacts carry no dangling
-/// keys and a sharded run's artifact differs from the single pipeline's by
-/// exactly its `shards` section.
+/// Serialization skips the `None` simulation-only fields, so
+/// selection-kind artifacts carry no dangling keys.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ErrorAttribution {
     /// Always [`ATTRIBUTION_SCHEMA`].
@@ -168,9 +152,6 @@ pub struct ErrorAttribution {
     pub dram_util_pct: Option<f64>,
     /// Per-group decomposition, in group order.
     pub groups: Vec<GroupAttribution>,
-    /// Per-shard sections of a sharded streaming run (empty and omitted
-    /// for batch and single-pipeline runs).
-    pub shards: Vec<ShardAttribution>,
 }
 
 fn put<T: Serialize>(m: &mut Map, key: &str, value: &T) {
@@ -259,9 +240,6 @@ impl Serialize for ErrorAttribution {
         put_opt(&mut m, "pka_err_pct", &self.pka_err_pct);
         put_opt(&mut m, "dram_util_pct", &self.dram_util_pct);
         put(&mut m, "groups", &self.groups);
-        if !self.shards.is_empty() {
-            put(&mut m, "shards", &self.shards);
-        }
         Value::Object(m)
     }
 }
@@ -281,11 +259,6 @@ impl Deserialize for ErrorAttribution {
             pka_err_pct: opt(value, "pka_err_pct")?,
             dram_util_pct: opt(value, "dram_util_pct")?,
             groups: req(value, "groups")?,
-            shards: if value["shards"].is_null() {
-                Vec::new()
-            } else {
-                req(value, "shards")?
-            },
         })
     }
 }
@@ -421,7 +394,6 @@ pub fn selection_attribution(
         pka_err_pct: None,
         dram_util_pct: None,
         groups,
-        shards: Vec::new(),
     }
 }
 
@@ -547,6 +519,5 @@ pub fn simulation_attribution(
         pka_err_pct: Some(pka_stats::error::abs_pct_error(pka_projected as f64, silicon)),
         dram_util_pct: Some(dram_util),
         groups,
-        shards: Vec::new(),
     }
 }

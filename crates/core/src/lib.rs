@@ -56,7 +56,7 @@ mod two_level;
 
 pub use attribution::{
     selection_attribution, simulation_attribution, ErrorAttribution, GroupAttribution,
-    GroupProvenance, RepSimulation, ShardAttribution, ATTRIBUTION_SCHEMA,
+    GroupProvenance, RepSimulation, ATTRIBUTION_SCHEMA,
 };
 pub use error::PkaError;
 pub use pka_stats::Executor;
@@ -64,4 +64,4 @@ pub use features::feature_matrix;
 pub use pipeline::{Pka, PkaConfig, RepProjection, SiliconPksReport, SimulationReport};
 pub use pkp::{PkpConfig, PkpMonitor, ProjectedKernel};
 pub use pks::{KernelGroup, Pks, PksConfig, RepresentativePolicy, Selection};
-pub use two_level::{TwoLevel, TwoLevelConfig};
+pub use two_level::{fit_tail_ensemble, TwoLevel, TwoLevelConfig};

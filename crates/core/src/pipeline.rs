@@ -658,7 +658,6 @@ mod tests {
         assert_eq!(attribution.groups.len(), selection.k());
         assert_eq!(attribution.pks_err_pct, selection.error_pct());
         assert_eq!(attribution.reference_cycles, selection.reference_cycles());
-        assert!(attribution.shards.is_empty());
         for g in &attribution.groups {
             assert_eq!(g.chrono_rank, 0, "first-chronological reps rank first");
             assert!(g.distance_to_centroid.is_finite());

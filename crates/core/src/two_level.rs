@@ -1,7 +1,7 @@
 use std::ops::Range;
 
 use pka_gpu::KernelId;
-use pka_ml::classify::{Classifier, Ensemble, GaussianNb, MlpClassifier, SgdClassifier};
+use pka_ml::classify::{Ensemble, EnsembleMemo, GaussianNb, MlpClassifier, SgdClassifier};
 use pka_ml::Matrix;
 use pka_profile::{LightweightRecord, Profiler};
 use pka_stats::Executor;
@@ -13,6 +13,11 @@ use crate::{Pks, PksConfig, PkaError, Selection};
 /// per-chunk overhead vanishes, small enough to load-balance millions of
 /// lightweight records across workers.
 const CLASSIFY_CHUNK: u64 = 4096;
+
+/// Tail kernels per memo lookup batch within a chunk. A batch's misses go
+/// to the ensemble together and only then enter the memo, so small
+/// batches let each chunk's memo start answering early.
+const MEMO_BATCH: u64 = 64;
 
 /// Configuration for the two-level profiling pipeline.
 ///
@@ -127,35 +132,48 @@ impl TwoLevel {
         let train_span = pka_obs::span("two_level.train");
         let train_records = profiler.lightweight(workload, 0..j);
         let x = lightweight_matrix(&train_records)?;
-        let y = selection.labels().to_vec();
-        let seed = self.config.classifier_seed;
-        let ensemble = Ensemble::new(vec![
-            Box::new(SgdClassifier::fit(&x, &y, seed)?),
-            Box::new(GaussianNb::fit(&x, &y)?),
-            Box::new(MlpClassifier::fit(&x, &y, seed ^ 0xff)?),
-        ]);
+        let ensemble = fit_tail_ensemble(&x, selection.labels(), self.config.classifier_seed)?;
         drop(train_span);
 
         // Classify the tail — millions of kernels for MLPerf — in chunks:
-        // each chunk streams its records one at a time (memory stays
-        // O(chunks × k)) and reduces to per-group counts, which are folded
-        // back in stream order. Group counts are order-independent sums, so
-        // the result is identical for any worker count.
+        // each chunk reads its launches' features straight from the
+        // workload's launch views (bit-equal to materialising each record),
+        // labels them through its own memo, and reduces to per-group
+        // counts. Group counts are order-independent sums, so the result
+        // is identical for any worker count.
         let _classify_span = pka_obs::span("two_level.classify");
         let k = selection.k();
+        let dims = LightweightRecord::FEATURE_COUNT;
         let chunks: Vec<Range<u64>> = chunk_ranges(j, workload.kernel_count(), CLASSIFY_CHUNK);
         let counts = self.exec.try_map(&chunks, |_, chunk| {
+            let mut memo = EnsembleMemo::new(&ensemble, dims);
+            let mut flat = Vec::with_capacity(MEMO_BATCH as usize * dims);
+            let mut labels = Vec::new();
             let mut counts = vec![0u64; k];
-            for id in chunk.clone() {
-                let kernel = workload.kernel(KernelId::new(id));
-                let record = LightweightRecord::new(KernelId::new(id), &kernel);
-                let group = ensemble.predict(&record.to_feature_vector())?;
-                counts[group] += 1;
+            let mut hits = 0;
+            for batch in chunk_ranges(chunk.start, chunk.end, MEMO_BATCH) {
+                flat.clear();
+                for id in batch {
+                    let view = workload.launch_view(KernelId::new(id));
+                    LightweightRecord::write_features(
+                        view.name,
+                        view.total_blocks,
+                        view.threads_per_block,
+                        view.shared_mem_per_block,
+                        view.total_threads(),
+                        &mut flat,
+                    );
+                }
+                hits += memo.predict_into(&flat, &mut labels)?;
+                for &group in &labels {
+                    counts[group] += 1;
+                }
             }
             if pka_obs::enabled() {
                 // One flush per chunk (CLASSIFY_CHUNK kernels), not per
                 // prediction.
                 pka_obs::counter("two_level.classified").add(chunk.end - chunk.start);
+                pka_obs::counter("two_level.memo_hits").add(hits as u64);
             }
             Ok::<_, PkaError>(counts)
         })?;
@@ -166,6 +184,24 @@ impl TwoLevel {
         }
         Ok(selection)
     }
+}
+
+/// Fits the tail classifier ensemble of the two-level split on the
+/// detailed prefix's lightweight features `x` and PKS labels `y`: SGD,
+/// Gaussian naive Bayes and an MLP, voted in that order, with the SGD
+/// seeded by `seed` and the MLP by `seed ^ 0xff`. The batch pipeline and
+/// the stream engine both train through here, which is what makes their
+/// tail labels agree.
+///
+/// # Errors
+///
+/// Propagates model fitting failures.
+pub fn fit_tail_ensemble(x: &Matrix, y: &[usize], seed: u64) -> Result<Ensemble, PkaError> {
+    Ok(Ensemble::new(vec![
+        Box::new(SgdClassifier::fit(x, y, seed)?),
+        Box::new(GaussianNb::fit(x, y)?),
+        Box::new(MlpClassifier::fit(x, y, seed ^ 0xff)?),
+    ]))
 }
 
 /// Splits `[start, end)` into consecutive ranges of at most `chunk` items.

@@ -240,6 +240,137 @@ impl Classifier for Ensemble {
     }
 }
 
+/// log2 of the slots in an [`EnsembleMemo`]'s direct-mapped table (1024).
+/// Kernel streams are template-heavy (few distinct launch shapes), so a
+/// small table absorbs almost every ensemble call.
+const MEMO_SLOT_BITS: u32 = 10;
+
+/// FNV-1a over the raw feature bit patterns, and the slot it maps to.
+///
+/// The slot is the hash's top bits. A multiply only carries bits upward,
+/// so the low bits see only the low bits of each feature; features that
+/// are small integers (the name buckets) differ only in their high bits,
+/// and launches that differ only by name would share a low-bit slot and
+/// evict each other on every launch.
+fn memo_key(row: &[f64]) -> (u64, usize) {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &x in row {
+        h ^= x.to_bits();
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h, (h >> (64 - MEMO_SLOT_BITS)) as usize)
+}
+
+/// An exact memo in front of an [`Ensemble`]: the tail classifier of the
+/// two-level pipeline and the stream engine.
+///
+/// A direct-mapped table keyed on the raw feature bits remembers the label
+/// of each row it has classified. A lookup compares the full row, not just
+/// the hash, so a colliding slot can only miss, never mislabel. Misses go
+/// to the ensemble in one [`Classifier::predict_into`] batch and then
+/// overwrite their slots. The ensemble is a pure function of a row, so the
+/// labels equal [`Ensemble::predict`] on every row whatever the table
+/// holds.
+///
+/// # Examples
+///
+/// ```
+/// use pka_ml::classify::{Classifier, Ensemble, EnsembleMemo, GaussianNb, SgdClassifier};
+/// use pka_ml::Matrix;
+///
+/// let x = Matrix::from_rows(&[vec![0.0], vec![0.1], vec![5.0], vec![5.1]])?;
+/// let y = [0, 0, 1, 1];
+/// let ensemble = Ensemble::new(vec![
+///     Box::new(SgdClassifier::fit(&x, &y, 0)?),
+///     Box::new(GaussianNb::fit(&x, &y)?),
+/// ]);
+/// let mut memo = EnsembleMemo::new(&ensemble, 1);
+/// let mut labels = Vec::new();
+/// let hits = memo.predict_into(&[4.9, 0.05, 4.9], &mut labels)?;
+/// assert_eq!(labels, vec![1, 0, 1]);
+/// assert_eq!(hits, 0, "misses in one batch are labelled together");
+/// assert_eq!(memo.predict_into(&[4.9], &mut labels)?, 1);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct EnsembleMemo<'a> {
+    ensemble: &'a Ensemble,
+    dims: usize,
+    keys: Vec<u64>,
+    /// `usize::MAX` marks an empty slot.
+    labels: Vec<usize>,
+    rows: Vec<f64>,
+    miss_idx: Vec<usize>,
+    miss_flat: Vec<f64>,
+    miss_labels: Vec<usize>,
+}
+
+impl<'a> EnsembleMemo<'a> {
+    /// An empty memo over `ensemble` for rows of `dims` features.
+    pub fn new(ensemble: &'a Ensemble, dims: usize) -> Self {
+        Self {
+            ensemble,
+            dims,
+            keys: vec![0; 1 << MEMO_SLOT_BITS],
+            labels: vec![usize::MAX; 1 << MEMO_SLOT_BITS],
+            rows: vec![0.0; (1 << MEMO_SLOT_BITS) * dims],
+            miss_idx: Vec::new(),
+            miss_flat: Vec::new(),
+            miss_labels: Vec::new(),
+        }
+    }
+
+    /// Labels every row of the flat row-major batch `samples` into `out`
+    /// (cleared first) and returns how many rows the table answered.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] if `samples` is not a whole
+    /// number of rows, and propagates ensemble failures on the misses.
+    pub fn predict_into(
+        &mut self,
+        samples: &[f64],
+        out: &mut Vec<usize>,
+    ) -> Result<usize, MlError> {
+        let d = self.dims;
+        check_batch(samples, d)?;
+        out.clear();
+        self.miss_idx.clear();
+        self.miss_flat.clear();
+        for (i, row) in samples.chunks_exact(d).enumerate() {
+            let (key, slot) = memo_key(row);
+            if self.labels[slot] != usize::MAX
+                && self.keys[slot] == key
+                && self.rows[slot * d..(slot + 1) * d] == *row
+            {
+                out.push(self.labels[slot]);
+            } else {
+                out.push(usize::MAX);
+                self.miss_idx.push(i);
+                self.miss_flat.extend_from_slice(row);
+            }
+        }
+        let misses = self.miss_idx.len();
+        if misses > 0 {
+            self.ensemble
+                .predict_into(&self.miss_flat, d, &mut self.miss_labels)?;
+            for ((&i, &label), row) in self
+                .miss_idx
+                .iter()
+                .zip(&self.miss_labels)
+                .zip(self.miss_flat.chunks_exact(d))
+            {
+                out[i] = label;
+                let (key, slot) = memo_key(row);
+                self.keys[slot] = key;
+                self.labels[slot] = label;
+                self.rows[slot * d..(slot + 1) * d].copy_from_slice(row);
+            }
+        }
+        Ok(out.len() - misses)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +416,37 @@ mod tests {
     #[should_panic(expected = "at least one member")]
     fn empty_ensemble_panics() {
         let _ = Ensemble::new(Vec::new());
+    }
+
+    /// Labels a row by its first feature.
+    #[derive(Debug)]
+    struct FirstFeature;
+
+    impl Classifier for FirstFeature {
+        fn predict(&self, sample: &[f64]) -> Result<usize, MlError> {
+            Ok(sample[0] as usize)
+        }
+    }
+
+    #[test]
+    fn memo_slot_collisions_miss_and_never_mislabel() {
+        let a = [1.0, 0.0];
+        let slot = memo_key(&a).1;
+        let b = (2..)
+            .map(|i| [f64::from(i), 0.0])
+            .find(|row| memo_key(row).1 == slot)
+            .expect("some row shares the slot");
+        let e = Ensemble::new(vec![Box::new(FirstFeature)]);
+        let mut memo = EnsembleMemo::new(&e, 2);
+        let mut out = Vec::new();
+        assert_eq!(memo.predict_into(&a, &mut out).unwrap(), 0);
+        assert_eq!(memo.predict_into(&a, &mut out).unwrap(), 1, "a is cached");
+        assert_eq!(memo.predict_into(&b, &mut out).unwrap(), 0, "b evicts a");
+        assert_eq!(out, vec![b[0] as usize]);
+        let hits = memo.predict_into(&a, &mut out).unwrap();
+        assert_eq!(hits, 0, "a misses again");
+        assert_eq!(out, vec![1]);
+        assert!(memo.predict_into(&[1.0, 2.0, 3.0], &mut out).is_err());
     }
 
     #[test]

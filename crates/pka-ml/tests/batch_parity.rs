@@ -1,7 +1,9 @@
 //! Differential proof that the batched `predict_into` paths label every row
 //! exactly as the per-row `predict` reference: same classifiers, same inputs,
-//! bit-identical score arithmetic, therefore identical labels. The streaming
-//! shard engine leans on this equivalence for its selection-parity contract.
+//! bit-identical score arithmetic, therefore identical labels. The memoised
+//! tail classifier (`EnsembleMemo`) sends its misses through
+//! `predict_into`, so batch/stream selection parity leans on this
+//! equivalence.
 
 use pka_ml::classify::{Classifier, Ensemble, GaussianNb, MlpClassifier, SgdClassifier};
 use pka_ml::{Matrix, MlError};

@@ -563,12 +563,6 @@ impl Registry {
                     json!({ "len": record.reservoir_len, "cap": record.reservoir_cap }),
                 );
             }
-            for (i, &n) in record.shards.iter().enumerate() {
-                self.trace_counter(
-                    &format!("snapshot.shard{i}.records"),
-                    json!({ "records": n }),
-                );
-            }
         }
     }
 

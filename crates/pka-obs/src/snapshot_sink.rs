@@ -49,17 +49,13 @@ pub struct SnapshotRecord {
     pub checkpoints: u64,
     /// Bounded-memory high-water mark (max records buffered at once).
     pub max_buffered: u64,
-    /// Per-shard records folded so far, indexed by shard id. Empty for
-    /// single-pipeline runs, in which case the field is omitted from the
-    /// JSONL line entirely (keeping pre-sharding snapshot bytes stable).
-    pub shards: Vec<u64>,
 }
 
 impl SnapshotRecord {
     /// The record as a JSON object (deterministic payload only; `type`,
     /// `seq`, and `timing` are stamped by the sink).
     pub fn to_value(&self) -> Value {
-        let mut v = json!({
+        json!({
             "phase": self.phase,
             "records": self.records,
             "selected_k": self.selected_k,
@@ -70,13 +66,7 @@ impl SnapshotRecord {
             "reclusters": self.reclusters,
             "checkpoints": self.checkpoints,
             "max_buffered": self.max_buffered,
-        });
-        if !self.shards.is_empty() {
-            if let Value::Object(m) = &mut v {
-                m.insert("shards".to_string(), json!(self.shards));
-            }
-        }
-        v
+        })
     }
 
     /// Rebuild a record from a JSONL snapshot line (sink-stamped fields are
@@ -107,15 +97,6 @@ impl SnapshotRecord {
             reclusters: need_u64("reclusters")?,
             checkpoints: need_u64("checkpoints")?,
             max_buffered: need_u64("max_buffered")?,
-            shards: match v.get("shards") {
-                None | Some(Value::Null) => Vec::new(),
-                Some(s) => s
-                    .as_array()
-                    .ok_or("snapshot record: invalid field `shards`")?
-                    .iter()
-                    .map(|n| n.as_u64().ok_or("snapshot record: non-integer shard count"))
-                    .collect::<Result<_, _>>()?,
-            },
         })
     }
 }
@@ -206,15 +187,8 @@ impl SnapshotSink {
         }
 
         if self.progress {
-            let shards = if record.shards.is_empty() {
-                String::new()
-            } else {
-                let counts: Vec<String> =
-                    record.shards.iter().map(u64::to_string).collect();
-                format!(" shards=[{}]", counts.join(","))
-            };
             eprintln!(
-                "pka: phase={} records={} k={} reservoir={}/{} drifts={} reclusters={} ckpts={}{shards} {}",
+                "pka: phase={} records={} k={} reservoir={}/{} drifts={} reclusters={} ckpts={} {}",
                 record.phase,
                 record.records,
                 record.selected_k,
@@ -263,26 +237,7 @@ mod tests {
             reclusters: 1,
             checkpoints: 6,
             max_buffered: 640,
-            shards: Vec::new(),
         }
-    }
-
-    #[test]
-    fn shards_field_is_omitted_when_empty_and_round_trips_when_set() {
-        let plain = sample();
-        let v = plain.to_value();
-        assert!(v.get("shards").is_none(), "empty shard lanes must not serialize");
-        assert_eq!(SnapshotRecord::from_value(&v).unwrap(), plain);
-
-        let mut sharded = sample();
-        sharded.shards = vec![30_000, 50_000, 40_000];
-        let v = sharded.to_value();
-        assert_eq!(
-            v["shards"].as_array().map(Vec::len),
-            Some(3),
-            "shard lanes serialize when present"
-        );
-        assert_eq!(SnapshotRecord::from_value(&v).unwrap(), sharded);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use pka_obs::SnapshotRecord;
 use pka_profile::Profiler;
 use pka_stream::{
     synthetic_workload, CancelToken, Checkpoint, FeedHandle, FeedSource, KernelSource,
-    ShardedCheckpoint, ShardedStreamPks, StreamConfig, StreamError, StreamPks, WorkloadSource,
+    StreamConfig, StreamError, StreamPks, WorkloadSource,
 };
 use pka_workloads::{all_workloads, Workload};
 use serde_json::{json, Map, Value};
@@ -43,8 +43,7 @@ pub const PROGRESS_CAP: usize = 512;
 /// Histogram edges for the session worker spawn cost (ns). Spawning an OS
 /// thread is the per-session cost the shared [`Executor`] design avoids
 /// paying more than once per session: the executor itself is a `Copy`
-/// value shared by every session, and its `rounds` pool is spawned once
-/// per pipeline run, not per batch.
+/// value shared by every session.
 const SPAWN_EDGES: &[u64] = &[
     10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000, 10_000_000,
 ];
@@ -242,7 +241,6 @@ enum Plan {
         source: StreamSource,
         gpu: GpuConfig,
         overrides: ConfigOverrides,
-        shards: Option<usize>,
         checkpoint_path: Option<PathBuf>,
         resume: bool,
     },
@@ -292,6 +290,20 @@ fn spec_bool(spec: &Value, key: &str) -> Result<bool, String> {
         Some(Value::Bool(b)) => Ok(*b),
         Some(_) => Err(format!("`{key}` must be a boolean")),
     }
+}
+
+/// Refuses any spec key outside `known`, naming it, so a misspelt or
+/// retired option fails the request instead of being silently ignored.
+fn reject_unknown_keys(spec: &Value, known: &[&str]) -> Result<(), String> {
+    if let Value::Object(map) = spec {
+        if let Some(key) = map.keys().find(|k| !known.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown session key `{key}` (accepted: {})",
+                known.join(", ")
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn gpu_by_name(name: &str) -> Result<GpuConfig, String> {
@@ -417,6 +429,7 @@ impl Registry {
         let (plan, mode_name, source_label, feed_handle) = match mode {
             "stream" => self.parse_stream_spec(spec).map_err(bad)?,
             "select" => {
+                reject_unknown_keys(spec, &["mode", "workload", "target_error"]).map_err(bad)?;
                 let workload = workload_by_name(
                     spec_str(spec, "workload")
                         .map_err(bad)?
@@ -436,6 +449,8 @@ impl Registry {
                 )
             }
             "simulate" => {
+                reject_unknown_keys(spec, &["mode", "workload", "gpu", "threshold", "full"])
+                    .map_err(bad)?;
                 let workload = workload_by_name(
                     spec_str(spec, "workload")
                         .map_err(bad)?
@@ -520,6 +535,21 @@ impl Registry {
         &self,
         spec: &Value,
     ) -> Result<(Plan, &'static str, String, Option<FeedHandle>), String> {
+        reject_unknown_keys(
+            spec,
+            &[
+                "mode",
+                "source",
+                "source_name",
+                "gpu",
+                "prefix",
+                "checkpoint_every",
+                "reservoir",
+                "batch",
+                "checkpoint_path",
+                "resume",
+            ],
+        )?;
         let source_spec = spec_str(spec, "source")?.ok_or_else(|| {
             "`source` is required for mode `stream` (synthetic:N, a workload name, or `feed`)"
                 .to_string()
@@ -531,7 +561,6 @@ impl Registry {
             reservoir: spec_u64(spec, "reservoir")?,
             batch: spec_u64(spec, "batch")?,
         };
-        let shards = spec_u64(spec, "shards")?.map(|n| n as usize);
         let checkpoint_path = spec_str(spec, "checkpoint_path")?.map(PathBuf::from);
         let resume = spec_bool(spec, "resume")?;
         if resume && checkpoint_path.is_none() {
@@ -567,7 +596,6 @@ impl Registry {
                 source,
                 gpu,
                 overrides,
-                shards,
                 checkpoint_path,
                 resume,
             },
@@ -659,10 +687,9 @@ fn run_session(cell: Arc<SessionCell>, stats: Arc<RegistryStats>, plan: Plan, ex
             source,
             gpu,
             overrides,
-            shards,
             checkpoint_path,
             resume,
-        } => run_stream(&cell, source, gpu, overrides, shards, checkpoint_path, resume, exec),
+        } => run_stream(&cell, source, gpu, overrides, checkpoint_path, resume, exec),
         Plan::Select {
             workload,
             target_error,
@@ -730,7 +757,7 @@ fn group_counts_of(selection: &Value) -> Vec<u64> {
         .unwrap_or_default()
 }
 
-fn single_record(cp: &Checkpoint) -> SnapshotRecord {
+fn progress_record(cp: &Checkpoint) -> SnapshotRecord {
     SnapshotRecord {
         phase: "tail".to_string(),
         records: cp.records,
@@ -742,27 +769,6 @@ fn single_record(cp: &Checkpoint) -> SnapshotRecord {
         reclusters: cp.reclusters,
         checkpoints: cp.seq,
         max_buffered: cp.max_buffered,
-        shards: Vec::new(),
-    }
-}
-
-fn sharded_record(cp: &ShardedCheckpoint) -> SnapshotRecord {
-    SnapshotRecord {
-        phase: "tail".to_string(),
-        records: cp.records,
-        selected_k: cp.selected_k as i64,
-        group_counts: group_counts_of(&cp.selection),
-        reservoir_len: cp
-            .shard_sections
-            .iter()
-            .map(|s| s.reservoir.items.len() as u64)
-            .sum(),
-        reservoir_cap: cp.shard_sections.iter().map(|s| s.reservoir.cap as u64).sum(),
-        drifts: cp.shard_sections.iter().map(|s| s.drifts).sum(),
-        reclusters: cp.shard_sections.iter().map(|s| s.reclusters).sum(),
-        checkpoints: cp.seq,
-        max_buffered: cp.max_buffered,
-        shards: cp.shard_sections.iter().map(|s| s.records).collect(),
     }
 }
 
@@ -778,13 +784,11 @@ fn attribution_bytes(
     Ok(text)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_stream(
     cell: &Arc<SessionCell>,
     source: StreamSource,
     gpu: GpuConfig,
     overrides: ConfigOverrides,
-    shards: Option<usize>,
     checkpoint_path: Option<PathBuf>,
     resume: bool,
     exec: Executor,
@@ -799,138 +803,66 @@ fn run_stream(
     };
 
     // A resume adopts the checkpoint's embedded config echo (explicit spec
-    // fields still apply on top) and the checkpoint's topology, exactly
-    // like `pka stream --resume`.
-    let resume_value: Option<Value> = if resume {
+    // fields still apply on top), exactly like `pka stream --resume`.
+    let fail = |e: StreamError| (Status::Failed, Some(e.to_string()));
+    let resume_cp = if resume {
         let path = checkpoint_path.as_ref().expect("resume requires a path");
         let text = std::fs::read_to_string(path)
             .map_err(|e| (Status::Failed, Some(format!("read {}: {e}", path.display()))))?;
-        Some(
-            serde_json::from_str(&text)
-                .map_err(|e| (Status::Failed, Some(format!("parse {}: {e}", path.display()))))?,
-        )
+        let value: Value = serde_json::from_str(&text)
+            .map_err(|e| (Status::Failed, Some(format!("parse {}: {e}", path.display()))))?;
+        Some(Checkpoint::from_value(&value).map_err(fail)?)
     } else {
         None
     };
-    let resume_is_sharded = resume_value
-        .as_ref()
-        .is_some_and(|v| v["topology"].as_object().is_some());
-    let fail = |e: StreamError| (Status::Failed, Some(e.to_string()));
-    let (resume_cp, resume_sharded_cp) = match &resume_value {
-        Some(v) if resume_is_sharded => {
-            (None, Some(ShardedCheckpoint::from_value(v).map_err(fail)?))
-        }
-        Some(v) => (Some(Checkpoint::from_value(v).map_err(fail)?), None),
-        None => (None, None),
-    };
-    let base_config = match (&resume_cp, &resume_sharded_cp) {
-        (Some(cp), _) => StreamConfig::from_value(&cp.config).map_err(fail)?,
-        (_, Some(cp)) => StreamConfig::from_value(&cp.config).map_err(fail)?,
-        _ => StreamConfig::default(),
+    let base_config = match &resume_cp {
+        Some(cp) => StreamConfig::from_value(&cp.config).map_err(fail)?,
+        None => StreamConfig::default(),
     };
     let config = overrides.apply(base_config);
-    let shards = match (shards, &resume_sharded_cp) {
-        (Some(n), _) => Some(n),
-        (None, Some(cp)) => Some(cp.shards),
-        (None, None) => None,
-    };
 
-    match shards {
-        Some(n) => {
-            let engine = ShardedStreamPks::new(config, n).with_executor(exec);
-            let on_cell = Arc::clone(cell);
-            let ckpt = checkpoint_path.clone();
-            let on_checkpoint = move |cp: &ShardedCheckpoint| -> Result<(), StreamError> {
-                if let Some(p) = &ckpt {
-                    cp.write_to(p)?;
-                }
-                let line = stamp_line(&sharded_record(cp), cp.seq);
-                let mut st = on_cell.state.lock().expect("session state");
-                st.records = cp.records;
-                st.selected_k = Some(cp.selected_k);
-                let mut bytes = cp.to_json();
-                bytes.push('\n');
-                st.last_checkpoint = Some(bytes);
-                push_progress(&mut st, line);
-                drop(st);
-                on_cell.progress_wake.notify_all();
-                Ok(())
-            };
-            let outcome = match &resume_sharded_cp {
-                Some(cp) => {
-                    engine.resume_with_cancel(&mut *boxed, cp, on_checkpoint, &cell.cancel)
-                }
-                None => engine.run_with_cancel(&mut *boxed, on_checkpoint, &cell.cancel),
-            }
-            .map_err(terminal_of)?;
-            if let Some(p) = &checkpoint_path {
-                outcome.final_checkpoint.write_to(p).map_err(terminal_of)?;
-            }
-            let attribution = attribution_bytes(&outcome.attribution)?;
-            let mut final_bytes = outcome.final_checkpoint.to_json();
-            final_bytes.push('\n');
-            let mut st = cell.state.lock().expect("session state");
-            st.records = outcome.report.records;
-            st.selected_k = Some(outcome.report.selected_k);
-            st.final_checkpoint = Some(final_bytes);
-            st.attribution = Some(attribution);
-            drop(st);
-            Ok(json!({
-                "mode": "stream",
-                "selected_k": outcome.report.selected_k as u64,
-                "projected_cycles": outcome.report.projected_cycles,
-                "report": outcome.report.to_value(),
-                "shards": outcome.shard_records,
-                "map_hash": outcome.map_hash,
-            }))
+    let engine = StreamPks::new(config).with_executor(exec);
+    let on_cell = Arc::clone(cell);
+    let ckpt = checkpoint_path.clone();
+    let on_checkpoint = move |cp: &Checkpoint| -> Result<(), StreamError> {
+        if let Some(p) = &ckpt {
+            cp.write_to(p)?;
         }
-        None => {
-            let engine = StreamPks::new(config).with_executor(exec);
-            let on_cell = Arc::clone(cell);
-            let ckpt = checkpoint_path.clone();
-            let on_checkpoint = move |cp: &Checkpoint| -> Result<(), StreamError> {
-                if let Some(p) = &ckpt {
-                    cp.write_to(p)?;
-                }
-                let line = stamp_line(&single_record(cp), cp.seq);
-                let mut st = on_cell.state.lock().expect("session state");
-                st.records = cp.records;
-                st.selected_k = Some(cp.selected_k);
-                let mut bytes = cp.to_json();
-                bytes.push('\n');
-                st.last_checkpoint = Some(bytes);
-                push_progress(&mut st, line);
-                drop(st);
-                on_cell.progress_wake.notify_all();
-                Ok(())
-            };
-            let outcome = match &resume_cp {
-                Some(cp) => {
-                    engine.resume_with_cancel(&mut *boxed, cp, on_checkpoint, &cell.cancel)
-                }
-                None => engine.run_with_cancel(&mut *boxed, on_checkpoint, &cell.cancel),
-            }
-            .map_err(terminal_of)?;
-            if let Some(p) = &checkpoint_path {
-                outcome.final_checkpoint.write_to(p).map_err(terminal_of)?;
-            }
-            let attribution = attribution_bytes(&outcome.attribution)?;
-            let mut final_bytes = outcome.final_checkpoint.to_json();
-            final_bytes.push('\n');
-            let mut st = cell.state.lock().expect("session state");
-            st.records = outcome.report.records;
-            st.selected_k = Some(outcome.report.selected_k);
-            st.final_checkpoint = Some(final_bytes);
-            st.attribution = Some(attribution);
-            drop(st);
-            Ok(json!({
-                "mode": "stream",
-                "selected_k": outcome.report.selected_k as u64,
-                "projected_cycles": outcome.report.projected_cycles,
-                "report": outcome.report.to_value(),
-            }))
-        }
+        let line = stamp_line(&progress_record(cp), cp.seq);
+        let mut st = on_cell.state.lock().expect("session state");
+        st.records = cp.records;
+        st.selected_k = Some(cp.selected_k);
+        let mut bytes = cp.to_json();
+        bytes.push('\n');
+        st.last_checkpoint = Some(bytes);
+        push_progress(&mut st, line);
+        drop(st);
+        on_cell.progress_wake.notify_all();
+        Ok(())
+    };
+    let outcome = match &resume_cp {
+        Some(cp) => engine.resume_with_cancel(&mut *boxed, cp, on_checkpoint, &cell.cancel),
+        None => engine.run_with_cancel(&mut *boxed, on_checkpoint, &cell.cancel),
     }
+    .map_err(terminal_of)?;
+    if let Some(p) = &checkpoint_path {
+        outcome.final_checkpoint.write_to(p).map_err(terminal_of)?;
+    }
+    let attribution = attribution_bytes(&outcome.attribution)?;
+    let mut final_bytes = outcome.final_checkpoint.to_json();
+    final_bytes.push('\n');
+    let mut st = cell.state.lock().expect("session state");
+    st.records = outcome.report.records;
+    st.selected_k = Some(outcome.report.selected_k);
+    st.final_checkpoint = Some(final_bytes);
+    st.attribution = Some(attribution);
+    drop(st);
+    Ok(json!({
+        "mode": "stream",
+        "selected_k": outcome.report.selected_k as u64,
+        "projected_cycles": outcome.report.projected_cycles,
+        "report": outcome.report.to_value(),
+    }))
 }
 
 fn run_select(

@@ -395,8 +395,8 @@ impl Executor {
                 // The result/trace slots are drained (not dropped) after
                 // every round, so from round 2 on these resizes are pure
                 // refills of already-allocated buffers — a long-lived pool
-                // (the streaming tail runs thousands of rounds) allocates
-                // its round state exactly once.
+                // (a K-Means fit runs one round per Lloyd iteration)
+                // allocates its round state exactly once.
                 st.results.clear();
                 st.results.resize_with(n_chunks, || None);
                 st.traces.clear();

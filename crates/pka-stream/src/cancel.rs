@@ -1,19 +1,18 @@
 //! Cooperative cancellation for long-running streaming pipelines.
 //!
 //! A [`CancelToken`] is a cloneable flag shared between the thread driving
-//! a [`StreamPks`](crate::StreamPks) / [`ShardedStreamPks`](crate::ShardedStreamPks)
-//! run and whoever wants to stop it (the `pka-server` session teardown
-//! path). The pipelines poll it at **batch boundaries only** — after a
-//! mini-batch has been classified and folded, before the next refill — so
-//! cancellation never observes a half-folded batch and the
-//! checkpoint-on-cancel snapshot is always taken at a consistent record
-//! count. Cancelling costs one relaxed atomic store; polling costs one
-//! relaxed load per batch.
+//! a [`StreamPks`](crate::StreamPks) run and whoever wants to stop it (the
+//! `pka-server` session teardown path). The pipeline polls it at **batch
+//! boundaries only** — after a mini-batch has been classified and folded,
+//! before the next refill — so cancellation never observes a half-folded
+//! batch and the checkpoint-on-cancel snapshot is always taken at a
+//! consistent record count. Cancelling costs one relaxed atomic store;
+//! polling costs one relaxed load per batch.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A shared cancellation flag, checked by the streaming pipelines at batch
+/// A shared cancellation flag, checked by the streaming pipeline at batch
 /// boundaries.
 ///
 /// Cloning shares the flag: any clone can cancel, every clone observes it.

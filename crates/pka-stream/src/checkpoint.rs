@@ -77,11 +77,11 @@ pub struct Checkpoint {
     pub config: Value,
 }
 
-pub(crate) fn bits(x: f64) -> Value {
+fn bits(x: f64) -> Value {
     Value::from(x.to_bits())
 }
 
-pub(crate) fn stats_to_value(s: &OnlineStats) -> Value {
+fn stats_to_value(s: &OnlineStats) -> Value {
     let mut m = Map::new();
     m.insert("count".into(), Value::from(s.count()));
     m.insert("mean_bits".into(), bits(s.mean()));
@@ -91,7 +91,7 @@ pub(crate) fn stats_to_value(s: &OnlineStats) -> Value {
     Value::Object(m)
 }
 
-pub(crate) fn drift_to_value(t: &DriftTracker) -> Value {
+fn drift_to_value(t: &DriftTracker) -> Value {
     let (calibration, sigma, alpha, baseline, threshold, ewma) = t.raw_state();
     let mut m = Map::new();
     m.insert("calibration".into(), Value::from(calibration));
@@ -108,42 +108,42 @@ pub(crate) fn drift_to_value(t: &DriftTracker) -> Value {
 
 /// Field-access helpers that turn a missing/mistyped field into a
 /// [`StreamError::Checkpoint`] naming the JSON path.
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     obj: &'a Map,
     path: &'a str,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(value: &'a Value, path: &'a str) -> Result<Self, StreamError> {
+    fn new(value: &'a Value, path: &'a str) -> Result<Self, StreamError> {
         match value {
             Value::Object(obj) => Ok(Self { obj, path }),
             _ => Err(corrupt(format!("`{path}` is not an object"))),
         }
     }
 
-    pub(crate) fn field(&self, key: &str) -> Result<&'a Value, StreamError> {
+    fn field(&self, key: &str) -> Result<&'a Value, StreamError> {
         self.obj
             .get(key)
             .ok_or_else(|| corrupt(format!("missing `{}.{key}`", self.path)))
     }
 
-    pub(crate) fn u64(&self, key: &str) -> Result<u64, StreamError> {
+    fn u64(&self, key: &str) -> Result<u64, StreamError> {
         self.field(key)?
             .as_u64()
             .ok_or_else(|| corrupt(format!("`{}.{key}` is not a u64", self.path)))
     }
 
-    pub(crate) fn f64_bits(&self, key: &str) -> Result<f64, StreamError> {
+    fn f64_bits(&self, key: &str) -> Result<f64, StreamError> {
         Ok(f64::from_bits(self.u64(key)?))
     }
 
-    pub(crate) fn str(&self, key: &str) -> Result<&'a str, StreamError> {
+    fn str(&self, key: &str) -> Result<&'a str, StreamError> {
         self.field(key)?
             .as_str()
             .ok_or_else(|| corrupt(format!("`{}.{key}` is not a string", self.path)))
     }
 
-    pub(crate) fn array(&self, key: &str) -> Result<&'a [Value], StreamError> {
+    fn array(&self, key: &str) -> Result<&'a [Value], StreamError> {
         match self.field(key)? {
             Value::Array(items) => Ok(items),
             _ => Err(corrupt(format!("`{}.{key}` is not an array", self.path))),
@@ -151,11 +151,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-pub(crate) fn corrupt(message: String) -> StreamError {
+fn corrupt(message: String) -> StreamError {
     StreamError::Checkpoint { message }
 }
 
-pub(crate) fn stats_from_value(value: &Value, path: &str) -> Result<OnlineStats, StreamError> {
+fn stats_from_value(value: &Value, path: &str) -> Result<OnlineStats, StreamError> {
     let r = Reader::new(value, path)?;
     Ok(OnlineStats::from_raw(
         r.u64("count")?,
@@ -166,7 +166,7 @@ pub(crate) fn stats_from_value(value: &Value, path: &str) -> Result<OnlineStats,
     ))
 }
 
-pub(crate) fn drift_from_value(value: &Value, path: &str) -> Result<DriftTracker, StreamError> {
+fn drift_from_value(value: &Value, path: &str) -> Result<DriftTracker, StreamError> {
     let r = Reader::new(value, path)?;
     let threshold = match r.field("threshold_bits")? {
         Value::Null => None,
@@ -184,7 +184,7 @@ pub(crate) fn drift_from_value(value: &Value, path: &str) -> Result<DriftTracker
     ))
 }
 
-pub(crate) fn f64_vec_from_bits(value: &Value, path: &str) -> Result<Vec<f64>, StreamError> {
+fn f64_vec_from_bits(value: &Value, path: &str) -> Result<Vec<f64>, StreamError> {
     let Value::Array(items) = value else {
         return Err(corrupt(format!("`{path}` is not an array")));
     };
@@ -282,6 +282,13 @@ impl Checkpoint {
             return Err(corrupt(format!(
                 "schema mismatch: got `{schema}`, expected `{CHECKPOINT_SCHEMA}`"
             )));
+        }
+        if r.obj.contains_key("topology") {
+            return Err(corrupt(
+                "sharded checkpoints (with a `topology` section) are no longer supported; \
+                 re-run the stream from the start"
+                    .into(),
+            ));
         }
         let selected_k = r.u64("selected_k")? as usize;
         let normalizer = r
@@ -441,433 +448,6 @@ fn write_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded topology
-// ---------------------------------------------------------------------------
-
-/// One shard's slice of a [`ShardedCheckpoint`]: the complete online state
-/// the shard pipeline accumulated over the tail records routed to it.
-/// Sections are always serialised in shard-id order. The shard's *owner
-/// lane* (which executor slot runs it) is deliberately absent — ownership
-/// is a runtime placement concern, so a live reshard that moves this state
-/// to another lane leaves every checkpoint byte unchanged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSection {
-    /// Tail records folded by this shard.
-    pub records: u64,
-    /// Per-group classified tail counts (length = selected K). Summing
-    /// these across shards reconstructs the merged selection's tail
-    /// population exactly.
-    pub tail_counts: Vec<u64>,
-    /// Per-feature Welford accumulators of the shard's normalizer.
-    pub normalizer: Vec<OnlineStats>,
-    /// The shard's mini-batch centroids in its normalised feature space.
-    pub centroids: Vec<Vec<f64>>,
-    /// Per-centroid assignment counts.
-    pub centroid_counts: Vec<u64>,
-    /// Per-group drift trackers.
-    pub drift: Vec<DriftTracker>,
-    /// The shard's reservoir sample.
-    pub reservoir: ReservoirState,
-    /// Drift firings on this shard.
-    pub drifts: u64,
-    /// Bounded re-cluster passes on this shard.
-    pub reclusters: u64,
-}
-
-impl ShardSection {
-    pub(crate) fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("records".into(), Value::from(self.records));
-        m.insert(
-            "tail_counts".into(),
-            Value::Array(self.tail_counts.iter().map(|&c| Value::from(c)).collect()),
-        );
-        m.insert(
-            "normalizer".into(),
-            Value::Array(self.normalizer.iter().map(stats_to_value).collect()),
-        );
-        m.insert(
-            "centroids".into(),
-            Value::Array(
-                self.centroids
-                    .iter()
-                    .map(|c| Value::Array(c.iter().map(|&x| bits(x)).collect()))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "centroid_counts".into(),
-            Value::Array(self.centroid_counts.iter().map(|&c| Value::from(c)).collect()),
-        );
-        m.insert(
-            "drift".into(),
-            Value::Array(self.drift.iter().map(drift_to_value).collect()),
-        );
-        m.insert("reservoir".into(), reservoir_to_value(&self.reservoir));
-        m.insert("drifts".into(), Value::from(self.drifts));
-        m.insert("reclusters".into(), Value::from(self.reclusters));
-        Value::Object(m)
-    }
-
-    pub(crate) fn from_value(
-        value: &Value,
-        path: &str,
-        selected_k: usize,
-        dims: usize,
-    ) -> Result<Self, StreamError> {
-        let r = Reader::new(value, path)?;
-        let u64_array = |key: &str| -> Result<Vec<u64>, StreamError> {
-            r.array(key)?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| corrupt(format!("`{path}.{key}[]` is not a u64")))
-                })
-                .collect()
-        };
-        let tail_counts = u64_array("tail_counts")?;
-        let centroid_counts = u64_array("centroid_counts")?;
-        let normalizer = r
-            .array("normalizer")?
-            .iter()
-            .map(|v| stats_from_value(v, "shard.normalizer[]"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let centroids = r
-            .array("centroids")?
-            .iter()
-            .map(|v| f64_vec_from_bits(v, "shard.centroids[]"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let drift = r
-            .array("drift")?
-            .iter()
-            .map(|v| drift_from_value(v, "shard.drift[]"))
-            .collect::<Result<Vec<_>, _>>()?;
-        if tail_counts.len() != selected_k
-            || centroids.len() != selected_k
-            || centroid_counts.len() != selected_k
-            || drift.len() != selected_k
-        {
-            return Err(corrupt(format!(
-                "`{path}` per-group arrays disagree with selected_k={selected_k}"
-            )));
-        }
-        if normalizer.len() != dims || centroids.iter().any(|c| c.len() != dims) {
-            return Err(corrupt(format!(
-                "`{path}` dimensionality disagrees with dims={dims}"
-            )));
-        }
-        let reservoir = reservoir_from_value(r.field("reservoir")?, path, dims)?;
-        Ok(Self {
-            records: r.u64("records")?,
-            tail_counts,
-            normalizer,
-            centroids,
-            centroid_counts,
-            drift,
-            reservoir,
-            drifts: r.u64("drifts")?,
-            reclusters: r.u64("reclusters")?,
-        })
-    }
-}
-
-pub(crate) fn reservoir_to_value(reservoir: &ReservoirState) -> Value {
-    let mut m = Map::new();
-    m.insert("cap".into(), Value::from(reservoir.cap as u64));
-    m.insert("seen".into(), Value::from(reservoir.seen));
-    m.insert(
-        "items".into(),
-        Value::Array(
-            reservoir
-                .items
-                .iter()
-                .map(|item| {
-                    let mut im = Map::new();
-                    im.insert("pos".into(), Value::from(item.pos));
-                    im.insert("label".into(), Value::from(item.label as u64));
-                    im.insert(
-                        "features_bits".into(),
-                        Value::Array(item.features.iter().map(|&x| bits(x)).collect()),
-                    );
-                    Value::Object(im)
-                })
-                .collect(),
-        ),
-    );
-    Value::Object(m)
-}
-
-pub(crate) fn reservoir_from_value(
-    value: &Value,
-    path: &str,
-    dims: usize,
-) -> Result<ReservoirState, StreamError> {
-    let rr = Reader::new(value, path)?;
-    let items = rr
-        .array("items")?
-        .iter()
-        .map(|v| {
-            let ir = Reader::new(v, "reservoir.items[]")?;
-            let features =
-                f64_vec_from_bits(ir.field("features_bits")?, "reservoir.items[].features_bits")?;
-            if features.len() != dims {
-                return Err(corrupt(format!(
-                    "`{path}` reservoir item dimensionality disagrees with dims={dims}"
-                )));
-            }
-            Ok(ReservoirItem {
-                pos: ir.u64("pos")?,
-                label: ir.u64("label")? as usize,
-                features,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let reservoir = ReservoirState {
-        cap: rr.u64("cap")? as usize,
-        seen: rr.u64("seen")?,
-        items,
-    };
-    if reservoir.items.len() > reservoir.cap {
-        return Err(corrupt(format!(
-            "`{path}` reservoir holds {} items over its cap {}",
-            reservoir.items.len(),
-            reservoir.cap
-        )));
-    }
-    Ok(reservoir)
-}
-
-/// The end-of-stream reconciliation of the shard states: a deterministic
-/// weighted merge of the shard centroids/normalizers plus a bounded
-/// re-cluster over the union reservoir. Present only in a run's *final*
-/// checkpoint — periodic checkpoints carry the per-shard sections, which
-/// are what resume restores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedSection {
-    /// Population-weighted merged centroids after the bounded re-cluster.
-    pub centroids: Vec<Vec<f64>>,
-    /// Summed per-centroid populations (the merge weights).
-    pub centroid_counts: Vec<u64>,
-    /// Union reservoir (position-ordered, truncated to the global cap).
-    pub reservoir: ReservoirState,
-}
-
-impl MergedSection {
-    pub(crate) fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert(
-            "centroids".into(),
-            Value::Array(
-                self.centroids
-                    .iter()
-                    .map(|c| Value::Array(c.iter().map(|&x| bits(x)).collect()))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "centroid_counts".into(),
-            Value::Array(self.centroid_counts.iter().map(|&c| Value::from(c)).collect()),
-        );
-        m.insert("reservoir".into(), reservoir_to_value(&self.reservoir));
-        Value::Object(m)
-    }
-
-    pub(crate) fn from_value(value: &Value, dims: usize) -> Result<Self, StreamError> {
-        let r = Reader::new(value, "merged")?;
-        let centroids = r
-            .array("centroids")?
-            .iter()
-            .map(|v| f64_vec_from_bits(v, "merged.centroids[]"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let centroid_counts = r
-            .array("centroid_counts")?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| corrupt("`merged.centroid_counts[]` is not a u64".into()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let reservoir = reservoir_from_value(r.field("reservoir")?, "merged.reservoir", dims)?;
-        Ok(Self {
-            centroids,
-            centroid_counts,
-            reservoir,
-        })
-    }
-}
-
-/// A resumable snapshot of the *sharded* online pipeline — the
-/// `pka.stream_checkpoint/v1` schema extended with a shard topology.
-///
-/// The document shares the base schema tag; readers tell the two layouts
-/// apart by the `topology` object (a single-shard [`Checkpoint`] never has
-/// one, a sharded checkpoint always does). Per-shard state rides in
-/// `shards[]` in shard-id order, the merged selection (summed tail counts)
-/// in `selection`, and the final checkpoint additionally carries the
-/// reconciled [`MergedSection`]. Owner lanes are never serialised, so a
-/// live reshard has zero byte impact on every checkpoint the run emits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedCheckpoint {
-    /// Monotonic checkpoint counter within the run (first emitted is 1).
-    pub seq: u64,
-    /// Records consumed when the snapshot was taken (prefix + tail).
-    pub records: u64,
-    /// Detailed-prefix length *j* the run was started with.
-    pub prefix: u64,
-    /// `KernelSource::name()` of the stream being processed.
-    pub source: String,
-    /// Group count selected by batch PKS over the prefix.
-    pub selected_k: usize,
-    /// The merged `pka_core` selection (prefix members + summed classified
-    /// tail counts across shards), serialised via serde.
-    pub selection: Value,
-    /// Projected total cycles for the whole stream so far.
-    pub projected_cycles: u64,
-    /// Shard count the ring was built for.
-    pub shards: usize,
-    /// [`crate::HashRing::map_hash`] of the routing table.
-    pub map_hash: u64,
-    /// Per-shard state, in shard-id order.
-    pub shard_sections: Vec<ShardSection>,
-    /// End-of-stream reconciliation (final checkpoint only).
-    pub merged: Option<MergedSection>,
-    /// High-water mark of simultaneously buffered tail records across all
-    /// shards (batch + every shard reservoir).
-    pub max_buffered: u64,
-    /// Echo of the `StreamConfig` the run was started with.
-    pub config: Value,
-}
-
-impl ShardedCheckpoint {
-    /// Serialises the checkpoint to its canonical JSON value (deterministic
-    /// key order, floats as IEEE-754 bit patterns — byte-identical renders
-    /// for equal checkpoints).
-    pub fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(CHECKPOINT_SCHEMA));
-        m.insert("seq".into(), Value::from(self.seq));
-        m.insert("records".into(), Value::from(self.records));
-        m.insert("prefix".into(), Value::from(self.prefix));
-        m.insert("source".into(), Value::from(self.source.clone()));
-        m.insert("selected_k".into(), Value::from(self.selected_k as u64));
-        m.insert("selection".into(), self.selection.clone());
-        m.insert("projected_cycles".into(), Value::from(self.projected_cycles));
-        let mut topology = Map::new();
-        topology.insert("shards".into(), Value::from(self.shards as u64));
-        topology.insert("map_hash".into(), Value::from(self.map_hash));
-        m.insert("topology".into(), Value::Object(topology));
-        m.insert(
-            "shards".into(),
-            Value::Array(self.shard_sections.iter().map(ShardSection::to_value).collect()),
-        );
-        if let Some(merged) = &self.merged {
-            m.insert("merged".into(), merged.to_value());
-        }
-        m.insert("max_buffered".into(), Value::from(self.max_buffered));
-        m.insert("config".into(), self.config.clone());
-        Value::Object(m)
-    }
-
-    /// Canonical compact JSON rendering (one line, deterministic byte-wise).
-    pub fn to_json(&self) -> String {
-        self.to_value().to_string()
-    }
-
-    /// Parses a sharded checkpoint, validating the schema tag, the
-    /// topology, and per-shard consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::Checkpoint`] naming the offending field.
-    pub fn from_value(value: &Value) -> Result<Self, StreamError> {
-        let r = Reader::new(value, "checkpoint")?;
-        let schema = r.str("schema")?;
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(corrupt(format!(
-                "schema mismatch: got `{schema}`, expected `{CHECKPOINT_SCHEMA}`"
-            )));
-        }
-        let topo = Reader::new(r.field("topology")?, "topology")?;
-        let shards = topo.u64("shards")? as usize;
-        let map_hash = topo.u64("map_hash")?;
-        let selected_k = r.u64("selected_k")? as usize;
-        let sections = r.array("shards")?;
-        if sections.len() != shards {
-            return Err(corrupt(format!(
-                "topology declares {shards} shards but {} sections are present",
-                sections.len()
-            )));
-        }
-        // Dimensionality is anchored by the first shard's normalizer; every
-        // other per-feature array must agree.
-        let dims = sections
-            .first()
-            .map(|v| Reader::new(v, "shards[0]").and_then(|sr| Ok(sr.array("normalizer")?.len())))
-            .transpose()?
-            .unwrap_or(0);
-        let shard_sections = sections
-            .iter()
-            .enumerate()
-            .map(|(i, v)| ShardSection::from_value(v, &format!("shards[{i}]"), selected_k, dims))
-            .collect::<Result<Vec<_>, _>>()?;
-        let merged = match r.obj.get("merged") {
-            None => None,
-            Some(v) => Some(MergedSection::from_value(v, dims)?),
-        };
-        Ok(Self {
-            seq: r.u64("seq")?,
-            records: r.u64("records")?,
-            prefix: r.u64("prefix")?,
-            source: r.str("source")?.to_string(),
-            selected_k,
-            selection: r.field("selection")?.clone(),
-            projected_cycles: r.u64("projected_cycles")?,
-            shards,
-            map_hash,
-            shard_sections,
-            merged,
-            max_buffered: r.u64("max_buffered")?,
-            config: r.field("config")?.clone(),
-        })
-    }
-
-    /// Parses a sharded checkpoint from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::Checkpoint`] for invalid JSON or an invalid
-    /// checkpoint object.
-    pub fn from_json(text: &str) -> Result<Self, StreamError> {
-        let value: Value = serde_json::from_str(text.trim())
-            .map_err(|e| corrupt(format!("invalid checkpoint json: {e}")))?;
-        Self::from_value(&value)
-    }
-
-    /// Writes the canonical rendering (plus trailing newline) to `path`,
-    /// atomically: a reader (or a crash) can observe the previous file or
-    /// the new one, never a torn mix — see [`write_atomic`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_to(&self, path: &std::path::Path) -> Result<(), StreamError> {
-        let mut text = self.to_json();
-        text.push('\n');
-        write_atomic(path, &text)?;
-        Ok(())
-    }
-
-    /// Reads and parses a sharded checkpoint file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures and parse errors.
-    pub fn read_from(path: &std::path::Path) -> Result<Self, StreamError> {
-        Self::from_json(&std::fs::read_to_string(path)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -956,98 +536,21 @@ mod tests {
         }
     }
 
-    fn sharded_sample(merged: bool) -> ShardedCheckpoint {
-        let base = sample();
-        let section = ShardSection {
-            records: 5_700,
-            tail_counts: vec![4_000, 1_700],
-            normalizer: base.normalizer.clone(),
-            centroids: base.centroids.clone(),
-            centroid_counts: base.centroid_counts.clone(),
-            drift: base.drift.clone(),
-            reservoir: base.reservoir.clone(),
-            drifts: 1,
-            reclusters: 1,
-        };
-        let mut other = section.clone();
-        other.records = 5_700;
-        other.tail_counts = vec![2_000, 3_700];
-        ShardedCheckpoint {
-            seq: 2,
-            records: 12_000,
-            prefix: 600,
-            source: base.source.clone(),
-            selected_k: 2,
-            selection: base.selection.clone(),
-            projected_cycles: 1_234_567_890,
-            shards: 2,
-            map_hash: 0xdead_beef_cafe_f00d,
-            shard_sections: vec![section, other],
-            merged: merged.then(|| MergedSection {
-                centroids: base.centroids.clone(),
-                centroid_counts: vec![12, 10],
-                reservoir: base.reservoir.clone(),
-            }),
-            max_buffered: 1_200,
-            config: base.config,
-        }
-    }
-
     #[test]
-    fn sharded_roundtrip_is_byte_identical() {
-        for merged in [false, true] {
-            let cp = sharded_sample(merged);
-            let text = cp.to_json();
-            let back = ShardedCheckpoint::from_json(&text).unwrap();
-            assert_eq!(back, cp);
-            assert_eq!(back.to_json(), text, "renders must be byte-identical");
+    fn sharded_layout_is_refused_with_a_typed_error() {
+        let mut v = sample().to_value();
+        if let Value::Object(m) = &mut v {
+            m.insert(
+                "topology".into(),
+                serde_json::json!({"shards": 2, "map_hash": 7}),
+            );
         }
-    }
-
-    #[test]
-    fn sharded_topology_count_is_enforced() {
-        let mut cp = sharded_sample(false);
-        cp.shard_sections.pop();
-        match ShardedCheckpoint::from_value(&cp.to_value()) {
+        match Checkpoint::from_value(&v) {
             Err(StreamError::Checkpoint { message }) => {
-                assert!(message.contains("topology declares"), "{message}");
+                assert!(message.contains("no longer supported"), "{message}");
             }
             other => panic!("expected checkpoint error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sharded_section_group_arrays_are_validated() {
-        let mut cp = sharded_sample(false);
-        cp.shard_sections[1].tail_counts.push(3);
-        match ShardedCheckpoint::from_value(&cp.to_value()) {
-            Err(StreamError::Checkpoint { message }) => {
-                assert!(message.contains("shards[1]"), "{message}");
-            }
-            other => panic!("expected checkpoint error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn plain_checkpoint_is_not_a_sharded_one() {
-        match ShardedCheckpoint::from_value(&sample().to_value()) {
-            Err(StreamError::Checkpoint { message }) => {
-                assert!(message.contains("topology"), "{message}");
-            }
-            other => panic!("expected checkpoint error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sharded_file_roundtrip() {
-        let dir = std::env::temp_dir().join("pka_stream_sharded_checkpoint_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.json");
-        let cp = sharded_sample(true);
-        cp.write_to(&path).unwrap();
-        let back = ShardedCheckpoint::read_from(&path).unwrap();
-        assert_eq!(back, cp);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! * [`StreamPks`] — the online pipeline itself: detailed prefix → batch
 //!   PKS + classifier ensemble (exactly the paper's two-level split, so the
 //!   selected K matches the batch pipeline bit-for-bit), then live tail
-//!   classification with periodic resumable checkpoints
-//!   ([`Checkpoint`], schema `pka.stream_checkpoint/v1`).
+//!   classification through the same memoised ensemble the batch pipeline
+//!   uses, with periodic resumable checkpoints ([`Checkpoint`], schema
+//!   `pka.stream_checkpoint/v1`).
 //!
 //! # Examples
 //!
@@ -50,24 +51,16 @@ mod cancel;
 mod checkpoint;
 mod drift;
 mod error;
-mod merge;
 mod normalize;
 mod pipeline;
-mod ring;
-mod shard;
 mod source;
 
 pub use cancel::CancelToken;
-pub use checkpoint::{
-    Checkpoint, MergedSection, ReservoirItem, ReservoirState, ShardSection, ShardedCheckpoint,
-    CHECKPOINT_SCHEMA,
-};
+pub use checkpoint::{Checkpoint, ReservoirItem, ReservoirState, CHECKPOINT_SCHEMA};
 pub use drift::{Drift, DriftTracker};
 pub use error::StreamError;
 pub use normalize::StreamingNormalizer;
 pub use pipeline::{StreamConfig, StreamOutcome, StreamPks, StreamReport};
-pub use ring::{HashRing, VIRTUAL_NODES};
-pub use shard::{ShardedOutcome, ShardedStreamPks};
 pub use source::{
     synthetic_workload, FeedHandle, FeedSource, JsonlSource, KernelSource, RecordsSource,
     SourceRecord, WorkloadSource,

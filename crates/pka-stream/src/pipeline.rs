@@ -1,8 +1,8 @@
 use pka_core::{
-    selection_attribution, ErrorAttribution, GroupProvenance, Pks, PksConfig,
+    fit_tail_ensemble, selection_attribution, ErrorAttribution, GroupProvenance, Pks, PksConfig,
     RepresentativePolicy, Selection,
 };
-use pka_ml::classify::{Classifier, Ensemble, GaussianNb, MlpClassifier, SgdClassifier};
+use pka_ml::classify::{Ensemble, EnsembleMemo};
 use pka_ml::Matrix;
 use pka_profile::{DetailedRecord, LightweightRecord};
 use pka_stats::hash::{mix64, UnitStream};
@@ -15,11 +15,6 @@ use crate::drift::{Drift, DriftTracker};
 use crate::normalize::StreamingNormalizer;
 use crate::source::{KernelSource, SourceRecord};
 use crate::StreamError;
-
-/// Tail records classified per parallel work item. Fixed (never derived
-/// from the worker count) so the chunk grid — and therefore every
-/// classification — is identical for any executor.
-const TAIL_CHUNK: usize = 512;
 
 /// Bucket edges (ns) for the `stream.checkpoint_write_ns` histogram:
 /// 10 µs / 100 µs / 1 ms / 10 ms / 100 ms, plus overflow.
@@ -337,148 +332,19 @@ pub struct StreamOutcome {
 /// [`run`](Self::run) consumes a [`KernelSource`] once: the detailed prefix
 /// is buffered and handed to the *batch* `Pks` (so the selected K and the
 /// classifier ensemble match `pka_core::TwoLevel` exactly), then the tail
-/// streams through in bounded batches — chunk-parallel ensemble
-/// classification followed by a strictly in-order fold that updates the
-/// group counts, streaming normalizer, mini-batch centroids, drift
-/// envelopes and reservoir, and emits checkpoints at exact record
-/// multiples. Memory over the tail is `O(K·d + reservoir + batch)`,
-/// independent of stream length, and every result is bitwise identical for
-/// any worker count.
+/// streams through in bounded batches. Each batch reads features through
+/// [`KernelSource::next_features_into`], is labelled by the memoised
+/// ensemble ([`EnsembleMemo`], the batch pipeline's tail classifier), and
+/// is folded strictly in stream order: group counts, streaming normalizer,
+/// mini-batch centroids, drift envelopes and reservoir, with checkpoints
+/// at exact record multiples. Memory over the tail is
+/// `O(K·d + reservoir + batch)`, independent of stream length, and every
+/// result is bitwise identical for any worker count (the executor drives
+/// the prefix's clustering; the tail runs on the calling thread).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamPks {
     config: StreamConfig,
     exec: Executor,
-}
-
-/// Everything the detailed-prefix bootstrap produces, shared verbatim by
-/// the single-shard pipeline and the sharded engine: the batch-PKS
-/// selection (K, representatives, reference cycles), the prefix-seeded
-/// streaming normalizer and mini-batch centroids, and the tail classifier
-/// ensemble. Both pipelines bootstrapping through this one code path is
-/// what makes their selected K and representative sets *identical by
-/// construction* — the sharded/single parity contract starts here.
-pub(crate) struct PrefixModel {
-    pub selection: Selection,
-    /// Representative provenance per group, re-derived from the detailed
-    /// prefix (always available here, so checkpoints need not carry it —
-    /// resume re-derives it through this same bootstrap).
-    pub provenance: Vec<GroupProvenance>,
-    pub normalizer: StreamingNormalizer,
-    pub centroids: Vec<Vec<f64>>,
-    pub centroid_counts: Vec<u64>,
-    /// Prefix records consumed.
-    pub records: u64,
-    /// `None` when the stream ended inside the prefix (no tail to label).
-    pub ensemble: Option<Ensemble>,
-    pub source_name: String,
-}
-
-impl PrefixModel {
-    /// Buffers the detailed prefix, runs batch PKS over it, trains the
-    /// tail ensemble, and seeds the streaming state. The prefix buffer is
-    /// dropped before returning — from here on memory is bounded.
-    pub(crate) fn bootstrap<S>(
-        config: &StreamConfig,
-        exec: &Executor,
-        source: &mut S,
-    ) -> Result<Self, StreamError>
-    where
-        S: KernelSource + ?Sized,
-    {
-        let _span = pka_obs::span("stream.prefix");
-        let source_name = source.name();
-        let j = match source.len_hint() {
-            Some(n) => config.prefix.min(n.max(1)),
-            None => config.prefix,
-        };
-        let mut prefix: Vec<SourceRecord> = Vec::new();
-        let mut ended = false;
-        while (prefix.len() as u64) < j {
-            match source.next_record(true)? {
-                Some(record) => prefix.push(record),
-                None => {
-                    ended = true;
-                    break;
-                }
-            }
-        }
-        if prefix.is_empty() {
-            return Err(StreamError::Pipeline {
-                message: "stream is empty: nothing to select from".into(),
-            });
-        }
-        let detailed: Vec<DetailedRecord> = prefix
-            .iter()
-            .map(|r| {
-                r.detailed.clone().ok_or_else(|| StreamError::Pipeline {
-                    message: "prefix record lacks its detailed view".into(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let selection = Pks::new(config.pks).with_executor(*exec).select(&detailed)?;
-        let provenance = Pks::new(config.pks).provenance(&detailed, &selection)?;
-        let k = selection.k();
-
-        // Streaming normalizer and mini-batch centroids, seeded from the
-        // prefix's lightweight view: observe every prefix record, then set
-        // each group's centroid to the mean of its members' normalised
-        // features, weighted by its profiled population.
-        let dims = LightweightRecord::FEATURE_COUNT;
-        let mut normalizer = StreamingNormalizer::new(dims);
-        let features: Vec<Vec<f64>> = prefix
-            .iter()
-            .map(|r| r.lightweight.to_feature_vector())
-            .collect();
-        for f in &features {
-            normalizer.observe(f);
-        }
-        let mut centroids = vec![vec![0.0f64; dims]; k];
-        let mut centroid_counts = vec![0u64; k];
-        for (f, &label) in features.iter().zip(selection.labels()) {
-            let mut x = f.clone();
-            normalizer.normalize(&mut x);
-            centroid_counts[label] += 1;
-            let n = centroid_counts[label] as f64;
-            for (c, xi) in centroids[label].iter_mut().zip(&x) {
-                *c += (xi - *c) / n;
-            }
-        }
-
-        // Train the tail ensemble exactly like the batch two-level pipeline
-        // (same models, same seeds) — unless the stream already ended
-        // inside the prefix, in which case there is no tail to classify.
-        let ensemble = if ended {
-            None
-        } else {
-            let rows: Vec<Vec<f64>> = features;
-            let x = Matrix::from_rows(&rows).map_err(|e| StreamError::Pipeline {
-                message: e.to_string(),
-            })?;
-            let y = selection.labels().to_vec();
-            let seed = config.classifier_seed;
-            Some(Ensemble::new(vec![
-                Box::new(SgdClassifier::fit(&x, &y, seed)?),
-                Box::new(GaussianNb::fit(&x, &y)?),
-                Box::new(MlpClassifier::fit(&x, &y, seed ^ 0xff)?),
-            ]))
-        };
-
-        let records = prefix.len() as u64;
-        if pka_obs::enabled() {
-            pka_obs::counter("stream.records").add(records);
-            pka_obs::gauge("stream.selected_k").set(k as i64);
-        }
-        Ok(Self {
-            selection,
-            provenance,
-            normalizer,
-            centroids,
-            centroid_counts,
-            records,
-            ensemble,
-            source_name,
-        })
-    }
 }
 
 /// Tail-side mutable state (everything a checkpoint snapshots).
@@ -514,7 +380,7 @@ impl StreamPks {
         }
     }
 
-    /// Fans prefix clustering and tail classification out over `exec`.
+    /// Fans the detailed prefix's clustering out over `exec`.
     pub fn with_executor(mut self, exec: Executor) -> Self {
         self.exec = exec;
         self
@@ -691,7 +557,8 @@ impl StreamPks {
     /// Buffers the detailed prefix, runs batch PKS over it, trains the tail
     /// ensemble, and seeds the tail state (normalizer, centroids, drift).
     /// The prefix buffer is dropped before returning — from here on memory
-    /// is bounded.
+    /// is bounded. The ensemble is `None` when the stream ended inside the
+    /// prefix (no tail to label).
     fn bootstrap<S>(
         &self,
         source: &mut S,
@@ -699,18 +566,83 @@ impl StreamPks {
     where
         S: KernelSource + ?Sized,
     {
-        let model = PrefixModel::bootstrap(&self.config, &self.exec, source)?;
-        let PrefixModel {
-            selection,
-            provenance,
-            normalizer,
-            centroids,
-            centroid_counts,
-            records,
-            ensemble,
-            source_name,
-        } = model;
+        let _span = pka_obs::span("stream.prefix");
+        let config = &self.config;
+        let source_name = source.name();
+        let j = match source.len_hint() {
+            Some(n) => config.prefix.min(n.max(1)),
+            None => config.prefix,
+        };
+        let mut prefix: Vec<SourceRecord> = Vec::new();
+        let mut ended = false;
+        while (prefix.len() as u64) < j {
+            match source.next_record(true)? {
+                Some(record) => prefix.push(record),
+                None => {
+                    ended = true;
+                    break;
+                }
+            }
+        }
+        if prefix.is_empty() {
+            return Err(StreamError::Pipeline {
+                message: "stream is empty: nothing to select from".into(),
+            });
+        }
+        let detailed: Vec<DetailedRecord> = prefix
+            .iter()
+            .map(|r| {
+                r.detailed.clone().ok_or_else(|| StreamError::Pipeline {
+                    message: "prefix record lacks its detailed view".into(),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let selection = Pks::new(config.pks).with_executor(self.exec).select(&detailed)?;
+        let provenance = Pks::new(config.pks).provenance(&detailed, &selection)?;
         let k = selection.k();
+
+        // Streaming normalizer and mini-batch centroids, seeded from the
+        // prefix's lightweight view: observe every prefix record, then set
+        // each group's centroid to the mean of its members' normalised
+        // features, weighted by its profiled population.
+        let dims = LightweightRecord::FEATURE_COUNT;
+        let mut normalizer = StreamingNormalizer::new(dims);
+        let features: Vec<Vec<f64>> = prefix
+            .iter()
+            .map(|r| r.lightweight.to_feature_vector())
+            .collect();
+        for f in &features {
+            normalizer.observe(f);
+        }
+        let mut centroids = vec![vec![0.0f64; dims]; k];
+        let mut centroid_counts = vec![0u64; k];
+        for (f, &label) in features.iter().zip(selection.labels()) {
+            let mut x = f.clone();
+            normalizer.normalize(&mut x);
+            centroid_counts[label] += 1;
+            let n = centroid_counts[label] as f64;
+            for (c, xi) in centroids[label].iter_mut().zip(&x) {
+                *c += (xi - *c) / n;
+            }
+        }
+
+        // Train the tail ensemble exactly like the batch two-level pipeline
+        // — unless the stream already ended inside the prefix, in which
+        // case there is no tail to classify.
+        let ensemble = if ended {
+            None
+        } else {
+            let x = Matrix::from_rows(&features).map_err(|e| StreamError::Pipeline {
+                message: e.to_string(),
+            })?;
+            Some(fit_tail_ensemble(&x, selection.labels(), config.classifier_seed)?)
+        };
+
+        let records = prefix.len() as u64;
+        if pka_obs::enabled() {
+            pka_obs::counter("stream.records").add(records);
+            pka_obs::gauge("stream.selected_k").set(k as i64);
+        }
         let state = TailState {
             checkpoint_write_ns: 0,
             selection,
@@ -719,11 +651,7 @@ impl StreamPks {
             centroids,
             centroid_counts,
             drift: vec![
-                DriftTracker::new(
-                    self.config.drift_calibration,
-                    self.config.drift_sigma,
-                    self.config.drift_alpha,
-                );
+                DriftTracker::new(config.drift_calibration, config.drift_sigma, config.drift_alpha);
                 k
             ],
             reservoir_items: Vec::new(),
@@ -756,7 +684,6 @@ impl StreamPks {
             reclusters: state.reclusters,
             checkpoints: state.checkpoints_emitted,
             max_buffered: state.max_buffered,
-            shards: Vec::new(),
         };
         pka_obs::emit_snapshot(
             &record,
@@ -798,126 +725,75 @@ impl StreamPks {
                 }
             }
             Some(ensemble) => {
-                // One persistent worker pool for the whole tail: a per-batch
-                // fan-out would respawn its threads for every mini-batch
-                // (~100 µs each), which swamped the classification work and
-                // made `with_executor(Executor::new(4))` slower than
-                // sequential. The pool's chunk grid is fixed at the maximum
-                // batch size; each round clips its range to the records
-                // actually buffered, so the final partial batch reuses the
-                // same grid (trailing chunks are empty) and per-record
-                // results still splice in stream order — the fold below is
-                // identical for any worker count.
-                let batch_cell: std::sync::RwLock<Vec<LightweightRecord>> =
-                    std::sync::RwLock::new(Vec::with_capacity(self.config.batch));
-                self.exec.rounds(
-                    self.config.batch,
-                    TAIL_CHUNK,
-                    |_, range| {
-                        let batch = batch_cell.read().expect("tail batch lock");
-                        let lo = range.start.min(batch.len());
-                        let hi = range.end.min(batch.len());
-                        let mut out = Vec::with_capacity(hi - lo);
-                        for record in &batch[lo..hi] {
-                            let features = record.to_feature_vector();
-                            match ensemble.predict(&features) {
-                                Ok(label) => out.push((label, features)),
-                                Err(e) => return Err(e),
+                let dims = LightweightRecord::FEATURE_COUNT;
+                let mut memo = EnsembleMemo::new(ensemble, dims);
+                let mut batch = Vec::with_capacity(self.config.batch * dims);
+                let mut labels = Vec::with_capacity(self.config.batch);
+                let mut scratch = Vec::with_capacity(dims);
+                loop {
+                    // Cancellation point: between batches, so every folded
+                    // record is in the teardown checkpoint and no
+                    // half-classified batch is observable.
+                    if cancel.is_cancelled() {
+                        let checkpoint = self.snapshot(state, source_name, true);
+                        on_checkpoint(&checkpoint)?;
+                        if obs {
+                            pka_obs::counter("stream.cancels").incr();
+                            pka_obs::trace_event(
+                                "stream.cancel",
+                                json!({ "seq": checkpoint.seq, "records": checkpoint.records }),
+                            );
+                        }
+                        return Err(StreamError::Cancelled);
+                    }
+                    batch.clear();
+                    let mut filled = 0usize;
+                    while filled < self.config.batch && source.next_features_into(&mut batch)? {
+                        filled += 1;
+                    }
+                    if filled == 0 {
+                        break;
+                    }
+                    let buffered = filled as u64 + state.reservoir_items.len() as u64;
+                    state.max_buffered = state.max_buffered.max(buffered);
+                    let hits = memo.predict_into(&batch, &mut labels)?;
+
+                    // Strictly in-order fold: counts, normalizer, centroids,
+                    // drift, reservoir, checkpoints.
+                    for (features, &label) in batch.chunks_exact(dims).zip(&labels) {
+                        self.fold_record(state, label, features, &mut scratch);
+                        if state.records.is_multiple_of(self.config.checkpoint_every) {
+                            let checkpoint = self.snapshot(state, source_name, true);
+                            let t0 = obs.then(std::time::Instant::now);
+                            on_checkpoint(&checkpoint)?;
+                            if let Some(t0) = t0 {
+                                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                                state.checkpoint_write_ns =
+                                    state.checkpoint_write_ns.saturating_add(ns);
+                                pka_obs::histogram(
+                                    "stream.checkpoint_write_ns",
+                                    CHECKPOINT_WRITE_EDGES,
+                                )
+                                .record(ns);
+                                // Deterministic fields only: the write
+                                // duration stays out of the event so traces
+                                // canonicalize byte-identically across runs.
+                                pka_obs::trace_event(
+                                    "stream.checkpoint",
+                                    json!({ "seq": checkpoint.seq, "records": checkpoint.records }),
+                                );
                             }
                         }
-                        Ok(out)
-                    },
-                    |run| -> Result<(), StreamError> {
-                        loop {
-                            // Cancellation point: between batches, so every
-                            // folded record is in the teardown checkpoint
-                            // and no half-classified batch is observable.
-                            if cancel.is_cancelled() {
-                                let checkpoint = self.snapshot(state, source_name, true);
-                                on_checkpoint(&checkpoint)?;
-                                if obs {
-                                    pka_obs::counter("stream.cancels").incr();
-                                    pka_obs::trace_event(
-                                        "stream.cancel",
-                                        json!({
-                                            "seq": checkpoint.seq,
-                                            "records": checkpoint.records
-                                        }),
-                                    );
-                                }
-                                return Err(StreamError::Cancelled);
-                            }
-                            // Refill between rounds: rounds never overlap
-                            // `body` code, so the write lock is uncontended.
-                            let filled = {
-                                let mut batch = batch_cell.write().expect("tail batch lock");
-                                batch.clear();
-                                while batch.len() < self.config.batch {
-                                    match source.next_record(false)? {
-                                        Some(record) => batch.push(record.lightweight),
-                                        None => break,
-                                    }
-                                }
-                                batch.len()
-                            };
-                            if filled == 0 {
-                                return Ok(());
-                            }
-                            let buffered = filled as u64 + state.reservoir_items.len() as u64;
-                            state.max_buffered = state.max_buffered.max(buffered);
-
-                            // Chunk results come back in chunk order; an
-                            // error from the smallest-indexed chunk wins and
-                            // nothing is folded — the same `Result` a
-                            // sequential run would produce.
-                            let mut classified = Vec::with_capacity(filled);
-                            for chunk in run() {
-                                classified.extend(chunk?);
-                            }
-
-                            // Strictly in-order fold: counts, normalizer,
-                            // centroids, drift, reservoir, checkpoints.
-                            for (label, features) in classified {
-                                self.fold_record(state, label, features)?;
-                                if state.records % self.config.checkpoint_every == 0 {
-                                    let checkpoint = self.snapshot(state, source_name, true);
-                                    let t0 = obs.then(std::time::Instant::now);
-                                    on_checkpoint(&checkpoint)?;
-                                    if let Some(t0) = t0 {
-                                        let ns = u64::try_from(t0.elapsed().as_nanos())
-                                            .unwrap_or(u64::MAX);
-                                        state.checkpoint_write_ns =
-                                            state.checkpoint_write_ns.saturating_add(ns);
-                                        pka_obs::histogram(
-                                            "stream.checkpoint_write_ns",
-                                            CHECKPOINT_WRITE_EDGES,
-                                        )
-                                        .record(ns);
-                                        // Deterministic fields only: the
-                                        // write duration stays out of the
-                                        // event so traces canonicalize
-                                        // byte-identically across runs.
-                                        pka_obs::trace_event(
-                                            "stream.checkpoint",
-                                            json!({
-                                                "seq": checkpoint.seq,
-                                                "records": checkpoint.records
-                                            }),
-                                        );
-                                    }
-                                }
-                                if snap_every != 0 && state.records % snap_every == 0 {
-                                    self.emit_live_snapshot(state, "tail");
-                                }
-                            }
-                            if pka_obs::enabled() {
-                                pka_obs::counter("stream.records").add(filled as u64);
-                                pka_obs::gauge("stream.max_buffered")
-                                    .set(state.max_buffered as i64);
-                            }
+                        if snap_every != 0 && state.records.is_multiple_of(snap_every) {
+                            self.emit_live_snapshot(state, "tail");
                         }
-                    },
-                )?;
+                    }
+                    if obs {
+                        pka_obs::counter("stream.records").add(filled as u64);
+                        pka_obs::counter("stream.memo_hits").add(hits as u64);
+                        pka_obs::gauge("stream.max_buffered").set(state.max_buffered as i64);
+                    }
+                }
             }
         }
 
@@ -957,22 +833,27 @@ impl StreamPks {
         })
     }
 
-    /// Folds one classified tail record into the online state.
+    /// Folds one classified tail record into the online state. `raw` is
+    /// the record's feature row; `features` is scratch the fold normalises
+    /// it into.
     fn fold_record(
         &self,
         state: &mut TailState,
         label: usize,
-        mut features: Vec<f64>,
-    ) -> Result<(), StreamError> {
+        raw: &[f64],
+        features: &mut Vec<f64>,
+    ) {
         let t = state.records; // absolute 0-based position of this record
         state.selection.add_classified_member(label);
-        state.normalizer.observe(&features);
-        state.normalizer.normalize(&mut features);
+        state.normalizer.observe(raw);
+        features.clear();
+        features.extend_from_slice(raw);
+        state.normalizer.normalize(features);
 
         // Distance to the group's centroid *before* this record moves it.
         let distance = state.centroids[label]
             .iter()
-            .zip(&features)
+            .zip(features.iter())
             .map(|(c, x)| (x - c) * (x - c))
             .sum::<f64>()
             .sqrt();
@@ -981,7 +862,7 @@ impl StreamPks {
         // member with a per-centroid learning rate of 1/count.
         state.centroid_counts[label] += 1;
         let n = state.centroid_counts[label] as f64;
-        for (c, x) in state.centroids[label].iter_mut().zip(&features) {
+        for (c, x) in state.centroids[label].iter_mut().zip(features.iter()) {
             *c += (x - *c) / n;
         }
 
@@ -1021,7 +902,6 @@ impl StreamPks {
             self.recluster(state);
         }
         state.records += 1;
-        Ok(())
     }
 
     /// Bounded re-cluster: a few Lloyd iterations over the reservoir only,
@@ -1033,7 +913,7 @@ impl StreamPks {
         if k == 0 || state.reservoir_items.is_empty() {
             return;
         }
-        crate::merge::lloyd_iterations(
+        lloyd_iterations(
             &mut state.centroids,
             &state.reservoir_items,
             self.config.recluster_iters,
@@ -1096,6 +976,49 @@ impl StreamPks {
             reclusters: state.reclusters,
             max_buffered: state.max_buffered,
             config: self.config.to_value(),
+        }
+    }
+}
+
+/// A few Lloyd iterations over `items` only, initialised at (and updating)
+/// `centroids` in place. Empty groups keep their previous centre; ties in
+/// the nearest-centroid scan resolve to the lowest group id via the strict
+/// `min_by` comparison order.
+fn lloyd_iterations(centroids: &mut [Vec<f64>], items: &[ReservoirItem], iters: usize) {
+    let k = centroids.len();
+    if k == 0 || items.is_empty() {
+        return;
+    }
+    let dims = centroids[0].len();
+    for _ in 0..iters {
+        let mut sums = vec![vec![0.0f64; dims]; k];
+        let mut counts = vec![0u64; k];
+        for item in items {
+            let nearest = centroids
+                .iter()
+                .enumerate()
+                .map(|(g, c)| {
+                    let d = c
+                        .iter()
+                        .zip(&item.features)
+                        .map(|(ci, xi)| (xi - ci) * (xi - ci))
+                        .sum::<f64>();
+                    (g, d)
+                })
+                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(g, _)| g)
+                .unwrap_or(0);
+            counts[nearest] += 1;
+            for (s, x) in sums[nearest].iter_mut().zip(&item.features) {
+                *s += x;
+            }
+        }
+        for g in 0..k {
+            if counts[g] > 0 {
+                for (c, s) in centroids[g].iter_mut().zip(&sums[g]) {
+                    *c = s / counts[g] as f64;
+                }
+            }
         }
     }
 }
@@ -1189,7 +1112,6 @@ mod tests {
         assert_eq!(attribution.kind, "selection");
         assert_eq!(attribution.workload, "workload:synthetic2000");
         assert_eq!(attribution.groups.len(), outcome.selection.k());
-        assert!(attribution.shards.is_empty(), "single pipeline has no shard sections");
         assert_eq!(
             (attribution.pks_err_pct * 1e9).round(),
             (outcome.selection.error_pct() * 1e9).round()
@@ -1199,6 +1121,19 @@ mod tests {
         let profiled: u64 = attribution.groups.iter().map(|g| g.profiled_count).sum();
         assert_eq!(weights, 2_000);
         assert_eq!(profiled, 200);
+    }
+
+    #[test]
+    fn lloyd_moves_centroids_toward_reservoir_mass() {
+        let item = |pos, label, x| ReservoirItem {
+            pos,
+            label,
+            features: vec![x],
+        };
+        let mut centroids = vec![vec![0.0], vec![10.0]];
+        let items = vec![item(0, 0, 1.0), item(1, 0, 3.0), item(2, 1, 9.0)];
+        lloyd_iterations(&mut centroids, &items, 1);
+        assert_eq!(centroids, vec![vec![2.0], vec![9.0]]);
     }
 
     #[test]

@@ -65,11 +65,18 @@ pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
     T::from_json_value(&value).map_err(Error::from)
 }
 
+/// Deepest nesting of arrays and objects [`from_str`] accepts. The parser
+/// recurses once per level, so without a bound a small hostile document
+/// (a few hundred kilobytes of `[`) would overflow the thread's stack,
+/// which aborts the process instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a typed structure (or a raw [`Value`]).
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON or a shape mismatch.
+/// Returns [`Error`] on malformed JSON, on nesting deeper than
+/// [`MAX_DEPTH`], or on a shape mismatch.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
     let value = parse::parse(input)?;
     T::from_json_value(&value).map_err(Error::from)
@@ -263,6 +270,22 @@ mod tests {
         let v: Value = from_str("{\"x\": 4.440892098500626e-16, \"y\": 12345678901234}").unwrap();
         assert!(v["x"].as_f64().unwrap() > 0.0);
         assert_eq!(v["y"].as_u64(), Some(12345678901234));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let at_limit: Value = from_str(&nested(MAX_DEPTH)).unwrap();
+        assert!(at_limit.as_array().is_some());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&objects).is_ok());
+
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Far past any stack: still a plain error.
+        assert!(from_str::<Value>(&nested(200_000)).is_err());
+        let mixed = "[{\"a\":".repeat(100_000);
+        assert!(from_str::<Value>(&mixed).is_err());
     }
 
     #[test]

@@ -2,12 +2,13 @@
 
 use serde::value::{Map, Number, Value};
 
-use crate::Error;
+use crate::{Error, MAX_DEPTH};
 
 pub(crate) fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -21,6 +22,8 @@ pub(crate) fn parse(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -87,8 +90,21 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                // One native stack frame per level: past the limit, fail
+                // with an error instead of overflowing the stack.
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }

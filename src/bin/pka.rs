@@ -46,6 +46,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(accepted) = command_flags(command) {
+        let mut unknown: Vec<&String> = flags
+            .keys()
+            .filter(|k| !COMMON_FLAGS.contains(&k.as_str()) && !accepted.contains(&k.as_str()))
+            .collect();
+        unknown.sort();
+        if let Some(flag) = unknown.first() {
+            eprintln!("error: `{command}` does not accept --{flag}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    }
     // Only the file-conversion subcommands take positional arguments.
     if !positional.is_empty() && !matches!(command.as_str(), "trace" | "obs") {
         eprintln!("error: unexpected argument `{}`\n{USAGE}", positional[0]);
@@ -216,7 +227,6 @@ const USAGE: &str = "usage:
   pka stream --source <FILE.jsonl|-|synthetic:N|WORKLOAD>
              [--prefix J] [--checkpoint-every N] [--checkpoint FILE.json]
              [--resume] [--reservoir N] [--batch N] [--verify-batch]
-             [--shards N [--reshard-at REC[:SHARD:LANE]]]
              [--attribution-out FILE.json]
              [--gpu ...] [--workers N] [observability flags]
   pka serve [--addr HOST:PORT] [--http-threads N] [--workers N]
@@ -235,23 +245,18 @@ const USAGE: &str = "usage:
 are profiled in detail and clustered exactly like the batch pipeline, then
 the tail streams through classification, mini-batch centroid updates,
 drift detection and reservoir sampling in O(K*d + reservoir + batch)
-memory. `--checkpoint FILE` persists every periodic checkpoint (and the
+memory. Tail records are labelled through an exact memo in front of the
+classifier ensemble (the batch two-level pipeline's classifier), so
+template-heavy streams pay for each distinct launch shape about once.
+`--checkpoint FILE` persists every periodic checkpoint (and the
 final state) as resumable `pka.stream_checkpoint/v1` JSON; `--resume`
 restarts from that file instead of the beginning, adopting the
 checkpoint's embedded configuration (explicit flags still override, but a
 true mismatch is refused). `--verify-batch` re-runs
 the batch two-level pipeline on the same workload-backed source and fails
 unless the selected K matches exactly and projected cycles agree within
-1%.
-
-`--shards N` partitions the tail across N independent shard pipelines
-placed by a deterministic hash ring and reconciled at end of stream with a
-weighted merge + re-cluster; the selection is identical to the
-single-pipeline engine and the final checkpoint is byte-identical for any
-worker count. `--reshard-at REC[:SHARD:LANE]` forces one live reshard
-(state move to another executor lane) once REC records have streamed —
-the output is unchanged, which is the point. Sharded checkpoints carry a
-`topology` section; `--resume` detects the layout automatically.
+1%. Checkpoints of the removed sharded engine (a `topology` section) are
+refused on `--resume`.
 
 `--workers N` fans profiling, clustering and per-representative simulation
 out over N threads (0 = one per hardware thread). Results are bitwise
@@ -262,9 +267,8 @@ identical for any worker count.
 provenance (kernel id, launch rank, distance to the group mean, weight)
 and its signed contribution to the reported projection error — split into
 a PKS group-scaling term and a PKP stop-rule term for simulation runs.
-The per-group terms sum exactly to the reported error, the artifact is
-byte-identical for any `--workers` count, and sharded stream runs add a
-per-shard section on top of the merged decomposition. `obs explain`
+The per-group terms sum exactly to the reported error and the artifact is
+byte-identical for any `--workers` count. `obs explain`
 renders it as a ranked table (worst group first, with bootstrap CIs and
 PKP skip ratios) and flags any group past 50% of the total error; feeding
 two attribution artifacts to `obs diff` gates on representative swaps and
@@ -336,6 +340,75 @@ fn workers_from(flags: &HashMap<String, String>) -> Result<usize, String> {
             .parse()
             .map_err(|_| "--workers must be a non-negative integer".to_string()),
     }
+}
+
+/// Flags every command accepts: the observability flags and
+/// `--fast-math`, which `main` applies before dispatching.
+const COMMON_FLAGS: &[&str] = &[
+    "trace-out",
+    "metrics-out",
+    "snapshot-out",
+    "snapshot-every",
+    "progress",
+    "verbose",
+    "fast-math",
+];
+
+/// The flags `command` accepts on top of [`COMMON_FLAGS`] (`None` for an
+/// unknown command). Anything else is a usage error rather than silently
+/// ignored, so a misspelt or retired flag cannot change what a script runs.
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "list" => &["suite"],
+        "info" => &["workload"],
+        "select" => &["workload", "target-error", "out", "attribution-out", "workers"],
+        "simulate" => &[
+            "workload",
+            "gpu",
+            "threshold",
+            "selection",
+            "full",
+            "attribution-out",
+            "workers",
+        ],
+        "stream" => &[
+            "source",
+            "prefix",
+            "checkpoint-every",
+            "checkpoint",
+            "resume",
+            "reservoir",
+            "batch",
+            "verify-batch",
+            "attribution-out",
+            "gpu",
+            "workers",
+        ],
+        "serve" => &[
+            "addr",
+            "http-threads",
+            "workers",
+            "max-sessions",
+            "retain",
+            "feed-capacity",
+            "read-timeout-ms",
+        ],
+        "trace" => &["out"],
+        "obs" => &[
+            "out",
+            "counters-only",
+            "counter-tol",
+            "gauge-tol",
+            "stage-tol",
+            "bench",
+            "bench-tol",
+            "error-tol",
+            "trend",
+            "trend-window",
+            "trend-cap",
+        ],
+        _ => return None,
+    })
 }
 
 fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
@@ -705,39 +778,11 @@ fn int_flag(flags: &HashMap<String, String>, name: &str) -> Result<Option<u64>, 
         .transpose()
 }
 
-/// Parses `--reshard-at REC[:SHARD:LANE]` into a scheduled live reshard
-/// (defaults: move shard 0 to the last lane).
-fn reshard_from(
-    flags: &HashMap<String, String>,
-    shards: usize,
-) -> Result<Option<(u64, usize, usize)>, String> {
-    let Some(spec) = flags.get("reshard-at") else {
-        return Ok(None);
-    };
-    let bad = || format!("--reshard-at `{spec}` must be REC or REC:SHARD:LANE");
-    let parts: Vec<&str> = spec.split(':').collect();
-    let (at, shard, lane) = match parts.as_slice() {
-        [at] => (at.parse().map_err(|_| bad())?, 0usize, shards - 1),
-        [at, shard, lane] => (
-            at.parse().map_err(|_| bad())?,
-            shard.parse().map_err(|_| bad())?,
-            lane.parse().map_err(|_| bad())?,
-        ),
-        _ => return Err(bad()),
-    };
-    if shard >= shards || lane >= shards {
-        return Err(format!(
-            "--reshard-at: shard {shard} / lane {lane} out of range for {shards} shards"
-        ));
-    }
-    Ok(Some((at, shard, lane)))
-}
-
 fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     use principal_kernel_analysis::core::{Executor, TwoLevel, TwoLevelConfig};
     use principal_kernel_analysis::stream::{
-        synthetic_workload, Checkpoint, JsonlSource, KernelSource, ShardedCheckpoint,
-        ShardedStreamPks, StreamConfig, StreamError, StreamPks, WorkloadSource,
+        synthetic_workload, Checkpoint, JsonlSource, KernelSource, StreamConfig, StreamError,
+        StreamPks, WorkloadSource,
     };
 
     let gpu = gpu_from(flags)?;
@@ -747,38 +792,21 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
 
     // A resume adopts the checkpoint's embedded config echo, so the original
     // run's parameters need not be re-specified; explicit flags still apply
-    // on top (and the resume paths refuse any true mismatch). The layout is
-    // sniffed from the file: a `topology` section marks a sharded
-    // checkpoint, plain ones resume through the single-pipeline engine.
-    let resume_value = if flags.contains_key("resume") {
+    // on top (and the resume path refuses any true mismatch).
+    let resume_cp = if flags.contains_key("resume") {
         let p = flags
             .get("checkpoint")
             .ok_or("--resume requires --checkpoint FILE.json")?;
         let text = std::fs::read_to_string(p).map_err(|e| format!("read {p}: {e}"))?;
         let v: serde_json::Value =
             serde_json::from_str(&text).map_err(|e| format!("parse {p}: {e}"))?;
-        Some(v)
+        Some(Checkpoint::from_value(&v).map_err(|e| e.to_string())?)
     } else {
         None
     };
-    let resume_is_sharded = resume_value
-        .as_ref()
-        .is_some_and(|v| v["topology"].as_object().is_some());
-    let (resume_cp, resume_sharded_cp) = match &resume_value {
-        Some(v) if resume_is_sharded => (
-            None,
-            Some(ShardedCheckpoint::from_value(v).map_err(|e| e.to_string())?),
-        ),
-        Some(v) => (
-            Some(Checkpoint::from_value(v).map_err(|e| e.to_string())?),
-            None,
-        ),
-        None => (None, None),
-    };
-    let mut config = match (&resume_cp, &resume_sharded_cp) {
-        (Some(cp), _) => StreamConfig::from_value(&cp.config).map_err(|e| e.to_string())?,
-        (_, Some(cp)) => StreamConfig::from_value(&cp.config).map_err(|e| e.to_string())?,
-        _ => StreamConfig::default(),
+    let mut config = match &resume_cp {
+        Some(cp) => StreamConfig::from_value(&cp.config).map_err(|e| e.to_string())?,
+        None => StreamConfig::default(),
     };
     if let Some(j) = int_flag(flags, "prefix")? {
         config = config.with_prefix(j);
@@ -822,81 +850,26 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let ckpt_path = flags.get("checkpoint").map(std::path::PathBuf::from);
 
-    // `--shards N` (or resuming a sharded checkpoint) switches to the
-    // sharded multi-stream engine; selection results are identical to the
-    // single-pipeline engine on the same records.
-    let shards_flag = int_flag(flags, "shards")?.map(|n| n as usize);
-    let shards = match (shards_flag, &resume_sharded_cp) {
-        (Some(n), _) => Some(n),
-        (None, Some(cp)) => Some(cp.shards),
-        (None, None) => None,
+    let stream = StreamPks::new(config).with_executor(exec);
+    let on_checkpoint = |cp: &Checkpoint| -> Result<(), StreamError> {
+        match &ckpt_path {
+            Some(p) => cp.write_to(p),
+            None => Ok(()),
+        }
     };
-    if shards.is_none() && flags.contains_key("reshard-at") {
-        return Err("--reshard-at requires --shards N".to_string());
+    let outcome = match &resume_cp {
+        Some(cp) => stream.resume(&mut *source, cp, on_checkpoint),
+        None => stream.run(&mut *source, on_checkpoint),
     }
-
-    let (report, selection, checkpoint_json, shard_summary, attribution) = match shards {
-        Some(n) => {
-            let mut engine = ShardedStreamPks::new(config, n).with_executor(exec);
-            if let Some((at, shard, lane)) = reshard_from(flags, n)? {
-                engine = engine.with_reshard(at, shard, lane);
-            }
-            let on_checkpoint = |cp: &ShardedCheckpoint| -> Result<(), StreamError> {
-                match &ckpt_path {
-                    Some(p) => cp.write_to(p),
-                    None => Ok(()),
-                }
-            };
-            let outcome = match &resume_sharded_cp {
-                Some(cp) => engine.resume(&mut *source, cp, on_checkpoint),
-                None => engine.run(&mut *source, on_checkpoint),
-            }
+    .map_err(|e| e.to_string())?;
+    if let Some(p) = &ckpt_path {
+        outcome
+            .final_checkpoint
+            .write_to(p)
             .map_err(|e| e.to_string())?;
-            if let Some(p) = &ckpt_path {
-                outcome
-                    .final_checkpoint
-                    .write_to(p)
-                    .map_err(|e| e.to_string())?;
-            }
-            let json = outcome.final_checkpoint.to_json();
-            (
-                outcome.report,
-                outcome.selection,
-                json,
-                Some((outcome.shard_records, outcome.map_hash)),
-                outcome.attribution,
-            )
-        }
-        None => {
-            let stream = StreamPks::new(config).with_executor(exec);
-            let on_checkpoint = |cp: &Checkpoint| -> Result<(), StreamError> {
-                match &ckpt_path {
-                    Some(p) => cp.write_to(p),
-                    None => Ok(()),
-                }
-            };
-            let outcome = match &resume_cp {
-                Some(cp) => stream.resume(&mut *source, cp, on_checkpoint),
-                None => stream.run(&mut *source, on_checkpoint),
-            }
-            .map_err(|e| e.to_string())?;
-            if let Some(p) = &ckpt_path {
-                outcome
-                    .final_checkpoint
-                    .write_to(p)
-                    .map_err(|e| e.to_string())?;
-            }
-            let json = outcome.final_checkpoint.to_json();
-            (
-                outcome.report,
-                outcome.selection,
-                json,
-                None,
-                outcome.attribution,
-            )
-        }
-    };
-    let report = &report;
+    }
+    let report = &outcome.report;
+    let selection = &outcome.selection;
     println!("stream:   {spec}");
     println!(
         "records:  {} ({} profiled in detail, {} classified)",
@@ -921,19 +894,10 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
             group.representative()
         );
     }
-    if let Some((shard_records, map_hash)) = &shard_summary {
-        println!(
-            "shards:   {} lanes, map hash {map_hash:#018x}",
-            shard_records.len()
-        );
-        for (i, n) in shard_records.iter().enumerate() {
-            println!("  shard {i:>2}: {n} kernels");
-        }
-    }
     if let Some(p) = &ckpt_path {
         println!("checkpoint written to {}", p.display());
     }
-    write_attribution(flags, Some(&attribution))?;
+    write_attribution(flags, Some(&outcome.attribution))?;
 
     if flags.contains_key("verify-batch") {
         let w = workload.as_ref().ok_or(
@@ -973,7 +937,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     if principal_kernel_analysis::obs::enabled() {
-        record_checksum("stream_checkpoint", &checkpoint_json);
+        record_checksum("stream_checkpoint", &outcome.final_checkpoint.to_json());
         let mut value = report.to_value();
         if let serde_json::Value::Object(m) = &mut value {
             m.insert(
@@ -984,13 +948,6 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
                 "source".to_string(),
                 serde_json::Value::String(spec.clone()),
             );
-            if let Some((shard_records, map_hash)) = &shard_summary {
-                m.insert("shards".to_string(), serde_json::json!(shard_records));
-                m.insert(
-                    "map_hash".to_string(),
-                    serde_json::Value::String(format!("{map_hash:#018x}")),
-                );
-            }
         }
         record_report(value);
     }

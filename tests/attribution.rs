@@ -1,18 +1,15 @@
 //! Error-attribution integration tests: the `pka.attribution/v1` artifact
-//! driven through the facade, across the batch, streaming and sharded
-//! engines.
+//! driven through the facade, across the batch and streaming engines.
 //!
 //! The contract under test: per-group signed contributions sum exactly
 //! (1e-9 relative) to the reported projection error, the artifact is
-//! byte-identical for any worker count and for sharded-vs-single runs
-//! (modulo the sharded `shards` section), and the `obs` layer's explain /
+//! byte-identical for any worker count, and the `obs` layer's explain /
 //! diff entry points agree with the core writer on the schema id.
 
 use principal_kernel_analysis::core::{Pka, PkaConfig, Selection};
 use principal_kernel_analysis::gpu::GpuConfig;
 use principal_kernel_analysis::stream::{
-    synthetic_workload, Checkpoint, ShardedCheckpoint, ShardedStreamPks, StreamConfig,
-    StreamError, StreamPks, WorkloadSource,
+    synthetic_workload, Checkpoint, StreamConfig, StreamError, StreamPks, WorkloadSource,
 };
 use principal_kernel_analysis::workloads::{rodinia, Workload};
 use principal_kernel_analysis::{core, obs, profile::Profiler};
@@ -110,31 +107,6 @@ fn stream_attribution_is_byte_identical_for_any_worker_count() {
     for workers in [2, 4, 8] {
         assert_eq!(run(workers), baseline, "workers={workers} diverges");
     }
-}
-
-#[test]
-fn sharded_attribution_equals_single_modulo_shard_sections() {
-    let w = synthetic_workload(1_500);
-    let config = StreamConfig::default().with_prefix(200);
-    let mut source = WorkloadSource::new(w.clone(), Profiler::new(GpuConfig::v100()));
-    let single = StreamPks::new(config)
-        .run(&mut source, |_: &Checkpoint| Ok::<(), StreamError>(()))
-        .expect("single stream runs");
-    let mut source = WorkloadSource::new(w, Profiler::new(GpuConfig::v100()));
-    let sharded = ShardedStreamPks::new(config, 4)
-        .run(&mut source, |_: &ShardedCheckpoint| Ok::<(), StreamError>(()))
-        .expect("sharded stream runs");
-    single.attribution.verify_sums().expect("single sums");
-    sharded.attribution.verify_sums().expect("sharded sums");
-    assert_eq!(sharded.attribution.shards.len(), 4);
-    let strip = |a: &core::ErrorAttribution| {
-        let mut v = serde_json::to_value(a).expect("serialises");
-        if let serde_json::Value::Object(m) = &mut v {
-            m.remove("shards");
-        }
-        serde_json::to_string(&v).expect("renders")
-    };
-    assert_eq!(strip(&sharded.attribution), strip(&single.attribution));
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! Property-based tests over the core invariants, spanning crates.
 
-use principal_kernel_analysis::core::{PkpConfig, PkpMonitor};
+use principal_kernel_analysis::core::{fit_tail_ensemble, PkpConfig, PkpMonitor};
 use principal_kernel_analysis::gpu::{
     GpuConfig, GpuGeneration, KernelDescriptor, KernelMetrics, KernelPhase, Occupancy,
     SiliconExecutor,
 };
+use principal_kernel_analysis::ml::classify::{Classifier, Ensemble, EnsembleMemo};
 use principal_kernel_analysis::ml::{KMeans, Matrix};
 use principal_kernel_analysis::sim::{
     IpcSample, KernelSimResult, MaxCyclesMonitor, MaxInstructionsMonitor, NullMonitor,
     SimMonitor, SimOptions, Simulator, WarpProgram,
 };
+use principal_kernel_analysis::stats::hash::UnitStream;
 use principal_kernel_analysis::stats::{OnlineStats, RollingStats};
 use proptest::prelude::*;
 
@@ -330,5 +332,67 @@ proptest! {
         prop_assert!(fit.inertia() >= 0.0);
         let members: usize = fit.members().iter().map(|m| m.len()).sum();
         prop_assert_eq!(members, points.len());
+    }
+}
+
+/// The tail classifier's ensemble, fitted on a random three-class
+/// training set of `dims`-feature rows.
+fn fitted_ensemble(seed: u64, dims: usize) -> Ensemble {
+    let mut rng = UnitStream::new(seed);
+    let rows: Vec<Vec<f64>> = (0..48)
+        .map(|i| {
+            let centre = (i % 3) as f64 * 4.0;
+            (0..dims).map(|_| centre + rng.next_range(-2.0, 2.0)).collect()
+        })
+        .collect();
+    let labels: Vec<usize> = (0..48).map(|i| i % 3).collect();
+    let x = Matrix::from_rows(&rows).expect("training matrix");
+    fit_tail_ensemble(&x, &labels, seed).expect("ensemble fits")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The memo caches a pure function exactly: batches that mix repeated
+    /// rows with more than 1024 distinct ones (so slots are overwritten
+    /// and collide) get, row for row, the label `Ensemble::predict` gives.
+    #[test]
+    fn memo_labels_equal_per_row_ensemble_predictions(
+        seed in any::<u64>(),
+        distinct in 1_100usize..1_600,
+        batch in 1usize..700,
+    ) {
+        const DIMS: usize = 4;
+        let ensemble = fitted_ensemble(seed, DIMS);
+        let mut rng = UnitStream::new(seed ^ 0x5eed);
+        let pool: Vec<f64> = (0..distinct * DIMS).map(|_| rng.next_range(-3.0, 11.0)).collect();
+        // Every pool row once plus repeats from a small hot set and from
+        // the whole pool, shuffled together.
+        let mut order: Vec<usize> = (0..distinct).collect();
+        order.extend((0..2 * distinct).map(|i| {
+            if i % 2 == 0 { rng.next_index(16) } else { rng.next_index(distinct) }
+        }));
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.next_index(i + 1));
+        }
+        let flat: Vec<f64> = order
+            .iter()
+            .flat_map(|&r| pool[r * DIMS..(r + 1) * DIMS].iter().copied())
+            .collect();
+
+        let mut memo = EnsembleMemo::new(&ensemble, DIMS);
+        let mut labels = Vec::new();
+        let mut got = Vec::new();
+        let mut hits = 0;
+        for chunk in flat.chunks(batch * DIMS) {
+            hits += memo.predict_into(chunk, &mut labels).expect("memo labels");
+            got.extend_from_slice(&labels);
+        }
+        let want: Vec<usize> = flat
+            .chunks_exact(DIMS)
+            .map(|row| ensemble.predict(row).expect("ensemble labels"))
+            .collect();
+        prop_assert_eq!(got, want);
+        prop_assert!(hits > 0, "repeats of the hot rows must hit");
     }
 }

@@ -3,7 +3,7 @@
 //! A streaming session driven over HTTP must produce the same selected K,
 //! the same projected cycles, and *byte-identical* final checkpoint and
 //! attribution artifacts as the equivalent direct `pka-stream` run —
-//! including under `--shards N` and with concurrent interleaved sessions.
+//! including with concurrent interleaved sessions.
 //! `DELETE` mid-stream must tear the session down at a batch boundary and
 //! leave a valid resumable checkpoint on disk.
 
@@ -16,8 +16,8 @@ use principal_kernel_analysis::gpu::GpuConfig;
 use principal_kernel_analysis::profile::Profiler;
 use principal_kernel_analysis::server::{PkaServer, Registry, ServerConfig, Status};
 use principal_kernel_analysis::stream::{
-    synthetic_workload, Checkpoint, JsonlSource, KernelSource, ShardedStreamPks, StreamConfig,
-    StreamPks, WorkloadSource,
+    synthetic_workload, Checkpoint, JsonlSource, KernelSource, StreamConfig, StreamPks,
+    WorkloadSource,
 };
 use principal_kernel_analysis::workloads::all_workloads;
 use serde_json::{json, Value};
@@ -184,39 +184,6 @@ fn http_stream_session_matches_direct_run_byte_for_byte() {
             assert_eq!(s["type"], json!("snapshot"));
             assert_eq!(s["phase"], json!("tail"));
         }
-
-        // Sharded session vs a direct ShardedStreamPks run.
-        let direct_sharded = {
-            let mut source =
-                WorkloadSource::new(synthetic_workload(6_000), Profiler::new(GpuConfig::v100()));
-            ShardedStreamPks::new(stream_config(), 2)
-                .with_executor(Executor::new(1))
-                .run(&mut source, |_| Ok(()))
-                .expect("direct sharded run")
-        };
-        let spec = json!({
-            "mode": "stream",
-            "source": "synthetic:6000",
-            "prefix": 400,
-            "checkpoint_every": 1_500,
-            "reservoir": 256,
-            "batch": 128,
-            "shards": 2,
-        });
-        let id = create_session(addr, &spec);
-        let result = wait_result(addr, &id);
-        assert_eq!(
-            result["selected_k"],
-            json!(direct_sharded.report.selected_k as u64)
-        );
-        assert_eq!(result["map_hash"], json!(direct_sharded.map_hash));
-        let mut want_ckpt = direct_sharded.final_checkpoint.to_json();
-        want_ckpt.push('\n');
-        assert_eq!(
-            fetch(addr, &id, "checkpoint"),
-            want_ckpt,
-            "sharded checkpoint bytes over HTTP must equal the CLI artifact"
-        );
 
         let (status, _) = request(addr, "POST", "/v1/shutdown", "");
         assert_eq!(status, 200);
@@ -569,4 +536,51 @@ fn keep_alive_requests_do_not_stall_on_delayed_acks() {
         elapsed < Duration::from_millis(400),
         "20 keep-alive requests took {elapsed:?}"
     );
+}
+
+/// Runs `requests` against a fresh server, shuts it down, and returns the
+/// `(status, body)` replies. Assertions run on the replies afterwards, so
+/// a failing one cannot leave the server thread blocking the test.
+fn replies(requests: &[(&str, &str, String)]) -> Vec<(u16, String)> {
+    let server = PkaServer::bind(ServerConfig::default()).expect("bind");
+    let addr = server.addr().expect("addr");
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run().expect("run"));
+        let out = requests
+            .iter()
+            .map(|(method, path, body)| request(addr, method, path, body))
+            .collect();
+        request(addr, "POST", "/v1/shutdown", "");
+        handle.join().expect("server thread");
+        out
+    })
+}
+
+#[test]
+fn unknown_session_keys_are_refused_by_name() {
+    // `shards` selected the removed sharded engine; it must not be
+    // silently ignored into a single-pipeline run.
+    let sharded = json!({ "mode": "stream", "source": "synthetic:6000", "shards": 2 });
+    let select = json!({ "mode": "select", "workload": "gramschmidt", "gpu": "v100" });
+    let got = replies(&[
+        ("POST", "/v1/sessions", sharded.to_string()),
+        ("POST", "/v1/sessions", select.to_string()),
+    ]);
+    assert_eq!(got[0].0, 400, "{}", got[0].1);
+    assert!(got[0].1.contains("unknown session key `shards`"), "{}", got[0].1);
+    assert_eq!(got[1].0, 400, "{}", got[1].1);
+    assert!(got[1].1.contains("unknown session key `gpu`"), "{}", got[1].1);
+}
+
+#[test]
+fn deeply_nested_spec_is_a_400_and_the_server_stays_up() {
+    // 100 KB of nesting: enough to overflow a recursive parser's stack.
+    let bomb = format!("{}{}", "[".repeat(50_000), "]".repeat(50_000));
+    let got = replies(&[
+        ("POST", "/v1/sessions", bomb),
+        ("GET", "/healthz", String::new()),
+    ]);
+    assert_eq!(got[0].0, 400, "{}", got[0].1);
+    assert!(got[0].1.contains("nesting deeper than"), "{}", got[0].1);
+    assert_eq!(got[1].0, 200, "{}", got[1].1);
 }

@@ -198,3 +198,38 @@ fn jsonl_round_trip_matches_the_workload_source() {
     );
     assert_eq!(from_file.report.group_counts, direct.report.group_counts);
 }
+
+/// The sharded engine is gone: its flag is a usage error (not silently a
+/// single-pipeline run) and its checkpoint layout fails closed on resume.
+#[test]
+fn cli_refuses_the_retired_shard_flag_and_checkpoint_layout() {
+    let pka = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_pka"))
+            .args(args)
+            .output()
+            .expect("pka runs")
+    };
+    let base = ["stream", "--source", "synthetic:2000", "--prefix", "200"];
+
+    let out = pka(&[&base[..], &["--shards", "4"]].concat());
+    assert_eq!(out.status.code(), Some(2), "usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("does not accept --shards"), "{stderr}");
+
+    let path = std::env::temp_dir().join(format!(
+        "pka_stream_parity_sharded_{}.json",
+        std::process::id()
+    ));
+    let ckpt = path.to_str().expect("utf8 path");
+    let out = pka(&[&base[..], &["--checkpoint-every", "1000", "--checkpoint", ckpt]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&path).expect("read checkpoint");
+    let sharded = text.replacen('{', "{\"topology\":{\"shards\":2,\"map_hash\":7},", 1);
+    std::fs::write(&path, sharded).expect("write checkpoint");
+    let out = pka(&[&base[..], &["--checkpoint", ckpt, "--resume"]].concat());
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "a typed failure, not a panic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("sharded checkpoints"), "{stderr}");
+    assert!(stderr.contains("no longer supported"), "{stderr}");
+}

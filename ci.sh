@@ -10,28 +10,23 @@
 #      test harness's parallelism
 #   4. workspace tests (member-crate unit suites are NOT part of the root
 #      package run)
-#   5. SIMD dispatch matrix — the tier-1 suite again under codegen pinned
-#      to AVX2, pinned to SSE4.1, and with the vector tiers disabled
-#      entirely (PKA_NO_SIMD=1): the differential parity proof must hold
-#      on every dispatch path, and the forced-scalar fallback must pass
-#      the identical suite with zero test changes
-#   6. bench smoke — the hot-path and simulator benchmarks at reduced
+#   5. bench smoke — the hot-path and simulator benchmarks at reduced
 #      iteration counts, plus a jq schema check over the BENCH_pka.json
-#      they emit (which must include the kmeans_sweep/bounded_simd
-#      fast-math entry, the simulator's micro_kernel_sequence row and the
+#      they emit (which must include the kmeans_sweep/bounded entry, the
+#      simulator's micro_kernel_sequence row and the
 #      pka_evaluate/backprop_full whole-evaluation row)
-#   7. perfbench — the repository benchmark's helper tests, then one
+#   6. perfbench — the repository benchmark's helper tests, then one
 #      traced `simulate` run whose last line must report `"correct": true`
 #      (every member's simulated cycles and errors equal the pinned values)
-#   8. observability smoke — a traced `pka simulate` run whose
+#   7. observability smoke — a traced `pka simulate` run whose
 #      run_manifest.json is jq-validated (schema, a fired PKP stop rule,
 #      populated stage timings)
-#   9. stream smoke — online PKS over a synthetic 100k-kernel stream with
+#   8. stream smoke — online PKS over a synthetic 100k-kernel stream with
 #      `--verify-batch` (exact batch-vs-stream selected-K agreement,
 #      projected cycles within 1%), plus a jq schema check over the emitted
 #      `pka.stream_checkpoint/v1` file including the bounded-memory
 #      invariant (max_buffered <= reservoir cap + batch size)
-#  10. live observability smoke — a snapshot-emitting stream run whose
+#   9. live observability smoke — a snapshot-emitting stream run whose
 #      `pka.snapshot/v1` JSONL is jq-validated, `pka trace export` over its
 #      trace (valid Chrome trace-event JSON with worker lanes), and the
 #      `pka obs diff` regression gate: a counters-only diff against the
@@ -39,13 +34,13 @@
 #      against results/ci_baseline_bench.json (catastrophic-only tolerance
 #      — medians jitter across hosts), and a self-test proving the gate
 #      fires on an injected 1.3x stage-timing regression
-#  11. attribution smoke — a `pka.attribution/v1` artifact from
+#  10. attribution smoke — a `pka.attribution/v1` artifact from
 #      `--attribution-out`, jq-validated (schema, per-group terms summing
 #      exactly to the reported error), rendered through `pka obs explain`,
 #      byte-identical across --workers counts on the stream path, and a
 #      self-test proving the accuracy gate fires on an injected
 #      representative swap
-#  12. server smoke — `pka serve` driven end-to-end over HTTP with curl:
+#  11. server smoke — `pka serve` driven end-to-end over HTTP with curl:
 #      a streaming session must report the same selected K and projected
 #      cycles as the batch CLI run and serve byte-identical checkpoint and
 #      attribution artifacts (`cmp`); a
@@ -74,16 +69,6 @@ cargo test -q -- --test-threads=1
 echo "==> cargo test --workspace -q (member crates)"
 cargo test --workspace -q
 
-echo "==> SIMD dispatch matrix (tier 1 under +avx2 / +sse4.1 / forced scalar)"
-# Pinned-codegen runs get their own target dirs so they don't thrash the
-# main incremental cache; the forced-scalar run changes no codegen and
-# reuses the default dir.
-RUSTFLAGS="-C target-feature=+avx2" CARGO_TARGET_DIR=target/simd-avx2 \
-    cargo test -q
-RUSTFLAGS="-C target-feature=+sse4.1" CARGO_TARGET_DIR=target/simd-sse41 \
-    cargo test -q
-PKA_NO_SIMD=1 cargo test -q
-
 echo "==> bench smoke (reduced iterations)"
 BENCH_SMOKE_JSON="$(mktemp -t bench_pka_smoke.XXXXXX.json)"
 trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
@@ -97,7 +82,7 @@ if command -v jq >/dev/null 2>&1; then
         type == "array" and length >= 3
         and all(.[]; has("name") and has("iterations")
                      and has("median_ns") and has("stddev_ns"))
-        and any(.[]; .name == "kmeans_sweep/bounded_simd/50000")
+        and any(.[]; .name == "kmeans_sweep/bounded/50000")
         and any(.[]; .name == "stream_ingest/online_pks/500000")
         and any(.[]; .name == "server_session_roundtrip/http_session/100000")
         and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")

@@ -3,10 +3,7 @@
 //!
 //! * `kmeans_sweep` — the PKS K-sweep clustering cost on a 50k-kernel
 //!   metric cloud, comparing the bounded (Hamerly-style) assignment
-//!   against the naive Lloyd's reference it must match bitwise. `bounded`
-//!   runs the default bitwise SIMD tier (set `PKA_NO_SIMD=1` to force
-//!   scalar); `bounded_simd` additionally enables the opt-in fast-math
-//!   tier, the full reassociated-reduction configuration.
+//!   against the naive Lloyd's reference it must match bitwise.
 //! * `pca_fit` — scale → fit → truncate → project, the PKS projection
 //!   stage, on the same cloud at full Table 2 dimensionality.
 //! * `pkp_engine` — a monitored simulation of a large kernel, the PKP
@@ -94,15 +91,6 @@ fn bench_kmeans_sweep(c: &mut Criterion) {
         BenchmarkId::new("bounded", N),
         &data,
         |b, data| b.iter(|| kmeans_sweep(black_box(data), K_MAX, Executor::sequential())),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("bounded_simd", N),
-        &data,
-        |b, data| {
-            pka_ml::simd::set_fast_math(true);
-            b.iter(|| kmeans_sweep(black_box(data), K_MAX, Executor::sequential()));
-            pka_ml::simd::set_fast_math(false);
-        },
     );
     group.bench_with_input(
         BenchmarkId::new("bounded_w4", N),

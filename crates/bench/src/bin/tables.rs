@@ -1,7 +1,7 @@
 //! The `tables` binary: regenerates the paper's tables and figures.
 //!
 //! ```text
-//! tables [--quick] [--fast-math] [--out DIR] [--workers N]
+//! tables [--quick] [--out DIR] [--workers N]
 //!        [--trace-out PATH] [--metrics-out PATH] [-v] [REPORT...]
 //! ```
 //!
@@ -9,7 +9,7 @@
 //! fig10 single_iter` or `all` (the default). `--quick` shrinks the
 //! full-simulation budget for smoke runs. Each report's text is printed to
 //! stdout and its JSON record set written to `DIR` (default
-//! `results/`).
+//! `results/`). An unknown flag or report name is a usage error (exit 2).
 //!
 //! The observability flags mirror the `pka` binary: `--trace-out` appends
 //! JSONL span/event records, `--metrics-out` writes a `run_manifest.json`
@@ -23,9 +23,26 @@ use std::time::Instant;
 
 use pka_bench::{tables, ExperimentRunner, RunnerOptions};
 
+/// Every report name `tables` accepts; `fig8` aliases `fig7`.
+const REPORTS: &[&str] = &[
+    "fig1",
+    "table3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table4",
+    "fig9",
+    "fig10",
+    "single_iter",
+    "all",
+];
+
+const USAGE: &str = "usage: tables [--quick] [--out DIR] [--workers N] [--trace-out PATH] [--metrics-out PATH] [-v] [fig1|table3|fig4|fig5|fig6|fig7|fig8|table4|fig9|fig10|single_iter|all]...";
+
 fn main() {
     let mut quick = false;
-    let mut fast_math = false;
     let mut out_dir = PathBuf::from("results");
     let mut workers = 1usize;
     let mut trace_out: Option<PathBuf> = None;
@@ -36,7 +53,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--fast-math" => fast_math = true,
             "--out" => {
                 out_dir = PathBuf::from(args.next().unwrap_or_else(|| {
                     eprintln!("--out requires a directory");
@@ -66,8 +82,12 @@ fn main() {
             }
             "-v" | "--verbose" => verbose = true,
             "--help" | "-h" => {
-                eprintln!("usage: tables [--quick] [--fast-math] [--out DIR] [--workers N] [--trace-out PATH] [--metrics-out PATH] [-v] [fig1|table3|fig4|fig5|fig6|fig7|fig8|table4|fig9|fig10|single_iter|all]...");
+                eprintln!("{USAGE}");
                 return;
+            }
+            other if other.starts_with('-') || !REPORTS.contains(&other) => {
+                eprintln!("error: unknown argument `{other}`\n{USAGE}");
+                std::process::exit(2);
             }
             other => wanted.push(other.to_string()),
         }
@@ -80,13 +100,6 @@ fn main() {
                 std::process::exit(2);
             });
         }
-    }
-    // Opt-in reassociated SIMD reductions: tables are then no longer
-    // byte-comparable to the committed goldens, but each distance /
-    // projection reduction stays within the documented 2*d*eps bound
-    // (see EXPERIMENTS.md for the verification recipe).
-    if fast_math {
-        pka_ml::simd::set_fast_math(true);
     }
     if wanted.is_empty() {
         wanted.push("all".into());

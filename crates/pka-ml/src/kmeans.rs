@@ -1,7 +1,6 @@
 use pka_stats::hash::UnitStream;
 use pka_stats::Executor;
 
-use crate::simd::{self, SimdTier};
 use crate::{Matrix, MlError};
 
 /// Rows per assignment chunk. Fixed — never derived from the worker count —
@@ -19,7 +18,7 @@ const ASSIGN_CHUNK: usize = 2048;
 /// what make the pruned path *provably* bitwise identical to the exhaustive
 /// reference: a point is only skipped when its assigned centroid is
 /// strictly closest.
-pub(crate) const BOUND_PAD: f64 = 1e-9;
+const BOUND_PAD: f64 = 1e-9;
 
 #[inline]
 fn pad_up(x: f64) -> f64 {
@@ -36,7 +35,7 @@ fn pad_down(x: f64) -> f64 {
 /// Padded downward so accumulated rounding can never push the computed
 /// bound above the true squared distance — pruning with it stays exact.
 #[inline]
-pub(crate) fn norm_lower_bound(nx: f64, nc: f64) -> f64 {
+fn norm_lower_bound(nx: f64, nc: f64) -> f64 {
     let m = (nx - nc).abs() - (nx + nc) * 1e-12;
     if m > 0.0 {
         (m * m) * (1.0 - 1e-12)
@@ -164,17 +163,13 @@ impl KMeans {
         let n = data.rows();
         let d = data.cols();
         let k = self.k.min(n);
-        let tier = simd::active_tier();
         let mut rng = UnitStream::new(self.seed ^ 0x9e3779b97f4a7c15);
 
         let point_norms: Vec<f64> = data
             .iter_rows()
             .map(|row| Matrix::sq_norm(row).sqrt())
             .collect();
-        let mut init = plus_plus_init(data, k, &mut rng, &point_norms, tier);
-        // The interleaved mirror the SIMD scan reads; rebuilt after every
-        // between-round centroid mutation, below.
-        init.rebuild_inter(tier);
+        let init = plus_plus_init(data, k, &mut rng, &point_norms);
         // Everything the assignment workers read lives behind one RwLock:
         // workers hold read locks only while a round is in flight, the
         // driver below write-locks only between rounds, so the lock is
@@ -441,9 +436,6 @@ impl KMeans {
                             f64::INFINITY
                         };
                     }
-                    // All centroid mutations for this iteration are done;
-                    // refresh the mirror the next round's scans will read.
-                    st.centroids.rebuild_inter(tier);
                 }
 
                 if pka_obs::enabled() {
@@ -454,12 +446,10 @@ impl KMeans {
                 }
 
                 let st = state.read().expect("assignment state lock");
-                // Reporting-grade pass: honours `--fast-math`, exact by
-                // default.
                 let inertia = data
                     .iter_rows()
                     .enumerate()
-                    .map(|(i, row)| simd::sq_dist_auto(row, st.centroids.row(st.labels[i])))
+                    .map(|(i, row)| Matrix::sq_dist_hot(row, st.centroids.row(st.labels[i])))
                     .sum();
 
                 KMeansFit {
@@ -585,12 +575,6 @@ struct Centroids {
     data: Vec<f64>,
     /// Euclidean (not squared) norm per centroid.
     norms: Vec<f64>,
-    /// Lane-interleaved mirror of `data` for the SIMD full scan; `None` on
-    /// the scalar tier. Only valid between [`Centroids::rebuild_inter`] and
-    /// the next mutation — the fit driver rebuilds it after every
-    /// between-round update, so assignment rounds always read a current
-    /// mirror.
-    inter: Option<simd::InterleavedRows>,
 }
 
 impl Centroids {
@@ -599,19 +583,6 @@ impl Centroids {
             d,
             data: Vec::with_capacity(k * d),
             norms: Vec::with_capacity(k),
-            inter: None,
-        }
-    }
-
-    /// (Re)packs the interleaved mirror from the current rows; no-op on the
-    /// scalar tier.
-    fn rebuild_inter(&mut self, tier: SimdTier) {
-        if tier == SimdTier::Scalar {
-            return;
-        }
-        match &mut self.inter {
-            Some(inter) => inter.rebuild(&self.data),
-            None => self.inter = Some(simd::InterleavedRows::build(tier, &self.data, self.d)),
         }
     }
 
@@ -681,7 +652,7 @@ struct AssignState {
 /// floating-point error of reconstructing a bound from an accumulator
 /// delta. Summation error over any realistic iteration budget is below
 /// `1e-14` relative; `1e-12` leaves two orders of magnitude to spare.
-pub(crate) const CUM_PAD: f64 = 1e-12;
+const CUM_PAD: f64 = 1e-12;
 
 /// The bounded assignment step over one row range.
 ///
@@ -700,91 +671,43 @@ fn assign_chunk(data: &Matrix, st: &AssignState, range: std::ops::Range<usize>) 
     // the per-point loop itself carries no instrumentation at all.
     let mut scans = 0u64;
     let mut out = Vec::new();
-    // Per-chunk distance scratch for the batch scan kernel (one slot per
-    // centroid); allocated lazily on the first full scan.
-    let mut scratch = Vec::new();
-    // The bound reconstruction runs for *every* point *every* iteration —
-    // once pruning works it dominates the sweep, so on a vector tier the
-    // whole chunk goes through one [`simd::prune_survivors`] call (bitwise
-    // equal to [`simd::reconstruct_bounds`] lane by lane); only surviving
-    // points fall through to the scalar tighten/scan path.
-    if let Some(tier) = st.centroids.inter.as_ref().map(simd::InterleavedRows::tier) {
-        let hs = simd::HamerlySlices {
-            upper: &st.upper[range.clone()],
-            snap_upper: &st.snap_upper[range.clone()],
-            lower: &st.lower[range.clone()],
-            snap_lower: &st.snap_lower[range.clone()],
-            labels: &st.labels[range.clone()],
-            cum_drift: &st.cum_drift,
-            cum_excl: &st.cum_excl,
-            s_half: &st.s_half,
-            cum_max: st.cum_max,
-        };
-        let mut survivors = Vec::new();
-        simd::prune_survivors(tier, &hs, &mut survivors);
-        // Survivors split into two batches: points whose tightened upper
-        // bound passes after one exact distance, and points that need the
-        // full scan — the latter go through the batched scan kernel, four
-        // (AVX2) or two (SSE4.1) points per pass. Update order within the
-        // chunk differs from the scalar path, but every update is
-        // per-point state, so the splice result is identical.
-        let mut pending: Vec<u32> = Vec::new();
-        for s in survivors {
-            let i = range.start + s.index as usize;
-            let label = st.labels[i];
-            let mut u = s.u;
-            if s.l.is_finite() {
-                u = pad_up(Matrix::sq_dist_hot(data.row(i), st.centroids.row(label)).sqrt());
-            }
-            if u < s.l || u < st.s_half[label] {
-                out.push(PointUpdate {
-                    index: i,
-                    label,
-                    upper: u,
-                    lower: s.l,
-                });
-            } else {
-                pending.push(i as u32);
-            }
+    for i in range {
+        let label = st.labels[i];
+        let (mut u, mut l) = reconstruct_bounds(
+            st.upper[i],
+            st.snap_upper[i],
+            st.lower[i],
+            st.snap_lower[i],
+            st.cum_drift[label],
+            st.cum_excl[label],
+            st.cum_max,
+        );
+        // Strict `<`: a NaN bound never prunes.
+        if u < l || u < st.s_half[label] {
+            continue;
         }
-        scans += pending.len() as u64;
-        if !pending.is_empty() {
-            let mut winners = Vec::with_capacity(pending.len());
-            simd::scan_points(
-                tier,
-                data.as_slice(),
-                data.cols(),
-                &pending,
-                &st.centroids.data,
-                st.centroids.k(),
-                &mut winners,
-            );
-            for (&i, &(best, best_d, second_d)) in pending.iter().zip(&winners) {
-                out.push(PointUpdate {
-                    index: i as usize,
-                    label: best as usize,
-                    upper: pad_up(best_d.sqrt()),
-                    lower: pad_down(second_d.sqrt()),
-                });
-            }
+        let row = data.row(i);
+        let mut best = label;
+        // Tighten the upper bound with one exact distance before paying
+        // for the full scan — unless the point has never been scanned
+        // (`l` still at its −∞ sentinel), where the scan is inevitable
+        // and the tightening distance would be wasted.
+        if l.is_finite() {
+            u = pad_up(Matrix::sq_dist_hot(row, st.centroids.row(label)).sqrt());
         }
-    } else {
-        for i in range {
-            let label = st.labels[i];
-            let (u, l) = simd::reconstruct_bounds(
-                st.upper[i],
-                st.snap_upper[i],
-                st.lower[i],
-                st.snap_lower[i],
-                st.cum_drift[label],
-                st.cum_excl[label],
-                st.cum_max,
-            );
-            if u < l || u < st.s_half[label] {
-                continue;
-            }
-            assign_point(data, st, i, u, l, &mut out, &mut scratch, &mut scans);
+        if !(u < l || u < st.s_half[label]) {
+            scans += 1;
+            let (winner, best_d, second_d) = scan(row, &st.centroids);
+            best = winner;
+            u = pad_up(best_d.sqrt());
+            l = pad_down(second_d.sqrt());
         }
+        out.push(PointUpdate {
+            index: i,
+            label: best,
+            upper: u,
+            lower: l,
+        });
     }
     if pka_obs::enabled() {
         obs_counters().bound_prunes.add((range_len - out.len()) as u64);
@@ -794,43 +717,32 @@ fn assign_chunk(data: &Matrix, st: &AssignState, range: std::ops::Range<usize>) 
     out
 }
 
-/// The tighten/scan path for one point whose reconstructed bounds `u` / `l`
-/// failed the prune test — the scalar continuation shared by the blocked
-/// and per-point reconstruction paths above.
-#[allow(clippy::too_many_arguments)]
-fn assign_point(
-    data: &Matrix,
-    st: &AssignState,
-    i: usize,
-    mut u: f64,
-    mut l: f64,
-    out: &mut Vec<PointUpdate>,
-    scratch: &mut Vec<f64>,
-    scans: &mut u64,
-) {
-    let label = st.labels[i];
-    let row = data.row(i);
-    let mut best = label;
-    // Tighten the upper bound with one exact distance before paying
-    // for the full scan — unless the point has never been scanned
-    // (`l` still at its −∞ sentinel), where the scan is inevitable
-    // and the tightening distance would be wasted.
-    if l.is_finite() {
-        u = pad_up(Matrix::sq_dist_hot(row, st.centroids.row(label)).sqrt());
-    }
-    if !(u < l || u < st.s_half[label]) {
-        *scans += 1;
-        let (winner, best_d, second_d) = scan(row, &st.centroids, scratch);
-        best = winner;
-        u = pad_up(best_d.sqrt());
-        l = pad_down(second_d.sqrt());
-    }
-    out.push(PointUpdate {
-        index: i,
-        label: best,
-        upper: u,
-        lower: l,
-    });
+/// Reconstructs one point's Hamerly bounds from its stored bounds and the
+/// drift accumulators. `cd` is the assigned centroid's accumulated drift,
+/// `ce` the accumulated maximum drift over the *other* centroids (the
+/// assigned centroid cannot be the second-closest, so its own travel never
+/// decays the lower bound), and `cum_max` the accumulated global maximum
+/// drift, used only to scale the error padding. Returns the padded
+/// `(upper, lower)` pair; `±∞` sentinels pass through the lower bound
+/// unpadded (padding arithmetic on infinities would produce NaN).
+#[inline]
+fn reconstruct_bounds(
+    upper: f64,
+    snap_upper: f64,
+    lower: f64,
+    snap_lower: f64,
+    cd: f64,
+    ce: f64,
+    cum_max: f64,
+) -> (f64, f64) {
+    let u = (upper + (cd - snap_upper)) * (1.0 + BOUND_PAD) + cd * CUM_PAD;
+    let base = lower - (ce - snap_lower);
+    let l = if base.is_finite() {
+        base - BOUND_PAD * base.abs() - cum_max * CUM_PAD
+    } else {
+        base
+    };
+    (u, l)
 }
 
 /// Cached hot-path counter handles, interned once per process.
@@ -860,28 +772,12 @@ fn obs_counters() -> &'static KmeansObs {
 ///
 /// The comparison sequence — strict `<` against the running best, in
 /// ascending centroid order — matches [`nearest`] exactly, so the winner is
-/// always the reference winner. On a vector tier the distances come from
-/// the batch kernel (`scratch` holds one slot per centroid), which is
-/// bitwise equal to the per-row [`Matrix::sq_dist_hot`] calls it replaces;
-/// the winner selection itself always runs the scalar comparison order.
-fn scan(point: &[f64], centroids: &Centroids, scratch: &mut Vec<f64>) -> (usize, f64, f64) {
+/// always the reference winner: the first of equal distances wins and a
+/// NaN distance never places.
+fn scan(point: &[f64], centroids: &Centroids) -> (usize, f64, f64) {
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     let mut second_d = f64::INFINITY;
-    if let Some(inter) = &centroids.inter {
-        scratch.resize(centroids.k(), 0.0);
-        simd::sq_dist_batch(point, inter, scratch);
-        for (c, &d) in scratch.iter().enumerate() {
-            if d < best_d {
-                second_d = best_d;
-                best_d = d;
-                best = c;
-            } else if d < second_d {
-                second_d = d;
-            }
-        }
-        return (best, best_d, second_d);
-    }
     // `Matrix` rejects zero-column inputs, so `d >= 1` here.
     for (c, row) in centroids.data.chunks_exact(centroids.d).enumerate() {
         let d = Matrix::sq_dist_hot(point, row);
@@ -902,38 +798,18 @@ fn scan(point: &[f64], centroids: &Centroids, scratch: &mut Vec<f64>) -> (usize,
 /// Draw-for-draw and value-for-value identical to
 /// [`plus_plus_init_reference`]: the cached-norm lower bound only skips
 /// `sq_dist` calls that provably cannot lower `d2[i]`, so the D² weights —
-/// and therefore every RNG draw and chosen index — are unchanged. On a
-/// vector tier the D² sweeps run point-batched over a transposed copy of
-/// the data ([`simd::min_d2_update`], bitwise equal to this pruned scalar
-/// loop); the transpose is only built when a second centroid exists to
-/// amortise it.
-fn plus_plus_init(
-    data: &Matrix,
-    k: usize,
-    rng: &mut UnitStream,
-    point_norms: &[f64],
-    tier: SimdTier,
-) -> Centroids {
+/// and therefore every RNG draw and chosen index — are unchanged.
+fn plus_plus_init(data: &Matrix, k: usize, rng: &mut UnitStream, point_norms: &[f64]) -> Centroids {
     let n = data.rows();
     let d = data.cols();
     let mut centroids = Centroids::with_capacity(k, d);
     let first = rng.next_index(n);
     centroids.push(data.row(first));
-    let xt = (tier != SimdTier::Scalar && k >= 2)
-        .then(|| simd::TransposedPoints::build(tier, data.as_slice(), n, d));
-    let mut d2: Vec<f64> = match &xt {
-        Some(xt) => {
-            let mut v = vec![0.0; n];
-            simd::sq_dist_to_point(xt, centroids.row(0), &mut v);
-            v
-        }
-        None => {
-            let c0 = centroids.row(0);
-            data.iter_rows()
-                .map(|row| Matrix::sq_dist_hot(row, c0))
-                .collect()
-        }
-    };
+    let c0 = centroids.row(0);
+    let mut d2: Vec<f64> = data
+        .iter_rows()
+        .map(|row| Matrix::sq_dist_hot(row, c0))
+        .collect();
 
     while centroids.k() < k {
         let total: f64 = d2.iter().sum();
@@ -955,18 +831,13 @@ fn plus_plus_init(
         centroids.push(data.row(chosen));
         let c = centroids.row(centroids.k() - 1);
         let c_norm = point_norms[chosen];
-        match &xt {
-            Some(xt) => simd::min_d2_update(xt, c, c_norm, point_norms, &mut d2),
-            None => {
-                for (i, row) in data.iter_rows().enumerate() {
-                    if norm_lower_bound(point_norms[i], c_norm) > d2[i] {
-                        continue;
-                    }
-                    let d = Matrix::sq_dist_hot(row, c);
-                    if d < d2[i] {
-                        d2[i] = d;
-                    }
-                }
+        for (i, row) in data.iter_rows().enumerate() {
+            if norm_lower_bound(point_norms[i], c_norm) > d2[i] {
+                continue;
+            }
+            let d = Matrix::sq_dist_hot(row, c);
+            if d < d2[i] {
+                d2[i] = d;
             }
         }
     }
@@ -1241,6 +1112,28 @@ mod tests {
                 fit.inertia()
             );
             prev = fit.inertia();
+        }
+    }
+
+    #[test]
+    fn scan_ties_keep_the_first_centroid_and_nan_never_places() {
+        // Centroids 1 and 3 are identical: strict `<` keeps index 1.
+        // Centroid 2 is all-NaN: its distance is NaN, every comparison is
+        // false, and it never places — not even second.
+        let d = 3;
+        let tied = vec![0.25; d];
+        let rows = [vec![9.0; d], tied.clone(), vec![f64::NAN; d], tied];
+        let mut centroids = Centroids::with_capacity(rows.len(), d);
+        for row in &rows {
+            centroids.push(row);
+        }
+        for i in 0..8 {
+            let point: Vec<f64> = (0..d).map(|j| ((i * d + j) % 5) as f64 * 0.5).collect();
+            let (best, best_d, second_d) = scan(&point, &centroids);
+            assert_eq!(best, 1, "point {i}: a tie keeps the first index");
+            assert!(best_d.is_finite());
+            assert_eq!(second_d.to_bits(), best_d.to_bits(), "point {i}");
+            assert_eq!(nearest(&point, &rows), (1, best_d), "point {i}");
         }
     }
 

@@ -11,7 +11,8 @@
 //! * [`StandardScaler`] — per-feature standardisation (fit/transform).
 //! * [`Pca`] — principal component analysis via a symmetric Jacobi
 //!   eigensolver.
-//! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding.
+//! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding and a Hamerly-bounded
+//!   assignment step, bitwise equal to plain Lloyd's.
 //! * [`Agglomerative`] — average-linkage hierarchical clustering (quadratic
 //!   memory, deliberately: the paper's point is that this does not scale).
 //! * [`classify`] — [`SgdClassifier`](classify::SgdClassifier),
@@ -21,7 +22,9 @@
 //!   [`Ensemble`](classify::Ensemble).
 //!
 //! All algorithms are deterministic: anything stochastic takes an explicit
-//! seed.
+//! seed. Each numeric loop has one plain scalar implementation with a fixed
+//! summation order, so results are bitwise reproducible on every host —
+//! the property PKA's pinned checkpoints and golden tables rely on.
 //!
 //! # Examples
 //!
@@ -40,10 +43,7 @@
 //! # Ok::<(), pka_ml::MlError>(())
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module carries the one audited
-// `allow(unsafe_code)` in the crate, for CPU intrinsics behind runtime
-// feature detection. Everything else still refuses unsafe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod classify;
@@ -55,7 +55,6 @@ mod matrix;
 mod pca;
 mod quality;
 mod scaler;
-pub mod simd;
 
 pub use error::MlError;
 pub use hierarchical::{Agglomerative, Dendrogram, Linkage};

@@ -1,5 +1,4 @@
 use crate::eigen::jacobi_eigen;
-use crate::simd::{self, SimdTier};
 use crate::{Matrix, MlError};
 
 /// Principal component analysis.
@@ -152,45 +151,9 @@ impl PcaFit {
             });
         }
         let mut out = Matrix::zeros(data.rows(), self.components.len());
-        let tier = simd::active_tier();
-        if tier != SimdTier::Scalar && !self.components.is_empty() {
-            // Centring is hoisted out of the per-component loop: `x − m`
-            // is recomputed to the same bits either way. The default tier
-            // then projects with lane = component (bitwise equal to the
-            // scalar fold below); `--fast-math` uses the reassociated
-            // lane = dimension dot instead.
-            let d = self.means.len();
-            let mut centred = vec![0.0; d];
-            if simd::fast_math() {
-                for (i, row) in data.iter_rows().enumerate() {
-                    centre(row, &self.means, &mut centred);
-                    for (j, comp) in self.components.iter().enumerate() {
-                        out.set(i, j, simd::dot_fast(tier, &centred, comp));
-                    }
-                }
-            } else {
-                let flat: Vec<f64> =
-                    self.components.iter().flat_map(|c| c.iter().copied()).collect();
-                let inter = simd::InterleavedRows::build(tier, &flat, d);
-                let mut proj = vec![0.0; self.components.len()];
-                for (i, row) in data.iter_rows().enumerate() {
-                    centre(row, &self.means, &mut centred);
-                    simd::dot_batch(&centred, &inter, &mut proj);
-                    for (j, &v) in proj.iter().enumerate() {
-                        out.set(i, j, v);
-                    }
-                }
-            }
-            return Ok(out);
-        }
         for (i, row) in data.iter_rows().enumerate() {
             for (j, comp) in self.components.iter().enumerate() {
-                let v: f64 = row
-                    .iter()
-                    .zip(self.means.iter().zip(comp))
-                    .map(|(&x, (&m, &c))| (x - m) * c)
-                    .sum();
-                out.set(i, j, v);
+                out.set(i, j, self.project(row, comp));
             }
         }
         Ok(out)
@@ -208,38 +171,21 @@ impl PcaFit {
                 actual: row.len(),
             });
         }
-        let tier = simd::active_tier();
-        if simd::fast_math() && tier != SimdTier::Scalar {
-            let mut centred = vec![0.0; self.means.len()];
-            centre(row, &self.means, &mut centred);
-            return Ok(self
-                .components
-                .iter()
-                .map(|comp| simd::dot_fast(tier, &centred, comp))
-                .collect());
-        }
-        // Default tier: the per-record path stays on the exact scalar fold —
-        // one row against a handful of components is too small to amortise
-        // packing an interleaved block per call, and the streaming
-        // pipeline's checkpoints pin these bits.
         Ok(self
             .components
             .iter()
-            .map(|comp| {
-                row.iter()
-                    .zip(self.means.iter().zip(comp))
-                    .map(|(&x, (&m, &c))| (x - m) * c)
-                    .sum()
-            })
+            .map(|comp| self.project(row, comp))
             .collect())
     }
-}
 
-/// `out[m] = row[m] − means[m]` — the shared centring step of both
-/// projection paths.
-fn centre(row: &[f64], means: &[f64], out: &mut [f64]) {
-    for ((&x, &m), o) in row.iter().zip(means).zip(out.iter_mut()) {
-        *o = x - m;
+    /// `Σ (x − m)·c` folded in ascending-dimension order: the one
+    /// projection both paths share, so a streamed record projects to the
+    /// same bits as its row in a batch.
+    fn project(&self, row: &[f64], comp: &[f64]) -> f64 {
+        row.iter()
+            .zip(self.means.iter().zip(comp))
+            .map(|(&x, (&m, &c))| (x - m) * c)
+            .sum()
     }
 }
 

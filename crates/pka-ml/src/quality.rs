@@ -6,7 +6,6 @@
 //! the two standard internal validity measures, reported by the PKS
 //! diagnostics and the experiment harness.
 
-use crate::simd::{self, SimdTier};
 use crate::{Matrix, MlError};
 
 /// Mean silhouette coefficient over all points, in `[-1, 1]`.
@@ -48,21 +47,8 @@ pub fn silhouette_score(data: &Matrix, labels: &[usize]) -> Result<f64, MlError>
     let n = data.rows();
     let counts = cluster_counts(labels, k);
 
-    // The O(n²) row sweep is the hot loop: on a vector tier each outer row
-    // gets its distances to *all* rows from one point-batched kernel pass
-    // (bitwise equal to the per-pair scalar calls), then the accumulation
-    // below runs the exact scalar order over them. Always the exact tier:
-    // this is the kernel-dispatch showcase, not a fast-math site.
-    let tier = simd::active_tier();
-    let xt = (tier != SimdTier::Scalar)
-        .then(|| simd::TransposedPoints::build(tier, data.as_slice(), n, data.cols()));
-    let mut dists = vec![0.0f64; if xt.is_some() { n } else { 0 }];
-
     let mut total = 0.0;
     for i in 0..n {
-        if let Some(xt) = &xt {
-            simd::sq_dist_to_point(xt, data.row(i), &mut dists);
-        }
         // Mean distance from point i to each cluster.
         let mut sums = vec![0.0f64; k];
         for j in 0..n {
@@ -71,11 +57,7 @@ pub fn silhouette_score(data: &Matrix, labels: &[usize]) -> Result<f64, MlError>
             }
             // All rows share `data`'s width, so the checked `sq_dist`
             // would re-assert the same equality O(n²) times.
-            sums[labels[j]] += if xt.is_some() {
-                dists[j].sqrt()
-            } else {
-                Matrix::sq_dist_hot(data.row(i), data.row(j)).sqrt()
-            };
+            sums[labels[j]] += Matrix::sq_dist_hot(data.row(i), data.row(j)).sqrt();
         }
         let own = labels[i];
         if counts[own] <= 1 {
@@ -141,10 +123,9 @@ pub fn davies_bouldin_index(data: &Matrix, labels: &[usize]) -> Result<f64, MlEr
         }
     }
     // Mean scatter per cluster.
-    // Reporting-grade distances: honour `--fast-math`, exact by default.
     let mut scatter = vec![0.0f64; k];
     for (i, row) in data.iter_rows().enumerate() {
-        scatter[labels[i]] += simd::sq_dist_auto(row, &centroids[labels[i]]).sqrt();
+        scatter[labels[i]] += Matrix::sq_dist_hot(row, &centroids[labels[i]]).sqrt();
     }
     for (s, &n) in scatter.iter_mut().zip(&counts) {
         if n > 0 {
@@ -160,7 +141,7 @@ pub fn davies_bouldin_index(data: &Matrix, labels: &[usize]) -> Result<f64, MlEr
             if i == j {
                 continue;
             }
-            let sep = simd::sq_dist_auto(&centroids[i], &centroids[j]).sqrt();
+            let sep = Matrix::sq_dist_hot(&centroids[i], &centroids[j]).sqrt();
             if sep > 0.0 {
                 worst = worst.max((scatter[i] + scatter[j]) / sep);
             }

@@ -3,7 +3,7 @@
 //! bodies, keep-alive, no chunked transfer coding), so the server stays
 //! zero-external-dependency like the rest of the workspace.
 
-use std::io::{BufRead, ErrorKind, IoSlice, Write};
+use std::io::{BufRead, ErrorKind, IoSlice, Read, Take, Write};
 
 use serde_json::Value;
 
@@ -79,8 +79,11 @@ impl From<std::io::Error> for ReadError {
 /// [`ReadError::Closed`] at clean EOF before any byte, otherwise the
 /// transport/parse failure.
 pub fn read_request<R: BufRead>(stream: &mut R, max_body: usize) -> Result<Request, ReadError> {
+    // The whole head reads through one cap, so a peer that never sends a
+    // newline cannot grow a line past it.
+    let mut head = Read::take(&mut *stream, MAX_HEAD_BYTES as u64 + 1);
     let mut line = String::new();
-    if stream.read_line(&mut line)? == 0 {
+    if head_line(&mut head, &mut line)? == 0 {
         return Err(ReadError::Closed);
     }
     let mut parts = line.split_whitespace();
@@ -103,15 +106,10 @@ pub fn read_request<R: BufRead>(stream: &mut R, max_body: usize) -> Result<Reque
     };
 
     let mut headers = Vec::new();
-    let mut head_bytes = line.len();
     loop {
         let mut h = String::new();
-        if stream.read_line(&mut h)? == 0 {
+        if head_line(&mut head, &mut h)? == 0 {
             return Err(ReadError::Malformed("connection closed mid-headers".into()));
-        }
-        head_bytes += h.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::Malformed("header block too large".into()));
         }
         let h = h.trim_end_matches(['\r', '\n']);
         if h.is_empty() {
@@ -146,6 +144,16 @@ pub fn read_request<R: BufRead>(stream: &mut R, max_body: usize) -> Result<Reque
         headers,
         body,
     })
+}
+
+/// Reads one head line through the head cap; once the cap is used up the
+/// head is over [`MAX_HEAD_BYTES`] and the request is malformed.
+fn head_line<R: BufRead>(head: &mut Take<&mut R>, line: &mut String) -> Result<usize, ReadError> {
+    let read = head.read_line(line);
+    if head.limit() == 0 {
+        return Err(ReadError::Malformed("header block too large".into()));
+    }
+    Ok(read?)
 }
 
 /// One response, ready to serialise.
@@ -260,6 +268,26 @@ mod tests {
         let raw = b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\n";
         let mut r = BufReader::new(&raw[..]);
         assert!(matches!(read_request(&mut r, 10), Err(ReadError::TooLarge)));
+    }
+
+    #[test]
+    fn endless_request_line_is_malformed_within_the_head_cap() {
+        let too_large = |r: Result<Request, ReadError>| {
+            matches!(r, Err(ReadError::Malformed(m)) if m == "header block too large")
+        };
+        let mut r = std::io::Cursor::new(vec![b'a'; 64 * 1024]);
+        assert!(too_large(read_request(&mut r, 10)));
+        assert!(r.position() <= MAX_HEAD_BYTES as u64 + 1, "{}", r.position());
+
+        // A head of exactly the cap parses; one byte more does not.
+        let head = |len: usize| {
+            let fixed = "GET / HTTP/1.1\r\nX: \r\n\r\n".len();
+            format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "v".repeat(len - fixed))
+        };
+        let (fits, over) = (head(MAX_HEAD_BYTES), head(MAX_HEAD_BYTES + 1));
+        let req = read_request(&mut BufReader::new(fits.as_bytes()), 10).unwrap();
+        assert_eq!(req.header("x").unwrap().len(), 16_361);
+        assert!(too_large(read_request(&mut BufReader::new(over.as_bytes()), 10)));
     }
 
     #[test]

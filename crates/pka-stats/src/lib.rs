@@ -4,6 +4,9 @@
 //! that the rest of the workspace is built on:
 //!
 //! * [`OnlineStats`] — single-pass (Welford) mean/variance/min/max, mergeable.
+//! * [`WelfordColumns`] — a bank of [`OnlineStats`] sharing one count, in
+//!   column layout: the streaming normalizer's per-record fold and z-score,
+//!   bitwise identical to one [`OnlineStats`] per feature.
 //! * [`RollingStats`] — fixed-window rolling mean and standard deviation, the
 //!   primitive behind Principal Kernel Projection's IPC-stability detector.
 //! * [`error`] — the error metrics used throughout the paper's evaluation
@@ -14,9 +17,6 @@
 //! * [`exec`] — a scoped-thread [`Executor`] whose parallel maps return
 //!   results in item order, so every PKA stage can fan out across cores
 //!   while staying bitwise identical to its sequential run.
-//! * [`simd`] — runtime-dispatched SSE4.1/AVX2 tiers for the numeric hot
-//!   loops (Welford folds, z-scoring), with the scalar code as the bitwise
-//!   specification and an opt-in fast-math tier.
 //! * [`bootstrap`] — seeded bootstrap confidence intervals for the suite
 //!   aggregates the experiment harness reports.
 //!
@@ -38,10 +38,7 @@
 //! assert_eq!(r.mean(), 4.0);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module carries the one audited
-// `allow(unsafe_code)` in the crate, for CPU intrinsics behind runtime
-// feature detection. Everything else still refuses unsafe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bootstrap;
@@ -50,7 +47,6 @@ pub mod exec;
 pub mod hash;
 mod online;
 mod rolling;
-pub mod simd;
 pub mod summary;
 
 pub use exec::Executor;

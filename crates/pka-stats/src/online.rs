@@ -166,21 +166,20 @@ impl OnlineStats {
     }
 }
 
+/// Degenerate-variance threshold of [`WelfordColumns::zscore`]: dimensions
+/// whose running population std-dev is at or below this are centred but
+/// not scaled.
+const ZSCORE_STD_FLOOR: f64 = 1e-12;
+
 /// A column-oriented bank of Welford accumulators sharing one sample count.
 ///
 /// This is [`OnlineStats`] × `dims` in structure-of-arrays layout: one
-/// `count`, and contiguous `mean`/`m2`/`min`/`max` vectors. The layout is
-/// what lets the streaming normalizer fold a whole feature vector with one
-/// SIMD pass ([`crate::simd::welford_fold`]) instead of `dims` independent
-/// struct updates — while staying bitwise identical to pushing each
-/// dimension through its own [`OnlineStats`], which
+/// `count`, and contiguous `mean`/`m2`/`min`/`max` vectors, so the
+/// streaming normalizer folds a whole feature vector in one pass instead of
+/// `dims` independent struct updates — while staying bitwise identical to
+/// pushing each dimension through its own [`OnlineStats`], which
 /// [`to_stats`](WelfordColumns::to_stats)/[`from_stats`](WelfordColumns::from_stats)
 /// round-trip exactly (checkpoints serialise the per-dimension form).
-///
-/// Min/max tracking is deliberately scalar (`f64::min`/`f64::max`): their
-/// NaN and signed-zero lowering is platform-specification territory the
-/// vector tiers refuse to re-implement, and two comparisons per dimension
-/// are not the hot part of the fold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WelfordColumns {
     count: u64,
@@ -212,32 +211,52 @@ impl WelfordColumns {
         self.count
     }
 
-    /// Folds one sample vector into every dimension's accumulator, using
-    /// the given SIMD tier for the mean/m2 recurrences.
+    /// Folds one sample vector into every dimension's accumulator: one
+    /// [`OnlineStats::push`] step per dimension, bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `xs` has the wrong dimensionality.
-    pub fn fold(&mut self, tier: crate::simd::SimdTier, xs: &[f64]) {
+    pub fn fold(&mut self, xs: &[f64]) {
         assert_eq!(xs.len(), self.mean.len(), "feature dimensionality");
         self.count += 1;
-        crate::simd::welford_fold(tier, self.count as f64, xs, &mut self.mean, &mut self.m2);
-        for ((&x, min), max) in xs.iter().zip(self.min.iter_mut()).zip(self.max.iter_mut()) {
+        let n = self.count as f64;
+        let columns = self
+            .mean
+            .iter_mut()
+            .zip(&mut self.m2)
+            .zip(&mut self.min)
+            .zip(&mut self.max);
+        for (&x, (((mean, m2), min), max)) in xs.iter().zip(columns) {
+            let delta = x - *mean;
+            *mean += delta / n;
+            *m2 += delta * (x - *mean);
             *min = min.min(x);
             *max = max.max(x);
         }
     }
 
-    /// Z-scores `xs` in place against the statistics accumulated so far,
-    /// centring (but not scaling) degenerate dimensions — the batch
-    /// scaler's rule, see [`crate::simd::zscore_apply`].
+    /// Z-scores `xs` in place against the statistics accumulated so far.
+    ///
+    /// A dimension is divided by its population std-dev only when that
+    /// std-dev exceeds `1e-12`; otherwise it is centred only, the batch
+    /// scaler's degenerate-column rule. With no samples the std-dev is NaN,
+    /// the comparison fails, and the dimension is centred by a mean of
+    /// `0.0`, i.e. passes through unchanged.
     ///
     /// # Panics
     ///
     /// Panics if `xs` has the wrong dimensionality.
-    pub fn zscore(&self, tier: crate::simd::SimdTier, xs: &mut [f64]) {
+    pub fn zscore(&self, xs: &mut [f64]) {
         assert_eq!(xs.len(), self.mean.len(), "feature dimensionality");
-        crate::simd::zscore_apply(tier, self.count as f64, &self.mean, &self.m2, xs);
+        let n = self.count as f64;
+        for ((x, &mean), &m2) in xs.iter_mut().zip(&self.mean).zip(&self.m2) {
+            let std = (m2 / n).sqrt();
+            *x -= mean;
+            if std > ZSCORE_STD_FLOOR {
+                *x /= std;
+            }
+        }
     }
 
     /// The per-dimension accumulators in serialisable form; bit-exact.
@@ -368,6 +387,80 @@ mod tests {
         assert_eq!(rebuilt, s);
         assert_eq!(rebuilt.mean().to_bits(), s.mean().to_bits());
         assert_eq!(rebuilt.m2().to_bits(), s.m2().to_bits());
+    }
+
+    #[test]
+    fn columns_fold_matches_per_dimension_push_bitwise() {
+        // Specials (NaN, ±inf, signed zero, denormals) alongside ordinary
+        // values; the bank must equal one `OnlineStats` per dimension to
+        // the bit, min/max included.
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            1e-308,
+            f64::MAX,
+        ];
+        for dims in [0usize, 1, 2, 3, 5, 8, 17] {
+            let mut bank = WelfordColumns::new(dims);
+            let mut reference = vec![OnlineStats::new(); dims];
+            for t in 0..29usize {
+                let row: Vec<f64> = (0..dims)
+                    .map(|j| match (t * 7 + j * 3) % 11 {
+                        r @ 0..=6 if t % 4 == 3 => specials[r],
+                        _ => ((t * 13 + j) as f64 * 0.37).sin() * 100.0,
+                    })
+                    .collect();
+                bank.fold(&row);
+                for (s, &x) in reference.iter_mut().zip(&row) {
+                    s.push(x);
+                }
+            }
+            // NaN sign and payload are not part of IEEE 754's contract,
+            // so every NaN compares alike; everything else to the bit.
+            let canon = |x: f64| {
+                if x.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            };
+            let bits = |s: &OnlineStats| [s.mean(), s.m2(), s.min(), s.max()].map(canon);
+            assert_eq!(bank.count(), 29);
+            for (got, want) in bank.to_stats().iter().zip(&reference) {
+                assert_eq!(got.count(), want.count(), "dims={dims}");
+                assert_eq!(bits(got), bits(want), "dims={dims}");
+            }
+        }
+    }
+
+    #[test]
+    fn zscore_scales_centres_degenerate_and_passes_empty_through() {
+        let probe = [0.5, -3.0, 1.0, 2.0];
+        // No samples: std is NaN, so every dimension is centred by 0.
+        let mut x = probe;
+        WelfordColumns::new(4).zscore(&mut x);
+        assert_eq!(x.map(f64::to_bits), probe.map(f64::to_bits));
+
+        // Column 0 varies (std 1), column 1 is constant (centred only),
+        // column 2 varies below the floor (centred only), column 3 has a
+        // NaN sample (NaN std fails the floor test: centred by NaN).
+        let mut bank = WelfordColumns::new(4);
+        bank.fold(&[1.0, 7.0, 1.0, f64::NAN]);
+        bank.fold(&[3.0, 7.0, 1.0 + 1e-13, 2.0]);
+        let mut x = probe;
+        bank.zscore(&mut x);
+        let mean = bank
+            .to_stats()
+            .iter()
+            .map(OnlineStats::mean)
+            .collect::<Vec<_>>();
+        assert_eq!(x[0], (0.5 - 2.0) / 1.0);
+        assert_eq!(x[1], -3.0 - 7.0);
+        assert_eq!(x[2].to_bits(), (1.0 - mean[2]).to_bits());
+        assert!(x[3].is_nan());
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use pka_stats::simd;
 use pka_stats::{OnlineStats, WelfordColumns};
 
 /// Streaming z-score normalisation: one Welford accumulator per feature.
@@ -13,10 +12,9 @@ use pka_stats::{OnlineStats, WelfordColumns};
 ///
 /// Internally the accumulators live in a column-oriented
 /// [`WelfordColumns`] bank so the per-record fold and z-score run as one
-/// SIMD pass per record ([`pka_stats::simd::welford_fold`] /
-/// [`pka_stats::simd::zscore_apply`]) — bitwise identical to pushing each
-/// dimension through its own [`OnlineStats`], which is still the
-/// serialisation format: [`stats`](StreamingNormalizer::stats) /
+/// pass per record — bitwise identical to pushing each dimension through
+/// its own [`OnlineStats`], which is still the serialisation format:
+/// [`stats`](StreamingNormalizer::stats) /
 /// [`from_stats`](StreamingNormalizer::from_stats) round-trip checkpoints
 /// bit-exactly via [`OnlineStats::m2`] / [`OnlineStats::from_raw`].
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +59,7 @@ impl StreamingNormalizer {
     /// Panics if `features` has the wrong dimensionality.
     pub fn observe(&mut self, features: &[f64]) {
         assert_eq!(features.len(), self.dims(), "feature dimensionality");
-        self.columns.fold(simd::active_tier(), features);
+        self.columns.fold(features);
     }
 
     /// Z-scores `features` in place against the statistics accumulated so
@@ -73,7 +71,7 @@ impl StreamingNormalizer {
     /// Panics if `features` has the wrong dimensionality.
     pub fn normalize(&self, features: &mut [f64]) {
         assert_eq!(features.len(), self.dims(), "feature dimensionality");
-        self.columns.zscore(simd::active_tier(), features);
+        self.columns.zscore(features);
     }
 
     /// [`observe`](Self::observe) then [`normalize`](Self::normalize) in

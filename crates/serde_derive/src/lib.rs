@@ -12,6 +12,8 @@
 //! `#[serde(...)]` attributes are deliberately unsupported; deriving on
 //! such a type produces a `compile_error!` naming the limitation.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// The shape of the deriving type, as far as codegen needs to know.

@@ -71,11 +71,6 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
-    // Opt-in reassociated SIMD reductions: scalar-equivalent results are no
-    // longer bitwise, but stay within the documented `2·d·ε` relative bound.
-    if flags.contains_key("fast-math") {
-        principal_kernel_analysis::ml::simd::set_fast_math(true);
-    }
     let result = match command.as_str() {
         "list" => cmd_list(&flags),
         "info" => cmd_info(&flags),
@@ -301,12 +296,6 @@ defaults to the /metrics path) and rewrites it as a
 `pka.run_manifest/v1` metrics document, so a live service can be gated
 with the same `obs diff` / trend machinery as offline runs.
 
-`--fast-math` lets the SIMD distance/projection kernels reassociate their
-reductions across vector lanes. Results are then no longer bitwise equal
-to the scalar reference, but every reduction of length d stays within a
-2*d*eps relative error bound (eps = 2^-53). Leave it off for golden-file
-and parity comparisons.
-
 `trace export` converts a `--trace-out` JSONL file into Chrome
 trace-event JSON that opens directly in Perfetto (ui.perfetto.dev) or
 chrome://tracing, one lane per executor worker. `obs diff` compares two
@@ -342,8 +331,7 @@ fn workers_from(flags: &HashMap<String, String>) -> Result<usize, String> {
     }
 }
 
-/// Flags every command accepts: the observability flags and
-/// `--fast-math`, which `main` applies before dispatching.
+/// Flags every command accepts: the observability flags.
 const COMMON_FLAGS: &[&str] = &[
     "trace-out",
     "metrics-out",
@@ -351,7 +339,6 @@ const COMMON_FLAGS: &[&str] = &[
     "snapshot-every",
     "progress",
     "verbose",
-    "fast-math",
 ];
 
 /// The flags `command` accepts on top of [`COMMON_FLAGS`] (`None` for an
@@ -419,7 +406,6 @@ fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>)
         "progress",
         "counters-only",
         "bench",
-        "fast-math",
     ];
     let mut flags = HashMap::new();
     let mut positional = Vec::new();

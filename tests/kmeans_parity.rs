@@ -97,11 +97,83 @@ fn parity_holds_when_k_exceeds_mode_count() {
 #[test]
 fn parity_on_identical_points() {
     // Every point identical: all distances tie at zero, so label choice is
-    // purely comparison-order; reseeds fire every iteration.
+    // purely comparison-order; reseeds fire every iteration. Strict `<` in
+    // ascending centroid order keeps the first centroid.
     let rows: Vec<Vec<f64>> = (0..40).map(|_| vec![2.5, -1.0, 7.0]).collect();
     let data = Matrix::from_rows(&rows).expect("valid");
     for k in [1, 3, 5] {
         assert_parity(&data, k, 0);
+        let fit = KMeans::new(k).with_seed(0).fit(&data).expect("fit");
+        assert!(fit.centroids().iter().all(|c| c == &rows[0]), "k={k}");
+        assert_eq!(fit.predict(&rows[0]).expect("predict"), 0, "k={k}");
+    }
+}
+
+#[test]
+fn parity_on_denormal_extreme_and_non_finite_inputs() {
+    // Denormals, signed zeros and magnitudes whose squares approach 1e34:
+    // the bounded path's padding must stay conservative at both ends.
+    let rows = vec![
+        vec![5e-324, 0.0],
+        vec![1e-308, -0.0],
+        vec![-5e-324, 1e-310],
+        vec![1e17, 1e17],
+        vec![1e17, -1e17],
+        vec![0.0, 1.0],
+    ];
+    let data = Matrix::from_rows(&rows).expect("valid");
+    for k in 1..=4 {
+        assert_parity(&data, k, 0);
+    }
+    // One cluster over a row holding ±inf or NaN: the centroid and inertia
+    // go non-finite, identically on both paths (compared through `Debug`,
+    // where every NaN prints alike).
+    for bad in [
+        vec![vec![f64::INFINITY, 0.0]],
+        vec![vec![f64::INFINITY, 0.0], vec![f64::NEG_INFINITY, 1.0]],
+        vec![vec![f64::NAN, 0.0]],
+    ] {
+        let mut rows = vec![vec![0.0, 0.0], vec![0.5, 0.1], vec![10.0, 10.0]];
+        rows.extend(bad);
+        let data = Matrix::from_rows(&rows).expect("valid");
+        let reference = KMeans::new(1).fit_reference(&data).expect("reference fit");
+        assert!(!reference.inertia().is_finite());
+        for &workers in &WORKER_COUNTS {
+            let fit = KMeans::new(1)
+                .with_executor(Executor::new(workers))
+                .fit(&data)
+                .expect("bounded fit");
+            assert_eq!(
+                format!("{fit:?}"),
+                format!("{reference:?}"),
+                "workers={workers}"
+            );
+        }
+    }
+}
+
+#[test]
+fn degenerate_shapes_are_exact() {
+    // d = 0: both checked and hot variants agree on the empty fold.
+    assert_eq!(Matrix::sq_dist(&[], &[]), 0.0);
+    assert_eq!(Matrix::sq_dist_hot(&[], &[]), 0.0);
+    // d = 1: a single squared difference.
+    assert_eq!(Matrix::sq_dist(&[3.0], &[-1.0]), 16.0);
+    assert_eq!(
+        Matrix::sq_dist_hot(&[3.0], &[-1.0]).to_bits(),
+        16.0f64.to_bits()
+    );
+    // Single-row matrix: valid, row-addressable, zero distance to itself.
+    let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]).expect("single row");
+    assert_eq!(m.rows(), 1);
+    assert_eq!(Matrix::sq_dist(m.row(0), m.row(0)), 0.0);
+    // One row, and one column: both paths fit them identically.
+    assert_parity(&m, 1, 0);
+    assert_parity(&m, 3, 0);
+    let column =
+        Matrix::from_rows(&[vec![4.0], vec![-1.0], vec![4.0], vec![9.5]]).expect("single column");
+    for k in 1..=4 {
+        assert_parity(&column, k, 0);
     }
 }
 
@@ -149,4 +221,59 @@ fn sequential_executor_matches_default() {
         .fit(&data)
         .expect("fit");
     assert_eq!(default_fit, seq_fit);
+}
+
+#[test]
+fn ties_keep_the_first_centroid_and_nan_distances_never_place() {
+    // Two distinct points and up to four clusters: the surplus centroids
+    // coincide with real ones, so nearest-centroid choices are exact ties.
+    // The bounded path's scan must break them as the reference does, and
+    // `predict` (strict `<` in ascending centroid order) keeps the first
+    // of equal distances.
+    let rows = vec![
+        vec![0.0, 1.0],
+        vec![3.0, -2.0],
+        vec![0.0, 1.0],
+        vec![3.0, -2.0],
+        vec![3.0, -2.0],
+    ];
+    let data = Matrix::from_rows(&rows).expect("valid");
+    for k in 2..=4 {
+        for &seed in &SEEDS {
+            assert_parity(&data, k, seed);
+            let fit = KMeans::new(k).with_seed(seed).fit(&data).expect("fit");
+            let mut distinct = fit.centroids().to_vec();
+            distinct.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            distinct.dedup();
+            assert_eq!(
+                distinct.len(),
+                2,
+                "k={k} seed={seed}: every centroid sits on one of the two points"
+            );
+            for (i, row) in rows.iter().enumerate() {
+                let dists: Vec<f64> = fit
+                    .centroids()
+                    .iter()
+                    .map(|c| Matrix::sq_dist(row, c))
+                    .collect();
+                let min = dists.iter().copied().fold(f64::INFINITY, f64::min);
+                let first = dists.iter().position(|&d| d == min).expect("non-empty");
+                assert_eq!(
+                    fit.predict(row).expect("predict"),
+                    first,
+                    "k={k} seed={seed} row {i}"
+                );
+            }
+            // A NaN coordinate makes every distance NaN: no comparison
+            // succeeds, so no centroid ever takes the point and it keeps
+            // the initial index 0.
+            for query in [[f64::NAN, 1.0], [0.0, f64::NAN], [f64::NAN, f64::NAN]] {
+                assert_eq!(
+                    fit.predict(&query).expect("predict"),
+                    0,
+                    "k={k} seed={seed}"
+                );
+            }
+        }
+    }
 }

@@ -6,7 +6,7 @@ use principal_kernel_analysis::gpu::{
     SiliconExecutor,
 };
 use principal_kernel_analysis::ml::classify::{Classifier, Ensemble, EnsembleMemo};
-use principal_kernel_analysis::ml::{KMeans, Matrix};
+use principal_kernel_analysis::ml::{KMeans, Matrix, Pca};
 use principal_kernel_analysis::sim::{
     IpcSample, KernelSimResult, MaxCyclesMonitor, MaxInstructionsMonitor, NullMonitor,
     SimMonitor, SimOptions, Simulator, WarpProgram,
@@ -314,6 +314,30 @@ proptest! {
                 (rolling.variance() - naive.population_variance()).abs() / var_scale < 1e-6,
                 "variance {} vs {}", rolling.variance(), naive.population_variance()
             );
+        }
+    }
+
+    #[test]
+    fn pca_transform_matches_transform_row_and_the_scalar_fold(
+            rows in prop::collection::vec(prop::collection::vec(-50.0f64..50.0, 6), 2..30),
+            k in 1usize..6) {
+        // Both projection paths must reproduce the ascending-order
+        // `Σ (x − m)·c` fold to the bit: streaming checkpoints pin it.
+        let data = Matrix::from_rows(&rows).expect("non-empty");
+        let fit = Pca::new(k).fit(&data).expect("pca fits");
+        let projected = fit.transform(&data).expect("projects");
+        let means = data.column_means();
+        for (i, row) in data.iter_rows().enumerate() {
+            let single = fit.transform_row(row).expect("projects");
+            for (j, comp) in fit.components().iter().enumerate() {
+                let fold: f64 = row
+                    .iter()
+                    .zip(means.iter().zip(comp))
+                    .map(|(&x, (&m, &c))| (x - m) * c)
+                    .sum();
+                prop_assert_eq!(projected.get(i, j).to_bits(), fold.to_bits());
+                prop_assert_eq!(single[j].to_bits(), fold.to_bits());
+            }
         }
     }
 

@@ -216,6 +216,11 @@ fn cli_refuses_the_retired_shard_flag_and_checkpoint_layout() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("does not accept --shards"), "{stderr}");
 
+    let out = pka(&[&base[..], &["--fast-math"]].concat());
+    assert_eq!(out.status.code(), Some(2), "usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--fast-math"), "{stderr}");
+
     let path = std::env::temp_dir().join(format!(
         "pka_stream_parity_sharded_{}.json",
         std::process::id()

@@ -85,6 +85,7 @@ if command -v jq >/dev/null 2>&1; then
         and any(.[]; .name == "kmeans_sweep/bounded/50000")
         and any(.[]; .name == "stream_ingest/online_pks/500000")
         and any(.[]; .name == "server_session_roundtrip/http_session/100000")
+        and any(.[]; .name == "server_session_roundtrip/feed/100000")
         and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
         and any(.[]; .name == "pka_evaluate/backprop_full")
     ' "$BENCH_SMOKE_JSON" >/dev/null

@@ -15,7 +15,10 @@
 //!   `POST /v1/sessions` over a real socket, a 100k-record synthetic
 //!   streaming session, and `GET .../result`. The delta against
 //!   `stream_ingest/online_pks` is the whole service overhead (HTTP
-//!   parse, session registry, worker spawn, progress ring).
+//!   parse, session registry, worker spawn, progress ring). Its `feed`
+//!   row drives a `source: "feed"` session instead: the same 100k records
+//!   pre-rendered as NDJSON and posted in 500-line bodies, so the feed
+//!   queue and per-record JSON parsing are on the measured path.
 //!
 //! Run with `cargo bench -p pka-bench --bench hot_paths`; CI runs a
 //! reduced-iteration smoke via `PKA_BENCH_SAMPLES` / `PKA_BENCH_WARMUP`.
@@ -219,8 +222,51 @@ fn http_roundtrip(
     (status, String::from_utf8(out).expect("utf8"))
 }
 
+/// Renders `n` synthetic records as `pka.kernel_record/v1` NDJSON bodies
+/// of `per_body` lines, detailed for the first `prefix` records.
+fn ndjson_bodies(n: u64, prefix: u64, per_body: u64) -> Vec<String> {
+    let mut source = WorkloadSource::new(synthetic_workload(n), Profiler::new(GpuConfig::v100()));
+    let mut bodies = Vec::new();
+    let mut body = String::new();
+    let mut i = 0u64;
+    while let Some(rec) = source.next_record(i < prefix).expect("render record") {
+        body.push_str(&rec.to_jsonl().to_string());
+        body.push('\n');
+        i += 1;
+        if i.is_multiple_of(per_body) {
+            bodies.push(std::mem::take(&mut body));
+        }
+    }
+    if !body.is_empty() {
+        bodies.push(body);
+    }
+    bodies
+}
+
+/// Creates a session from `spec` over the socket and returns its id.
+fn create_session(addr: std::net::SocketAddr, spec: &str) -> String {
+    let (status, body) = http_roundtrip(addr, "POST", "/v1/sessions", spec);
+    assert_eq!(status, 200, "{body}");
+    let created: serde_json::Value = serde_json::from_str(&body).expect("create response");
+    created
+        .get("id")
+        .and_then(|v| v.as_str())
+        .expect("id")
+        .to_string()
+}
+
 fn bench_server_roundtrip(c: &mut Criterion) {
     const N: u64 = 100_000;
+    let bodies = ndjson_bodies(N, 2_000, 500);
+    let feed_spec = serde_json::json!({
+        "mode": "stream",
+        "source": "feed",
+        "prefix": 2_000,
+        "checkpoint_every": 100_000,
+        "reservoir": 2_048,
+        "batch": 1_024,
+    })
+    .to_string();
     let server =
         PkaServer::bind(ServerConfig::default()).expect("bind analysis service");
     let addr = server.addr().expect("addr");
@@ -241,20 +287,34 @@ fn bench_server_roundtrip(c: &mut Criterion) {
         group.throughput(Throughput::Elements(N));
         group.bench_function(BenchmarkId::new("http_session", N), |b| {
             b.iter(|| {
-                let (status, body) = http_roundtrip(addr, "POST", "/v1/sessions", &spec);
-                assert_eq!(status, 200, "{body}");
-                let created: serde_json::Value =
-                    serde_json::from_str(&body).expect("create response");
-                let id = created.get("id").and_then(|v| v.as_str()).expect("id");
+                let id = create_session(addr, &spec);
                 // Join in-process (the worker finishes the whole stream),
                 // then fetch the result over the socket like a client would.
-                server.registry().get(id).expect("registered").join();
+                server.registry().get(&id).expect("registered").join();
                 let (status, body) = http_roundtrip(
                     addr,
                     "GET",
                     &format!("/v1/sessions/{id}/result"),
                     "",
                 );
+                assert_eq!(status, 200, "{body}");
+                black_box(body.len())
+            })
+        });
+        group.bench_function(BenchmarkId::new("feed", N), |b| {
+            b.iter(|| {
+                let id = create_session(addr, &feed_spec);
+                let records = format!("/v1/sessions/{id}/records");
+                for body in &bodies {
+                    let (status, reply) = http_roundtrip(addr, "POST", &records, body);
+                    assert_eq!(status, 200, "{reply}");
+                }
+                let (status, reply) =
+                    http_roundtrip(addr, "POST", &format!("/v1/sessions/{id}/finish"), "");
+                assert_eq!(status, 200, "{reply}");
+                server.registry().get(&id).expect("registered").join();
+                let (status, body) =
+                    http_roundtrip(addr, "GET", &format!("/v1/sessions/{id}/result"), "");
                 assert_eq!(status, 200, "{body}");
                 black_box(body.len())
             })

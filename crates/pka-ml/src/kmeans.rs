@@ -155,7 +155,9 @@ impl KMeans {
     ///
     /// # Errors
     ///
-    /// * [`MlError::InvalidParameter`] if `k` is zero.
+    /// * [`MlError::InvalidParameter`] if `k` is zero, or if `k` is at
+    ///   least 2 and `data` holds a non-finite value (named by row and
+    ///   column).
     /// * [`MlError::EmptyInput`] if `data` has no rows.
     pub fn fit(&self, data: &Matrix) -> Result<KMeansFit, MlError> {
         let _span = pka_obs::span("kmeans.fit");
@@ -557,6 +559,20 @@ impl KMeans {
         }
         if data.rows() == 0 || data.cols() == 0 {
             return Err(MlError::EmptyInput);
+        }
+        // One cluster is a plain mean; more clusters order distances, and a
+        // non-finite coordinate leaves them without an order.
+        if self.k >= 2 {
+            if let Some(i) = data.as_slice().iter().position(|x| !x.is_finite()) {
+                let (row, col) = (i / data.cols(), i % data.cols());
+                return Err(MlError::InvalidParameter {
+                    name: "data",
+                    message: format!(
+                        "row {row} column {col} is {}; k >= 2 needs finite values",
+                        data.get(row, col)
+                    ),
+                });
+            }
         }
         Ok(())
     }

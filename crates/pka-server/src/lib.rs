@@ -92,7 +92,9 @@ pub struct ServerConfig {
     pub max_active_sessions: usize,
     /// Completed sessions retained for inspection before LRU eviction.
     pub retain_completed: usize,
-    /// Feed queue capacity per streaming session, in JSONL lines.
+    /// Feed queue capacity per streaming session, in records (non-blank
+    /// JSONL lines). A `POST .../records` body waits until it fits; one
+    /// body larger than the capacity enters an empty queue.
     pub feed_capacity: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,

@@ -2,8 +2,8 @@
 //!
 //! A session owns a worker thread driving a `pka-stream` pipeline (or a
 //! batch `pka-core` evaluation), a [`CancelToken`] polled at every tail
-//! batch boundary, an optional [`FeedHandle`] for record-by-record HTTP
-//! ingestion, and a bounded in-memory progress ring of `pka.snapshot/v1`
+//! batch boundary, an optional [`FeedHandle`] for body-by-body HTTP
+//! record ingestion, and a bounded in-memory progress ring of `pka.snapshot/v1`
 //! lines. The registry enforces the service's memory budget: at most
 //! `max_active` concurrently running sessions (each `O(K·d + reservoir +
 //! batch)` by the streaming contract), and completed sessions are retained

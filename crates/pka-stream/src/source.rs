@@ -1,8 +1,9 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use pka_gpu::{KernelDescriptor, KernelId, KernelMetrics};
 use pka_profile::{DetailedRecord, LightweightRecord, Profiler};
@@ -637,22 +638,47 @@ impl KernelSource for JsonlSource {
 // ---------------------------------------------------------------------------
 
 /// Shared state between a [`FeedSource`] and its [`FeedHandle`]s: a bounded
-/// queue of raw `pka.kernel_record/v1` lines plus the end-of-feed /
-/// abandoned flags. Raw lines (not parsed records) are queued so the
-/// consumer side parses with the `want_detailed` flag the pipeline actually
-/// asked for — byte-for-byte the same records a [`JsonlSource`] over the
-/// concatenated lines would produce.
+/// queue of raw `pka.kernel_record/v1` POST bodies plus the end-of-feed /
+/// abandoned flags. Raw text (not parsed records) is queued so the consumer
+/// side parses with the `want_detailed` flag the pipeline actually asked
+/// for — byte-for-byte the same records a [`JsonlSource`] over the
+/// concatenated bodies would produce.
 struct FeedShared {
     queue: Mutex<FeedQueue>,
-    /// Signalled when lines arrive, the feed finishes, or it is abandoned.
+    /// Signalled when a body arrives, the feed finishes, or it is abandoned.
     ready: Condvar,
     /// Signalled when queue space frees up (producer back-pressure).
     space: Condvar,
 }
 
+impl FeedShared {
+    /// Every update leaves the queue valid, so a holder's panic poisons
+    /// nothing the other side cannot keep using.
+    fn lock(&self) -> MutexGuard<'_, FeedQueue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn abandon(&self) {
+        let mut queue = self.lock();
+        queue.abandoned = true;
+        queue.finished = true;
+        drop(queue);
+        self.ready.notify_all();
+        self.space.notify_all();
+    }
+}
+
+/// One pushed body and its record (non-blank line) count.
+struct FeedBatch {
+    text: String,
+    records: usize,
+}
+
 struct FeedQueue {
-    lines: VecDeque<String>,
-    /// Producer promised no more lines.
+    batches: VecDeque<FeedBatch>,
+    /// Records across `batches`: the quantity `capacity` bounds.
+    queued: usize,
+    /// Producer promised no more records.
     finished: bool,
     /// Consumer side told producers to stop (teardown): pushes fail fast
     /// instead of blocking on a queue nobody will drain.
@@ -660,28 +686,39 @@ struct FeedQueue {
     capacity: usize,
 }
 
-/// Producer half of an in-process record feed: push JSONL lines in, they
-/// come out of the paired [`FeedSource`] in order. Cloneable; all clones
-/// share the queue.
+/// Producer half of an in-process record feed: push JSONL bodies in, their
+/// records come out of the paired [`FeedSource`] in order. Cloneable; all
+/// clones share the queue.
 #[derive(Clone)]
 pub struct FeedHandle {
     shared: Arc<FeedShared>,
 }
 
 impl FeedHandle {
-    /// Appends one `pka.kernel_record/v1` JSONL line. Blocks while the
-    /// queue is at capacity (bounded-memory back-pressure); blank lines are
-    /// ignored, matching [`JsonlSource`].
+    /// Queues one body of `pka.kernel_record/v1` JSONL lines and returns
+    /// how many records (non-blank lines) it carries. The body is one unit:
+    /// it is copied once and queued whole, or not at all.
+    ///
+    /// Blocks while the body does not fit in the queue's capacity (bounded
+    /// memory back-pressure). A body larger than the whole capacity is
+    /// admitted once the queue is empty, so the queue holds at most
+    /// `max(capacity, largest body)` records.
+    ///
+    /// The body's last line ends at the end of the body even without a
+    /// trailing newline; it never joins the next body's first line.
     ///
     /// # Errors
     ///
     /// [`StreamError::Source`] when the feed was already finished, or when
-    /// the consumer abandoned it (session teardown).
-    pub fn push_line(&self, line: &str) -> Result<(), StreamError> {
-        if line.trim().is_empty() {
-            return Ok(());
-        }
-        let mut queue = self.shared.queue.lock().expect("feed queue lock");
+    /// the consumer abandoned it (session teardown, or the [`FeedSource`]
+    /// was dropped). Nothing of a failed body is queued.
+    pub fn push_lines(&self, text: &str) -> Result<u64, StreamError> {
+        let records = text.lines().filter(|l| !l.trim().is_empty()).count();
+        let batch = FeedBatch {
+            text: text.to_owned(),
+            records,
+        };
+        let mut queue = self.shared.lock();
         loop {
             if queue.abandoned {
                 return Err(StreamError::Source {
@@ -693,43 +730,26 @@ impl FeedHandle {
                     message: "feed already finished: no more records accepted".into(),
                 });
             }
-            if queue.lines.len() < queue.capacity {
-                queue.lines.push_back(line.to_string());
-                self.shared.ready.notify_all();
-                return Ok(());
+            if queue.queued == 0 || queue.queued + records <= queue.capacity {
+                break;
             }
             queue = self
                 .shared
                 .space
                 .wait(queue)
-                .expect("feed queue lock");
+                .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Appends every non-blank line of `text`, returning how many were
-    /// accepted.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`push_line`](Self::push_line); lines before the failure
-    /// stay queued.
-    pub fn push_lines(&self, text: &str) -> Result<u64, StreamError> {
-        let mut accepted = 0;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            self.push_line(line)?;
-            accepted += 1;
-        }
-        Ok(accepted)
+        queue.queued += records;
+        queue.batches.push_back(batch);
+        drop(queue);
+        self.shared.ready.notify_all();
+        Ok(records as u64)
     }
 
     /// Marks the feed complete: the paired [`FeedSource`] reports end of
     /// stream once the queue drains. Idempotent.
     pub fn finish(&self) {
-        let mut queue = self.shared.queue.lock().expect("feed queue lock");
-        queue.finished = true;
+        self.shared.lock().finished = true;
         self.shared.ready.notify_all();
         self.shared.space.notify_all();
     }
@@ -740,35 +760,42 @@ impl FeedHandle {
     /// session teardown together with a
     /// [`CancelToken`](crate::CancelToken). Idempotent.
     pub fn abandon(&self) {
-        let mut queue = self.shared.queue.lock().expect("feed queue lock");
-        queue.abandoned = true;
-        queue.finished = true;
-        self.shared.ready.notify_all();
-        self.shared.space.notify_all();
+        self.shared.abandon();
     }
 
-    /// Lines currently buffered (waiting to be consumed).
+    /// Records queued and not yet taken by the consumer: at most
+    /// `max(capacity, largest body)`.
     pub fn buffered(&self) -> usize {
-        self.shared.queue.lock().expect("feed queue lock").lines.len()
+        self.shared.lock().queued
     }
 }
 
 /// A [`KernelSource`] fed incrementally by a [`FeedHandle`] — the
 /// `pka-server` streaming-session transport. Records arrive as raw
-/// `pka.kernel_record/v1` JSONL lines and are parsed on consumption with
-/// the pipeline's own `want_detailed` flag, so a feed carrying the lines of
-/// a file is indistinguishable from a [`JsonlSource`] over that file
-/// (including parse errors and line numbers). The queue is bounded:
-/// producers block at `capacity` lines, keeping per-session memory at
-/// O(capacity) on top of the pipeline's own budget.
+/// `pka.kernel_record/v1` JSONL bodies and are parsed on consumption with
+/// the pipeline's own `want_detailed` flag, so a feed carrying a file's
+/// lines is indistinguishable from a [`JsonlSource`] over that file: the
+/// same records, and the same parse errors at the same line numbers (blank
+/// lines count, as in the file). Bodies are independent: each one's last
+/// line ends with the body, with or without a trailing newline.
+///
+/// The queue is bounded in records: producers block at `capacity`, except
+/// that one body larger than the capacity is admitted into an empty queue.
+/// Per-session memory is O(max(capacity, largest body)) on top of the
+/// pipeline's own budget. The consumer takes the queue lock once per body,
+/// not once per record, and walks the body's lines in place.
 ///
 /// Not restartable (records are consumed as they stream through), so
 /// `--verify-batch`-style re-reads and in-place resume are unavailable;
 /// resume a checkpoint against a restartable source carrying the same
-/// records (the label names it).
+/// records (the label names it). Dropping the source abandons the feed.
 pub struct FeedSource {
     shared: Arc<FeedShared>,
     label: String,
+    /// The body being consumed, and the byte offset of its next line.
+    batch: String,
+    pos: usize,
+    /// Physical lines consumed so far, blank ones included.
     line: u64,
 }
 
@@ -776,11 +803,12 @@ impl FeedSource {
     /// Creates a feed with the given source label (use the name of the
     /// restartable source the records come from, e.g. `jsonl:records.jsonl`
     /// — checkpoints embed it, and resume matches on it) and queue
-    /// capacity in lines.
+    /// capacity in records.
     pub fn new(label: impl Into<String>, capacity: usize) -> (Self, FeedHandle) {
         let shared = Arc::new(FeedShared {
             queue: Mutex::new(FeedQueue {
-                lines: VecDeque::new(),
+                batches: VecDeque::new(),
+                queued: 0,
                 finished: false,
                 abandoned: false,
                 capacity: capacity.max(1),
@@ -791,20 +819,41 @@ impl FeedSource {
         let source = Self {
             shared: Arc::clone(&shared),
             label: label.into(),
+            batch: String::new(),
+            pos: 0,
             line: 0,
         };
         (source, FeedHandle { shared })
     }
 
-    /// Blocks until a line is available or the feed is finished; `None`
-    /// means end of feed.
-    fn next_line(&mut self) -> Option<String> {
-        let mut queue = self.shared.queue.lock().expect("feed queue lock");
+    /// Advances past the next non-blank line and returns its byte range in
+    /// `self.batch`, blocking for the next body when this one is spent;
+    /// `None` means end of feed.
+    fn next_line(&mut self) -> Option<Range<usize>> {
         loop {
-            if let Some(line) = queue.lines.pop_front() {
-                self.shared.space.notify_all();
+            while self.pos < self.batch.len() {
+                let start = self.pos;
+                let rest = &self.batch[start..];
+                self.pos += rest.find('\n').map_or(rest.len(), |i| i + 1);
                 self.line += 1;
-                return Some(line);
+                if !self.batch[start..self.pos].trim().is_empty() {
+                    return Some(start..self.pos);
+                }
+            }
+            self.batch = self.pop_batch()?;
+            self.pos = 0;
+        }
+    }
+
+    /// Blocks until a body is queued or the feed is finished, and takes it.
+    fn pop_batch(&self) -> Option<String> {
+        let mut queue = self.shared.lock();
+        loop {
+            if let Some(batch) = queue.batches.pop_front() {
+                queue.queued -= batch.records;
+                drop(queue);
+                self.shared.space.notify_all();
+                return Some(batch.text);
             }
             if queue.finished {
                 return None;
@@ -813,8 +862,16 @@ impl FeedSource {
                 .shared
                 .ready
                 .wait(queue)
-                .expect("feed queue lock");
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+impl Drop for FeedSource {
+    // Nobody drains the queue any more: fail producers instead of leaving
+    // one blocked on a full queue.
+    fn drop(&mut self) {
+        self.shared.abandon();
     }
 }
 
@@ -830,16 +887,17 @@ impl KernelSource for FeedSource {
     fn next_record(&mut self, want_detailed: bool) -> Result<Option<SourceRecord>, StreamError> {
         match self.next_line() {
             None => Ok(None),
-            Some(text) => Ok(Some(parse_record_line(&text, self.line, want_detailed)?)),
+            Some(range) => Ok(Some(parse_record_line(
+                &self.batch[range],
+                self.line,
+                want_detailed,
+            )?)),
         }
     }
 
     fn skip(&mut self, n: u64) -> Result<u64, StreamError> {
         let mut skipped = 0;
-        while skipped < n {
-            if self.next_line().is_none() {
-                break;
-            }
+        while skipped < n && self.next_line().is_some() {
             skipped += 1;
         }
         Ok(skipped)
@@ -854,6 +912,7 @@ impl KernelSource for FeedSource {
 mod tests {
     use super::*;
     use pka_gpu::GpuConfig;
+    use proptest::TestRng;
 
     #[test]
     fn synthetic_workload_has_exact_count_and_varied_kernels() {
@@ -1030,56 +1089,299 @@ mod tests {
         assert_eq!(feed.restart(), Err(StreamError::NotRestartable));
     }
 
-    /// The queue is bounded: a producer pushing past capacity blocks until
-    /// the consumer drains, and never loses or reorders lines.
-    #[test]
-    fn feed_backpressure_blocks_and_preserves_order() {
-        let line = |id: u64| {
-            format!(
-                r#"{{"id":{id},"name":"k","grid_blocks":8,"block_threads":64,"shared_mem_bytes":0,"tensor_elements":512}}"#
-            )
-        };
-        let (mut feed, handle) = FeedSource::new("jsonl:bp", 4);
-        let producer = std::thread::spawn(move || {
-            for id in 0..64u64 {
-                handle.push_line(&line(id)).unwrap();
-            }
-            handle.finish();
-        });
-        let mut seen = Vec::new();
-        while let Some(r) = feed.next_record(false).unwrap() {
-            seen.push(r.lightweight.kernel_id.index());
-        }
-        assert_eq!(seen, (0..64).collect::<Vec<_>>());
-        producer.join().unwrap();
+    fn lightweight_line(id: u64) -> String {
+        format!(
+            r#"{{"id":{id},"name":"k","grid_blocks":8,"block_threads":64,"shared_mem_bytes":0,"tensor_elements":512}}"#
+        )
     }
 
-    /// Abandoning the feed fails producers fast and ends the stream for
-    /// the consumer once the buffered lines drain.
+    /// The queue is bounded in records: a producer pushing past capacity
+    /// blocks until the consumer drains, one body larger than the capacity
+    /// is admitted into an empty queue, and no record is lost or reordered.
+    #[test]
+    fn feed_backpressure_blocks_and_preserves_order() {
+        const CAPACITY: usize = 4;
+        // A small body, then the largest: it may enter only once the small
+        // one is taken.
+        let sizes = [2usize, 12, 1, 3, 4, 7, 2, 9, 1, 4, 5, 3];
+        let bound = CAPACITY.max(12);
+        let mut bodies = Vec::new();
+        let mut id = 0u64;
+        for (i, &n) in sizes.iter().enumerate() {
+            let mut body = String::new();
+            for _ in 0..n {
+                body.push_str(&lightweight_line(id));
+                body.push('\n');
+                if id.is_multiple_of(3) {
+                    body.push('\n');
+                }
+                id += 1;
+            }
+            if i % 2 == 1 {
+                body.pop();
+            }
+            bodies.push(body);
+        }
+        let total = id;
+
+        let (mut feed, handle) = FeedSource::new("jsonl:bp", CAPACITY);
+        let producer = {
+            let handle = handle.clone();
+            std::thread::spawn(move || {
+                let pushed: Vec<_> = bodies.iter().map(|b| handle.push_lines(b)).collect();
+                handle.finish();
+                pushed
+            })
+        };
+        let mut seen = Vec::new();
+        loop {
+            // The bound holds in every interleaving; a slow consumer lets
+            // the producer run into it, so an over-eager admission shows.
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            let buffered = handle.buffered();
+            assert!(buffered <= bound, "{buffered} > {bound}");
+            let Some(r) = feed.next_record(false).unwrap() else {
+                break;
+            };
+            seen.push(r.lightweight.kernel_id.index());
+        }
+        assert_eq!(seen, (0..total).collect::<Vec<_>>());
+        let pushed = producer.join().unwrap();
+        let want: Vec<_> = sizes.iter().map(|&n| Ok(n as u64)).collect();
+        assert_eq!(pushed, want);
+        assert_eq!(handle.buffered(), 0);
+    }
+
+    /// Abandoning the feed fails a blocked producer fast without queueing
+    /// any of its body, and ends the stream for the consumer once the
+    /// queued records drain.
     #[test]
     fn feed_abandon_unblocks_producer_and_ends_stream() {
-        let line = r#"{"id":1,"name":"k","grid_blocks":8,"block_threads":64,"shared_mem_bytes":0,"tensor_elements":512}"#;
-        let (mut feed, handle) = FeedSource::new("jsonl:abandon", 1);
-        handle.push_line(line).unwrap();
+        let body = |ids: std::ops::Range<u64>| -> String {
+            ids.map(|id| lightweight_line(id) + "\n").collect()
+        };
+        let (mut feed, handle) = FeedSource::new("jsonl:abandon", 2);
+        // Three records exceed the capacity but enter the empty queue.
+        assert_eq!(handle.push_lines(&body(0..3)).unwrap(), 3);
         let blocked = {
             let handle = handle.clone();
-            let line = line.to_string();
-            std::thread::spawn(move || handle.push_line(&line))
+            let next = body(3..4);
+            std::thread::spawn(move || handle.push_lines(&next))
         };
-        // The producer is now blocked on the full queue; abandoning must
-        // wake it with an error rather than leaving it stuck.
+        // The sleep makes it likely that the producer is waiting on the
+        // full queue when `abandon` lands; if it has not reached the queue
+        // yet, it meets the abandoned flag instead and must fail the same.
         std::thread::sleep(std::time::Duration::from_millis(20));
         handle.abandon();
         assert!(matches!(
             blocked.join().unwrap(),
             Err(StreamError::Source { .. })
         ));
-        // The already-buffered line still drains, then the stream ends.
-        assert!(feed.next_record(false).unwrap().is_some());
+        assert_eq!(handle.buffered(), 3, "the failed body queued nothing");
+        for id in 0..3 {
+            let r = feed.next_record(false).unwrap().unwrap();
+            assert_eq!(r.lightweight.kernel_id.index(), id);
+        }
         assert!(feed.next_record(false).unwrap().is_none());
         assert!(matches!(
-            handle.push_line(line),
+            handle.push_lines(&body(4..5)),
             Err(StreamError::Source { .. })
         ));
+    }
+
+    /// A producer blocked on a feed whose consumer is gone fails instead of
+    /// waiting forever.
+    #[test]
+    fn dropping_the_feed_source_fails_blocked_producers() {
+        let (feed, handle) = FeedSource::new("jsonl:dropped", 1);
+        handle.push_lines(&(lightweight_line(0) + "\n")).unwrap();
+        let blocked = {
+            let handle = handle.clone();
+            std::thread::spawn(move || handle.push_lines(&(lightweight_line(1) + "\n")))
+        };
+        drop(feed);
+        assert!(matches!(
+            blocked.join().unwrap(),
+            Err(StreamError::Source { .. })
+        ));
+    }
+
+    /// Feeds `bodies` (pushed from another thread into a queue of
+    /// `capacity` records) and reads the same text through a
+    /// [`JsonlSource`] over the bodies' concatenation, a newline closing any
+    /// body that lacks one. Pull `i` asks for the detailed view when
+    /// `i < want_detailed`; every `skip_every`-th pull skips two records
+    /// instead. Returns the first mismatch, if any.
+    fn feed_vs_jsonl(
+        bodies: &[String],
+        capacity: usize,
+        want_detailed: usize,
+        skip_every: usize,
+    ) -> Result<(), String> {
+        let mut text = String::new();
+        for body in bodies {
+            text.push_str(body);
+            if !body.is_empty() && !body.ends_with('\n') {
+                text.push('\n');
+            }
+        }
+        let mut jsonl = JsonlSource::from_reader("jsonl:eq", std::io::Cursor::new(text));
+        let (mut feed, handle) = FeedSource::new("jsonl:eq", capacity);
+        std::thread::scope(|scope| {
+            let producer = scope.spawn(|| {
+                for body in bodies {
+                    // Fails only once the consumer below stops early.
+                    if handle.push_lines(body).is_err() {
+                        return;
+                    }
+                }
+                handle.finish();
+            });
+            let outcome = pull_both(&mut feed, &mut jsonl, want_detailed, skip_every);
+            handle.abandon();
+            producer.join().unwrap();
+            outcome
+        })
+    }
+
+    /// Pulls `a` and `b` in lockstep until either ends or fails, and
+    /// returns the first pull on which they disagree.
+    fn pull_both(
+        a: &mut impl KernelSource,
+        b: &mut impl KernelSource,
+        want_detailed: usize,
+        skip_every: usize,
+    ) -> Result<(), String> {
+        let mut i = 0;
+        loop {
+            if skip_every > 0 && i % skip_every == skip_every - 1 {
+                let (x, y) = (a.skip(2), b.skip(2));
+                if x != y {
+                    return Err(format!("pull {i}: skip {x:?} != {y:?}"));
+                }
+                if x != Ok(2) {
+                    return Ok(());
+                }
+            } else {
+                let want = i < want_detailed;
+                let (x, y) = (a.next_record(want), b.next_record(want));
+                if x != y {
+                    return Err(format!("pull {i}: {x:?} != {y:?}"));
+                }
+                if !matches!(x, Ok(Some(_))) {
+                    return Ok(());
+                }
+            }
+            i += 1;
+        }
+    }
+
+    #[test]
+    fn feed_parse_errors_count_blank_lines_like_the_file() {
+        let bodies = [
+            format!("\n{}\n", lightweight_line(0)),
+            format!("\r\n  \n{}", lightweight_line(1)),
+            "\n{\"id\": 2,\n".to_string(),
+        ];
+        feed_vs_jsonl(&bodies, 8, 0, 0).unwrap();
+        let (mut feed, handle) = FeedSource::new("jsonl:blank", 8);
+        for body in &bodies {
+            handle.push_lines(body).unwrap();
+        }
+        handle.finish();
+        assert!(feed.next_record(false).unwrap().is_some());
+        assert!(feed.next_record(false).unwrap().is_some());
+        match feed.next_record(false) {
+            Err(StreamError::Parse { line: 7, .. }) => {}
+            other => panic!("expected a parse error on line 7, got {other:?}"),
+        }
+    }
+
+    /// Ten JSONL lines with the detailed fields, so any pull may ask for
+    /// the detailed view.
+    fn detailed_lines() -> &'static [String] {
+        static LINES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        LINES.get_or_init(|| {
+            let w = synthetic_workload(10);
+            let mut src = RecordsSource::profile(&w, &Profiler::new(GpuConfig::v100())).unwrap();
+            let mut lines = Vec::new();
+            while let Some(r) = src.next_record(true).unwrap() {
+                lines.push(r.to_jsonl().to_string());
+            }
+            lines
+        })
+    }
+
+    /// Random JSONL text split into random bodies: valid records with and
+    /// without the detailed fields, blank and whitespace-only lines, `\r\n`
+    /// endings, bodies without a trailing newline, empty bodies and,
+    /// sometimes, one malformed line. Returns the bodies and a capacity
+    /// below the largest body's record count whenever one holds two.
+    fn random_bodies(rng: &mut TestRng, detailed: &[String]) -> (Vec<String>, usize) {
+        const MALFORMED: [&str; 4] = [
+            "{\"id\": 3, \"name\": \"k\"",
+            "[1, 2, 3]",
+            "{\"id\": 1, \"name\": \"k\"}",
+            "not json",
+        ];
+        let n_lines = 1 + rng.next_below(60) as usize;
+        let malformed_at =
+            (rng.next_below(3) == 0).then(|| rng.next_below(n_lines as u64) as usize);
+        let mut lines = Vec::with_capacity(n_lines);
+        for i in 0..n_lines {
+            let content = if Some(i) == malformed_at {
+                MALFORMED[rng.next_below(MALFORMED.len() as u64) as usize].to_string()
+            } else {
+                match rng.next_below(10) {
+                    0 | 1 => String::new(),
+                    2 => " \t ".to_string(),
+                    3 => lightweight_line(i as u64),
+                    _ => detailed[rng.next_below(detailed.len() as u64) as usize].clone(),
+                }
+            };
+            let end = if rng.next_below(3) == 0 { "\r\n" } else { "\n" };
+            lines.push(content + end);
+        }
+        let mut bodies = Vec::new();
+        let mut rest = &lines[..];
+        while !rest.is_empty() || rng.next_below(8) == 0 {
+            let take = rng.next_below(rest.len() as u64 + 1) as usize;
+            let mut body: String = rest[..take].concat();
+            rest = &rest[take..];
+            if rng.next_below(3) == 0 {
+                let trimmed = body.trim_end_matches(['\r', '\n']).len();
+                body.truncate(trimmed);
+            }
+            bodies.push(body);
+        }
+        let largest = bodies
+            .iter()
+            .map(|b| b.lines().filter(|l| !l.trim().is_empty()).count())
+            .max()
+            .unwrap_or(0);
+        let capacity = if largest >= 2 {
+            1 + rng.next_below(largest as u64 - 1) as usize
+        } else {
+            1
+        };
+        (bodies, capacity)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// A feed is a [`JsonlSource`] over its bodies: the same records in
+        /// both views, the same skips, and the same parse error at the same
+        /// line number, however the text is split into bodies.
+        #[test]
+        fn feed_equals_jsonl_over_its_bodies(seed in proptest::any::<u64>()) {
+            let mut rng = TestRng::from_seed(seed);
+            let (bodies, capacity) = random_bodies(&mut rng, detailed_lines());
+            let want_detailed = rng.next_below(12) as usize;
+            let skip_every = rng.next_below(6) as usize;
+            if let Err(e) = feed_vs_jsonl(&bodies, capacity, want_detailed, skip_every) {
+                proptest::prop_assert!(false, "{e}\nbodies: {bodies:?} capacity {capacity}");
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! [`KMeans::fit`]: principal_kernel_analysis::ml::KMeans::fit
 //! [`KMeansFit`]: principal_kernel_analysis::ml::KMeansFit
 
-use principal_kernel_analysis::ml::{KMeans, KMeansFit, Matrix};
+use principal_kernel_analysis::ml::{KMeans, KMeansFit, Matrix, MlError};
 use principal_kernel_analysis::stats::hash::UnitStream;
 use principal_kernel_analysis::stats::Executor;
 
@@ -148,6 +148,39 @@ fn parity_on_denormal_extreme_and_non_finite_inputs() {
                 format!("{reference:?}"),
                 "workers={workers}"
             );
+        }
+    }
+}
+
+#[test]
+fn non_finite_input_is_refused_for_two_or_more_clusters() {
+    for (bad, shown) in [
+        (f64::INFINITY, "inf"),
+        (f64::NEG_INFINITY, "-inf"),
+        (f64::NAN, "NaN"),
+    ] {
+        let rows = vec![
+            vec![0.0, 0.0],
+            vec![0.5, 0.1],
+            vec![10.0, bad],
+            vec![10.0, 10.0],
+        ];
+        let data = Matrix::from_rows(&rows).expect("valid");
+        for k in [2, 3, 9] {
+            let bounded = KMeans::new(k).with_executor(Executor::new(2)).fit(&data);
+            let reference = KMeans::new(k).fit_reference(&data);
+            for got in [bounded, reference] {
+                match got {
+                    Err(MlError::InvalidParameter {
+                        name: "data",
+                        message,
+                    }) => assert_eq!(
+                        message,
+                        format!("row 2 column 1 is {shown}; k >= 2 needs finite values"),
+                    ),
+                    other => panic!("k={k} {shown}: expected a refusal, got {other:?}"),
+                }
+            }
         }
     }
 }

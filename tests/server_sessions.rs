@@ -16,8 +16,8 @@ use principal_kernel_analysis::gpu::GpuConfig;
 use principal_kernel_analysis::profile::Profiler;
 use principal_kernel_analysis::server::{PkaServer, Registry, ServerConfig, Status};
 use principal_kernel_analysis::stream::{
-    synthetic_workload, Checkpoint, JsonlSource, KernelSource, StreamConfig, StreamPks,
-    WorkloadSource,
+    synthetic_workload, Checkpoint, JsonlSource, KernelSource, StreamConfig, StreamError,
+    StreamPks, WorkloadSource,
 };
 use principal_kernel_analysis::workloads::all_workloads;
 use serde_json::{json, Value};
@@ -232,6 +232,188 @@ fn http_select_session_matches_direct_batch_run() {
         assert_eq!(status, 200);
         handle.join().expect("server thread");
     });
+}
+
+// ---------------------------------------------------------------------------
+// Batch-granular feed over HTTP
+// ---------------------------------------------------------------------------
+
+/// The feed label the batch tests stamp into their sessions and direct runs.
+const BODIES_LABEL: &str = "jsonl:uneven-bodies";
+
+/// Splits NDJSON `lines` into POST bodies: one 500-line body, then uneven
+/// bodies with blank and whitespace-only lines and some `\r\n` endings, the
+/// last without a trailing newline.
+fn uneven_bodies(lines: &str) -> Vec<String> {
+    let all: Vec<&str> = lines.lines().collect();
+    let mut bodies = vec![all[..500]
+        .iter()
+        .flat_map(|l| [*l, "\n"])
+        .collect::<String>()];
+    let sizes = [37usize, 1, 129, 64, 65, 3, 250];
+    let mut rest = &all[500..];
+    while !rest.is_empty() {
+        let n = sizes[bodies.len() % sizes.len()].min(rest.len());
+        let mut body = String::new();
+        for (j, line) in rest[..n].iter().enumerate() {
+            if j % 17 == 0 {
+                body.push('\n');
+            }
+            if j % 29 == 5 {
+                body.push_str("  \r\n");
+            }
+            body.push_str(line);
+            body.push_str(if (bodies.len() + j) % 3 == 0 {
+                "\r\n"
+            } else {
+                "\n"
+            });
+        }
+        rest = &rest[n..];
+        if rest.is_empty() {
+            body.truncate(body.trim_end().len());
+        }
+        bodies.push(body);
+    }
+    bodies
+}
+
+/// The file a `JsonlSource` reads for the records the bodies carry: their
+/// concatenation, with a newline closing any body that lacks one.
+fn bodies_file(bodies: &[String]) -> String {
+    let mut text = String::new();
+    for body in bodies {
+        text.push_str(body);
+        if !body.ends_with('\n') {
+            text.push('\n');
+        }
+    }
+    text
+}
+
+/// Creates a feed session on a server whose queue holds 64 records, posts
+/// `bodies`, finishes the feed, and returns the terminal `result` reply
+/// plus, for a finished session, its checkpoint and attribution bytes.
+fn feed_session(bodies: &[String]) -> ((u16, Value), Option<(String, String)>) {
+    let server = PkaServer::bind(ServerConfig::default().with_feed_capacity(64)).expect("bind");
+    let addr = server.addr().expect("addr");
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run().expect("run"));
+        let id = create_session(
+            addr,
+            &json!({
+                "mode": "stream",
+                "source": "feed",
+                "source_name": BODIES_LABEL,
+                "prefix": 400,
+                "checkpoint_every": 1_500,
+                "reservoir": 256,
+                "batch": 128,
+            }),
+        );
+        let records = format!("/v1/sessions/{id}/records");
+        for body in bodies {
+            let (status, reply) = request(addr, "POST", &records, body);
+            if status != 200 {
+                // Only a session that already failed refuses a body.
+                assert_eq!(status, 409, "{reply}");
+                break;
+            }
+            let want = body.lines().filter(|l| !l.trim().is_empty()).count();
+            let accepted: Value = serde_json::from_str(&reply).expect("append response");
+            assert_eq!(accepted["accepted"], json!(want), "{reply}");
+        }
+        request(addr, "POST", &format!("/v1/sessions/{id}/finish"), "");
+        let result = loop {
+            let (status, body) = request(addr, "GET", &format!("/v1/sessions/{id}/result"), "");
+            if status != 202 {
+                break (status, serde_json::from_str(&body).expect("result json"));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let artifacts = (result.0 == 200).then(|| {
+            (
+                fetch(addr, &id, "checkpoint"),
+                fetch(addr, &id, "attribution"),
+            )
+        });
+        let (status, _) = request(addr, "POST", "/v1/shutdown", "");
+        assert_eq!(status, 200);
+        handle.join().expect("server thread");
+        (result, artifacts)
+    })
+}
+
+/// Bodies far larger than the feed capacity, blank lines and `\r\n`
+/// endings change nothing: the session's artifacts are byte-identical to a
+/// direct run over the same NDJSON.
+#[test]
+fn batched_feed_matches_direct_run_over_the_same_ndjson() {
+    let bodies = uneven_bodies(&export_lines(3_000, 400));
+    let direct = {
+        let text = bodies_file(&bodies);
+        let mut source = JsonlSource::from_reader(BODIES_LABEL, std::io::Cursor::new(text));
+        StreamPks::new(stream_config())
+            .with_executor(Executor::new(1))
+            .run(&mut source, |_| Ok(()))
+            .expect("direct run")
+    };
+    let ((status, result), artifacts) = feed_session(&bodies);
+    assert_eq!(status, 200, "{result}");
+    assert_eq!(result["selected_k"], json!(direct.report.selected_k as u64));
+    assert_eq!(
+        result["projected_cycles"],
+        json!(direct.report.projected_cycles)
+    );
+    let (checkpoint, attribution) = artifacts.expect("finished session artifacts");
+    let mut want_ckpt = direct.final_checkpoint.to_json();
+    want_ckpt.push('\n');
+    assert_eq!(checkpoint, want_ckpt, "checkpoint bytes");
+    let mut want_attr =
+        serde_json::to_string_pretty(&direct.attribution).expect("attribution json");
+    want_attr.push('\n');
+    assert_eq!(attribution, want_attr, "attribution bytes");
+}
+
+/// A malformed record in the middle of the third body fails the session
+/// with the error, line number included, that a `JsonlSource` over the
+/// same NDJSON reports.
+#[test]
+fn batched_feed_parse_error_names_the_file_line() {
+    let mut bodies = uneven_bodies(&export_lines(3_000, 400));
+    let mut third: Vec<String> = bodies[2]
+        .split_inclusive('\n')
+        .map(str::to_string)
+        .collect();
+    let middle = third.len() / 2;
+    let ending = if third[middle].ends_with("\r\n") {
+        "\r\n"
+    } else {
+        "\n"
+    };
+    third[middle] = format!("{{\"id\": 7, \"name\": \"broken\"{ending}");
+    bodies[2] = third.concat();
+    let lines_before: usize = bodies[..2]
+        .iter()
+        .map(|b| b.split_inclusive('\n').count())
+        .sum();
+    let line = (lines_before + middle + 1) as u64;
+
+    let text = bodies_file(&bodies);
+    let mut source = JsonlSource::from_reader(BODIES_LABEL, std::io::Cursor::new(text));
+    let want = StreamPks::new(stream_config())
+        .with_executor(Executor::new(1))
+        .run(&mut source, |_| Ok(()))
+        .expect_err("the malformed line fails the direct run");
+    assert!(
+        matches!(want, StreamError::Parse { line: l, .. } if l == line),
+        "{want}"
+    );
+
+    let ((status, result), _) = feed_session(&bodies);
+    assert_eq!(status, 409, "{result}");
+    assert_eq!(result["status"], json!("failed"));
+    assert_eq!(result["error"], json!(want.to_string()));
 }
 
 // ---------------------------------------------------------------------------

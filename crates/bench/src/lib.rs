@@ -2,9 +2,9 @@
 //! paper (see DESIGN.md §4 for the experiment index).
 //!
 //! * [`ExperimentRunner`] — memoised execution of the building blocks
-//!   (silicon runs, selections, full simulations, sampled simulations,
-//!   baselines) across GPU configurations, so that the full table battery
-//!   runs each expensive simulation exactly once.
+//!   (silicon runs, selections, and `pka-core` simulation reports with or
+//!   without the full-simulation baseline) across GPU configurations, so
+//!   that the full table battery runs each expensive simulation once.
 //! * [`tables`] — the per-figure/table report generators, each returning a
 //!   serialisable record set and a formatted text table.
 //!
@@ -22,4 +22,4 @@
 mod runner;
 pub mod tables;
 
-pub use runner::{ExperimentRunner, RunnerOptions, SampledOutcome};
+pub use runner::{ExperimentRunner, RunnerOptions};

@@ -1,11 +1,13 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use pka_core::{Pka, PkaConfig, PkaError, PkpMonitor, ProjectedKernel, Selection};
-use pka_gpu::{GpuConfig, KernelId};
-use pka_profile::{AppSiliconRun, Profiler};
-use pka_sim::Simulator;
+use pka_core::{Pka, PkaConfig, PkaError, Selection, SimulationReport};
+use pka_gpu::GpuConfig;
+use pka_profile::AppSiliconRun;
 use pka_workloads::Workload;
+
+/// A cache mutex is poisoned only if a report generator panicked.
+const POISONED: &str = "a report generator panicked while holding a runner cache";
 
 /// Knobs for the experiment battery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,48 +39,20 @@ impl RunnerOptions {
     }
 }
 
-/// A sampled-simulation outcome for one `(workload, gpu)` pair, produced
-/// with the Volta-made selection (the paper's cross-generation protocol).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampledOutcome {
-    /// PKS-only projected application cycles (reps simulated fully).
-    pub pks_projected_cycles: u64,
-    /// Simulator cycles spent by PKS-only.
-    pub pks_simulated_cycles: u64,
-    /// Full-PKA projected application cycles (reps stopped at stability).
-    pub pka_projected_cycles: u64,
-    /// Simulator cycles spent by PKA.
-    pub pka_simulated_cycles: u64,
-    /// PKA-projected DRAM utilisation, percent (group-weighted).
-    pub pka_dram_util_pct: f64,
-    /// Projected total warp instructions (for IPC-error reporting).
-    pub projected_instructions: u64,
-}
-
-/// One full-simulation outcome.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FullSimOutcome {
-    /// Total simulated cycles.
-    pub cycles: u64,
-    /// Total warp instructions.
-    pub instructions: u64,
-    /// Cycle-weighted DRAM utilisation, percent.
-    pub dram_util_pct: f64,
-}
-
 /// Memoised executor of the experiment building blocks.
 ///
-/// All caches key on `(gpu name, workload name)`; selections are always
-/// made on Volta and transferred, matching Section 5.2.2. The caches sit
-/// behind mutexes so the runner is `Sync` and report generation can share
-/// one runner across worker threads.
+/// The silicon and simulation caches key on `(gpu name, workload name)`;
+/// selections are always made on Volta and transferred, matching Section
+/// 5.2.2. Every simulation number comes from [`Pka::simulate_selection`],
+/// the evaluator `pka simulate` uses. The caches sit behind mutexes so the
+/// runner is `Sync` and report generation can share one runner across
+/// worker threads.
 pub struct ExperimentRunner {
     options: RunnerOptions,
     volta: Pka,
     silicon_cache: Mutex<HashMap<(String, String), AppSiliconRun>>,
     selection_cache: Mutex<HashMap<String, Selection>>,
-    fullsim_cache: Mutex<HashMap<(String, String), Option<FullSimOutcome>>>,
-    sampled_cache: Mutex<HashMap<(String, String), SampledOutcome>>,
+    simulation_cache: Mutex<HashMap<(String, String), SimulationReport>>,
 }
 
 impl ExperimentRunner {
@@ -89,8 +63,7 @@ impl ExperimentRunner {
             volta: Pka::new(GpuConfig::v100(), options.pka),
             silicon_cache: Mutex::new(HashMap::new()),
             selection_cache: Mutex::new(HashMap::new()),
-            fullsim_cache: Mutex::new(HashMap::new()),
-            sampled_cache: Mutex::new(HashMap::new()),
+            simulation_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -122,15 +95,13 @@ impl ExperimentRunner {
     /// Propagates silicon-model failures.
     pub fn silicon(&self, workload: &Workload, gpu: &GpuConfig) -> Result<AppSiliconRun, PkaError> {
         let key = (gpu.name().to_string(), workload.name().to_string());
-        if let Some(run) = self.silicon_cache.lock().unwrap().get(&key) {
+        if let Some(run) = self.silicon_cache.lock().expect(POISONED).get(&key) {
             cache_obs(true);
             return Ok(*run);
         }
         cache_obs(false);
-        let run = Profiler::new(gpu.clone())
-            .with_executor(self.options.pka.executor())
-            .silicon_run(workload)?;
-        self.silicon_cache.lock().unwrap().insert(key, run);
+        let run = self.pipeline(gpu).profiler().silicon_run(workload)?;
+        self.silicon_cache.lock().expect(POISONED).insert(key, run);
         Ok(run)
     }
 
@@ -140,7 +111,12 @@ impl ExperimentRunner {
     ///
     /// Propagates profiling and clustering failures.
     pub fn selection(&self, workload: &Workload) -> Result<Selection, PkaError> {
-        if let Some(sel) = self.selection_cache.lock().unwrap().get(workload.name()) {
+        if let Some(sel) = self
+            .selection_cache
+            .lock()
+            .expect(POISONED)
+            .get(workload.name())
+        {
             cache_obs(true);
             return Ok(sel.clone());
         }
@@ -148,123 +124,49 @@ impl ExperimentRunner {
         let sel = self.volta.select_kernels(workload)?;
         self.selection_cache
             .lock()
-            .unwrap()
+            .expect(POISONED)
             .insert(workload.name().to_string(), sel.clone());
         Ok(sel)
     }
 
-    /// Full cycle-level simulation on `gpu`, if within budget; cached.
+    /// The sampled simulation (PKS and PKA) of `workload` on `gpu` with the
+    /// Volta selection, plus the full-simulation baseline iff `baseline` is
+    /// set and [`fullsim_tractable`](Self::fullsim_tractable) holds; cached.
+    /// A cached report with a baseline also answers a request without one.
     ///
     /// # Errors
     ///
-    /// Propagates simulator failures.
-    pub fn fullsim(
+    /// Propagates selection, silicon-model and simulator failures.
+    pub fn simulation(
         &self,
         workload: &Workload,
         gpu: &GpuConfig,
-    ) -> Result<Option<FullSimOutcome>, PkaError> {
+        baseline: bool,
+    ) -> Result<SimulationReport, PkaError> {
         let key = (gpu.name().to_string(), workload.name().to_string());
-        if let Some(out) = self.fullsim_cache.lock().unwrap().get(&key) {
-            cache_obs(true);
-            return Ok(*out);
-        }
-        cache_obs(false);
-        let out = if self.fullsim_tractable(workload) {
-            let sim = Simulator::new(gpu.clone(), self.options.pka.sim_options());
-            let ids: Vec<u64> = (0..workload.kernel_count()).collect();
-            let runs = self.options.pka.executor().try_map(&ids, |_, &id| {
-                let kernel = workload.kernel(KernelId::new(id));
-                let r = sim.run_kernel(&kernel)?;
-                Ok::<_, PkaError>((r.cycles, r.instructions, r.dram_util_pct))
-            })?;
-            // Fold in launch-stream order so the weighted DRAM float is
-            // bitwise identical to a sequential run.
-            let mut cycles = 0u64;
-            let mut instructions = 0u64;
-            let mut dram_weighted = 0.0f64;
-            for (c, i, dram) in runs {
-                cycles += c;
-                instructions += i;
-                dram_weighted += dram * c as f64;
+        let baseline = baseline && self.fullsim_tractable(workload);
+        if let Some(report) = self.simulation_cache.lock().expect(POISONED).get(&key) {
+            if !baseline || report.fullsim_cycles.is_some() {
+                cache_obs(true);
+                return Ok(report.clone());
             }
-            Some(FullSimOutcome {
-                cycles,
-                instructions,
-                dram_util_pct: dram_weighted / cycles.max(1) as f64,
-            })
-        } else {
-            None
-        };
-        self.fullsim_cache.lock().unwrap().insert(key, out);
-        Ok(out)
-    }
-
-    /// Sampled simulation (PKS and PKA) of `workload` on `gpu` using the
-    /// Volta selection; cached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection and simulator failures.
-    pub fn sampled(
-        &self,
-        workload: &Workload,
-        gpu: &GpuConfig,
-    ) -> Result<SampledOutcome, PkaError> {
-        let key = (gpu.name().to_string(), workload.name().to_string());
-        if let Some(out) = self.sampled_cache.lock().unwrap().get(&key) {
-            cache_obs(true);
-            return Ok(out.clone());
         }
         cache_obs(false);
         let selection = self.selection(workload)?;
-        let sim = Simulator::new(gpu.clone(), self.options.pka.sim_options());
+        let silicon = self.silicon(workload, gpu)?;
+        let report = self
+            .pipeline(gpu)
+            .simulate_selection(workload, &selection, &silicon, baseline)?;
+        self.simulation_cache
+            .lock()
+            .expect(POISONED)
+            .insert(key, report.clone());
+        Ok(report)
+    }
 
-        // One work item per representative: one engine pass under a fresh
-        // PKP monitor gives both the full run and the result at the stop;
-        // weighted reductions fold in representative order below.
-        let reps: Vec<_> = selection.representative_ids();
-        let rep_runs = self.options.pka.executor().try_map(&reps, |_, &id| {
-            let mut monitor = PkpMonitor::new(
-                self.options.pka.pkp(),
-                self.options.pka.sim_options().sample_interval(),
-            );
-            let (full, stopped) = sim.run_kernel_with_stop(&workload.kernel(id), &mut monitor)?;
-            let projected = ProjectedKernel::from_monitored(&stopped, &monitor);
-            Ok::<_, PkaError>((full.cycles, full.instructions_total, projected))
-        })?;
-
-        let mut pks_rep = Vec::with_capacity(selection.k());
-        let mut pka_rep = Vec::with_capacity(selection.k());
-        let mut rep_instructions = Vec::with_capacity(selection.k());
-        let mut pks_spent = 0u64;
-        let mut pka_spent = 0u64;
-        let mut dram_weighted = 0.0f64;
-        let mut dram_weight = 0.0f64;
-        for (full_cycles, full_instructions, projected) in rep_runs {
-            pks_rep.push(full_cycles);
-            pks_spent += full_cycles;
-            rep_instructions.push(full_instructions);
-            pka_rep.push(projected.cycles);
-            pka_spent += projected.simulated_cycles;
-            dram_weighted += projected.dram_util_pct * projected.cycles as f64;
-            dram_weight += projected.cycles as f64;
-        }
-        let projected_instructions: u64 = selection
-            .groups()
-            .iter()
-            .zip(&rep_instructions)
-            .map(|(g, &i)| g.count() * i)
-            .sum();
-        let out = SampledOutcome {
-            pks_projected_cycles: selection.project_with(&pks_rep),
-            pks_simulated_cycles: pks_spent,
-            pka_projected_cycles: selection.project_with(&pka_rep),
-            pka_simulated_cycles: pka_spent,
-            pka_dram_util_pct: dram_weighted / dram_weight.max(1e-12),
-            projected_instructions,
-        };
-        self.sampled_cache.lock().unwrap().insert(key, out.clone());
-        Ok(out)
+    /// The PKA pipeline bound to `gpu` with the runner's configuration.
+    pub fn pipeline(&self, gpu: &GpuConfig) -> Pka {
+        Pka::new(gpu.clone(), self.options.pka)
     }
 
     /// The Volta pipeline (for direct access to its profiler and config).
@@ -273,7 +175,7 @@ impl ExperimentRunner {
     }
 }
 
-/// Tallies a cache lookup across the runner's four result caches.
+/// Tallies a cache lookup across the runner's three result caches.
 fn cache_obs(hit: bool) {
     if pka_obs::enabled() {
         if hit {
@@ -312,22 +214,31 @@ mod tests {
     }
 
     #[test]
-    fn fullsim_respects_budget() {
+    fn baseline_respects_budget() {
         let runner = ExperimentRunner::new(RunnerOptions {
             fullsim_max_instructions: 1,
             ..RunnerOptions::default()
         });
-        let out = runner.fullsim(&bfs(), &GpuConfig::v100()).unwrap();
-        assert!(out.is_none());
+        let report = runner.simulation(&bfs(), &GpuConfig::v100(), true).unwrap();
+        assert!(report.fullsim_cycles.is_none());
     }
 
     #[test]
-    fn sampled_outcome_is_consistent() {
+    fn a_baseline_report_answers_a_sampled_request() {
         let runner = ExperimentRunner::new(RunnerOptions::quick());
         let w = bfs();
-        let out = runner.sampled(&w, &GpuConfig::v100()).unwrap();
-        assert!(out.pka_simulated_cycles <= out.pks_simulated_cycles);
-        assert!(out.pks_projected_cycles > 0);
-        assert!(out.projected_instructions > 0);
+        let gpu = GpuConfig::v100();
+        let sampled = runner.simulation(&w, &gpu, false).unwrap();
+        assert!(sampled.fullsim_cycles.is_none());
+        assert!(sampled.pka_simulated_cycles <= sampled.pks_simulated_cycles);
+
+        // A baseline request replaces the sampled-only entry; its sampled
+        // numbers are the same, and it then answers both kinds of request.
+        let full = runner.simulation(&w, &gpu, true).unwrap();
+        assert!(full.fullsim_cycles.is_some());
+        assert_eq!(full.pks_projected_cycles, sampled.pks_projected_cycles);
+        assert_eq!(full.pka_projected_cycles, sampled.pka_projected_cycles);
+        assert_eq!(runner.simulation(&w, &gpu, false).unwrap(), full);
+        assert_eq!(runner.simulation_cache.lock().unwrap().len(), 1);
     }
 }

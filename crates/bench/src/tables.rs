@@ -7,7 +7,9 @@
 use pka_baselines::{FirstN, SingleIteration, TbPoint, TbPointConfig};
 use pka_core::{PkaError, PkpConfig, PkpMonitor};
 use pka_gpu::{GpuConfig, KernelId};
-use pka_sim::cost::{format_duration, projected_sim_seconds, SECONDS_PER_HOUR};
+use pka_sim::cost::{
+    format_duration, projected_sim_hours, projected_sim_seconds, SECONDS_PER_HOUR,
+};
 use pka_sim::{SimOptions, Simulator};
 use pka_stats::error::{abs_pct_error, mean_abs_error};
 use pka_stats::summary::{geomean, mean};
@@ -289,12 +291,16 @@ pub fn fig6(runner: &ExperimentRunner) -> Result<Report, PkaError> {
     let gpu = GpuConfig::v100();
     let mut rows = Vec::new();
     for w in all_workloads() {
-        let silicon = runner.silicon(&w, &gpu)?;
-        let sampled = runner.sampled(&w, &gpu)?;
-        let full_h = projected_sim_seconds(silicon.total_cycles) / SECONDS_PER_HOUR;
-        let pks_h = projected_sim_seconds(sampled.pks_simulated_cycles) / SECONDS_PER_HOUR;
-        let pka_h = projected_sim_seconds(sampled.pka_simulated_cycles) / SECONDS_PER_HOUR;
-        rows.push((w.name().to_string(), full_h, pks_h, pka_h));
+        // Full simulation is projected from silicon cycles for every
+        // workload, even one whose cached report carries a baseline.
+        let report = runner.simulation(&w, &gpu, false)?;
+        let full_h = projected_sim_hours(report.silicon_cycles);
+        rows.push((
+            w.name().to_string(),
+            full_h,
+            report.pks_hours,
+            report.pka_hours,
+        ));
     }
     rows.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
     let mut text = String::from(
@@ -359,11 +365,11 @@ pub fn fig7_fig8(runner: &ExperimentRunner) -> Result<Report, PkaError> {
 
     let mut rows = Vec::new();
     for w in comparison_set(runner) {
-        let silicon = runner.silicon(&w, &gpu)?;
-        let Some(full) = runner.fullsim(&w, &gpu)? else {
+        let report = runner.simulation(&w, &gpu, true)?;
+        let Some(full) = report.fullsim_cycles else {
             continue;
         };
-        let sampled = runner.sampled(&w, &gpu)?;
+        let silicon = report.silicon_cycles;
         let tb = tbpoint.evaluate(&w)?;
         let fnr = firstn.evaluate(&w)?;
 
@@ -371,19 +377,19 @@ pub fn fig7_fig8(runner: &ExperimentRunner) -> Result<Report, PkaError> {
             "workload": w.name(),
             "fullsim": {
                 "speedup": 1.0,
-                "ipc_error_pct": ipc_error_pct(full.cycles, silicon.total_cycles),
+                "ipc_error_pct": ipc_error_pct(full, silicon),
             },
             "pka": {
-                "speedup": full.cycles as f64 / sampled.pka_simulated_cycles.max(1) as f64,
-                "ipc_error_pct": ipc_error_pct(sampled.pka_projected_cycles, silicon.total_cycles),
+                "speedup": report.pka_speedup(),
+                "ipc_error_pct": ipc_error_pct(report.pka_projected_cycles, silicon),
             },
             "tbpoint": {
-                "speedup": full.cycles as f64 / tb.simulated_cycles.max(1) as f64,
-                "ipc_error_pct": ipc_error_pct(tb.projected_cycles, silicon.total_cycles),
+                "speedup": full as f64 / tb.simulated_cycles.max(1) as f64,
+                "ipc_error_pct": ipc_error_pct(tb.projected_cycles, silicon),
             },
             "first_n": {
-                "speedup": full.cycles as f64 / fnr.simulated_cycles.max(1) as f64,
-                "ipc_error_pct": ipc_error_pct(fnr.projected_cycles, silicon.total_cycles),
+                "speedup": full as f64 / fnr.simulated_cycles.max(1) as f64,
+                "ipc_error_pct": ipc_error_pct(fnr.projected_cycles, silicon),
             },
         }));
     }
@@ -430,6 +436,58 @@ pub fn fig7_fig8(runner: &ExperimentRunner) -> Result<Report, PkaError> {
 // Table 4
 // ---------------------------------------------------------------------------
 
+/// One record of Table 4: the silicon PKS columns per GPU generation (the
+/// V100 alone for MLPerf) and the simulation columns on the Volta model,
+/// each read from a `pka-core` report. `myocyte` yields the paper's
+/// exclusion marker.
+///
+/// # Errors
+///
+/// Propagates pipeline failures.
+pub fn table4_row(runner: &ExperimentRunner, w: &Workload) -> Result<Value, PkaError> {
+    // The paper excludes myocyte (kernel-count mismatch across runs).
+    if w.name() == "myocyte" {
+        return Ok(json!({"workload": w.name(), "suite": w.suite().to_string(),
+                         "excluded": true}));
+    }
+    let volta = GpuConfig::v100();
+    let gens = if w.suite() == Suite::MlPerf {
+        vec![volta.clone()]
+    } else {
+        vec![volta.clone(), GpuConfig::rtx2060(), GpuConfig::rtx3070()]
+    };
+    let selection = runner.selection(w)?;
+    let mut silicon_cols = serde_json::Map::new();
+    for gpu in &gens {
+        let silicon = runner.silicon(w, gpu)?;
+        let report = runner
+            .pipeline(gpu)
+            .silicon_report_for(w, &selection, &silicon)?;
+        silicon_cols.insert(
+            gpu.name().to_string(),
+            json!({"error_pct": report.error_pct, "speedup": report.speedup}),
+        );
+    }
+
+    let report = runner.simulation(w, &volta, true)?;
+    Ok(json!({
+        "workload": w.name(),
+        "suite": w.suite().to_string(),
+        "kernels": w.kernel_count(),
+        "k": selection.k(),
+        "silicon": silicon_cols,
+        "sim_error_pct": report.sim_error_pct,
+        "pks_error_pct": report.pks_error_pct,
+        "pks_hours": report.pks_hours,
+        "pka_error_pct": report.pka_error_pct,
+        "pka_hours": report.pka_hours,
+        "pks_speedup": report.pks_speedup(),
+        "pka_speedup": report.pka_speedup(),
+        "dram_full_pct": report.fullsim_dram_util_pct,
+        "dram_pka_pct": report.pka_dram_util_pct,
+    }))
+}
+
 /// Table 4: the full per-application evaluation — silicon PKS across three
 /// generations, simulation error/speedup for PKS and PKA, and DRAM
 /// utilisation projection.
@@ -438,75 +496,10 @@ pub fn fig7_fig8(runner: &ExperimentRunner) -> Result<Report, PkaError> {
 ///
 /// Propagates pipeline failures.
 pub fn table4(runner: &ExperimentRunner) -> Result<Report, PkaError> {
-    let volta = GpuConfig::v100();
-    let turing = GpuConfig::rtx2060();
-    let ampere = GpuConfig::rtx3070();
-
-    let mut rows = Vec::new();
-    for w in all_workloads() {
-        // The paper excludes myocyte (kernel-count mismatch across runs).
-        if w.name() == "myocyte" {
-            rows.push(json!({"workload": w.name(), "suite": w.suite().to_string(),
-                              "excluded": true}));
-            continue;
-        }
-        let selection = runner.selection(&w)?;
-        let is_mlperf = w.suite() == Suite::MlPerf;
-
-        // Silicon PKS columns per generation (MLPerf fits only the V100).
-        let mut silicon_cols = serde_json::Map::new();
-        let gens: &[&GpuConfig] = if is_mlperf {
-            &[&volta]
-        } else {
-            &[&volta, &turing, &ampere]
-        };
-        for gpu in gens {
-            let silicon = runner.silicon(&w, gpu)?;
-            let profiler = pka_profile::Profiler::new((*gpu).clone());
-            let mut projected = Vec::with_capacity(selection.k());
-            let mut rep_seconds = 0.0;
-            for id in selection.representative_ids() {
-                let rec = profiler.detailed(&w, id.index()..id.index() + 1)?;
-                projected.push(rec[0].cycles);
-                rep_seconds += rec[0].seconds;
-            }
-            let proj = selection.project_with(&projected);
-            silicon_cols.insert(
-                gpu.name().to_string(),
-                json!({
-                    "error_pct": abs_pct_error(proj as f64, silicon.total_cycles as f64),
-                    "speedup": silicon.total_seconds / rep_seconds.max(1e-12),
-                }),
-            );
-        }
-
-        // Simulation columns (Volta model).
-        let silicon = runner.silicon(&w, &volta)?;
-        let full = runner.fullsim(&w, &volta)?;
-        let sampled = runner.sampled(&w, &volta)?;
-        let pks_hours = projected_sim_seconds(sampled.pks_simulated_cycles) / SECONDS_PER_HOUR;
-        let pka_hours = projected_sim_seconds(sampled.pka_simulated_cycles) / SECONDS_PER_HOUR;
-        rows.push(json!({
-            "workload": w.name(),
-            "suite": w.suite().to_string(),
-            "kernels": w.kernel_count(),
-            "k": selection.k(),
-            "silicon": silicon_cols,
-            "sim_error_pct": full.map(|f| abs_pct_error(f.cycles as f64, silicon.total_cycles as f64)),
-            "pks_error_pct": abs_pct_error(sampled.pks_projected_cycles as f64, silicon.total_cycles as f64),
-            "pks_hours": pks_hours,
-            "pka_error_pct": abs_pct_error(sampled.pka_projected_cycles as f64, silicon.total_cycles as f64),
-            "pka_hours": pka_hours,
-            "pks_speedup": full.map_or(
-                silicon.total_cycles as f64 / sampled.pks_simulated_cycles.max(1) as f64,
-                |f| f.cycles as f64 / sampled.pks_simulated_cycles.max(1) as f64),
-            "pka_speedup": full.map_or(
-                silicon.total_cycles as f64 / sampled.pka_simulated_cycles.max(1) as f64,
-                |f| f.cycles as f64 / sampled.pka_simulated_cycles.max(1) as f64),
-            "dram_full_pct": full.map(|f| f.dram_util_pct),
-            "dram_pka_pct": sampled.pka_dram_util_pct,
-        }));
-    }
+    let rows = all_workloads()
+        .iter()
+        .map(|w| table4_row(runner, w))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Format.
     let mut text = String::from(
@@ -618,21 +611,19 @@ pub fn fig9(runner: &ExperimentRunner) -> Result<Report, PkaError> {
 
     let mut rows = Vec::new();
     for w in comparison_set(runner) {
-        let (Some(full_v), Some(full_t)) =
-            (runner.fullsim(&w, &v100)?, runner.fullsim(&w, &t2060)?)
-        else {
+        let sa_v = runner.simulation(&w, &v100, true)?;
+        let sa_t = runner.simulation(&w, &t2060, true)?;
+        let (Some(full_v), Some(full_t)) = (sa_v.fullsim_cycles, sa_t.fullsim_cycles) else {
             continue;
         };
         let si_v = runner.silicon(&w, &v100)?;
         let si_t = runner.silicon(&w, &t2060)?;
-        let sa_v = runner.sampled(&w, &v100)?;
-        let sa_t = runner.sampled(&w, &t2060)?;
         let fn_v = firstn_v.evaluate(&w)?;
         let fn_t = firstn_t.evaluate(&w)?;
         rows.push(json!({
             "workload": w.name(),
             "silicon": si_t.total_seconds / si_v.total_seconds,
-            "fullsim": seconds(full_t.cycles, &t2060) / seconds(full_v.cycles, &v100),
+            "fullsim": seconds(full_t, &t2060) / seconds(full_v, &v100),
             "first_n": seconds(fn_t.projected_cycles, &t2060) / seconds(fn_v.projected_cycles, &v100),
             "pka": seconds(sa_t.pka_projected_cycles, &t2060) / seconds(sa_v.pka_projected_cycles, &v100),
         }));
@@ -674,22 +665,17 @@ pub fn fig10(runner: &ExperimentRunner) -> Result<Report, PkaError> {
 
     let mut rows = Vec::new();
     for w in comparison_set(runner) {
-        let (Some(fs_full), Some(fs_half)) = (
-            runner.fullsim(&w, &full_gpu)?,
-            runner.fullsim(&w, &half_gpu)?,
-        ) else {
+        let sa_f = runner.simulation(&w, &full_gpu, true)?;
+        let sa_h = runner.simulation(&w, &half_gpu, true)?;
+        let (Some(fs_full), Some(fs_half)) = (sa_f.fullsim_cycles, sa_h.fullsim_cycles) else {
             continue;
         };
-        let si_f = runner.silicon(&w, &full_gpu)?;
-        let si_h = runner.silicon(&w, &half_gpu)?;
-        let sa_f = runner.sampled(&w, &full_gpu)?;
-        let sa_h = runner.sampled(&w, &half_gpu)?;
         let fn_f = firstn_full.evaluate(&w)?;
         let fn_h = firstn_half.evaluate(&w)?;
         rows.push(json!({
             "workload": w.name(),
-            "silicon": si_h.total_cycles as f64 / si_f.total_cycles as f64,
-            "fullsim": fs_half.cycles as f64 / fs_full.cycles as f64,
+            "silicon": sa_h.silicon_cycles as f64 / sa_f.silicon_cycles as f64,
+            "fullsim": fs_half as f64 / fs_full as f64,
             "first_n": fn_h.projected_cycles as f64 / fn_f.projected_cycles.max(1) as f64,
             "pka": sa_h.pka_projected_cycles as f64 / sa_f.pka_projected_cycles.max(1) as f64,
         }));
@@ -697,11 +683,9 @@ pub fn fig10(runner: &ExperimentRunner) -> Result<Report, PkaError> {
     // MLPerf: PKA-only speedup error versus silicon (paper: < 10%).
     let mut mlperf_rows = Vec::new();
     for w in all_workloads().into_iter().filter(|w| w.suite() == Suite::MlPerf) {
-        let si_f = runner.silicon(&w, &full_gpu)?;
-        let si_h = runner.silicon(&w, &half_gpu)?;
-        let sa_f = runner.sampled(&w, &full_gpu)?;
-        let sa_h = runner.sampled(&w, &half_gpu)?;
-        let silicon = si_h.total_cycles as f64 / si_f.total_cycles as f64;
+        let sa_f = runner.simulation(&w, &full_gpu, true)?;
+        let sa_h = runner.simulation(&w, &half_gpu, true)?;
+        let silicon = sa_h.silicon_cycles as f64 / sa_f.silicon_cycles as f64;
         let pka = sa_h.pka_projected_cycles as f64 / sa_f.pka_projected_cycles.max(1) as f64;
         mlperf_rows.push(json!({"workload": w.name(), "silicon": silicon, "pka": pka,
                                  "speedup_error_pct": ((pka - silicon) / silicon * 100.0).abs()}));
@@ -760,8 +744,7 @@ pub fn single_iteration_study(runner: &ExperimentRunner) -> Result<Report, PkaEr
         .into_iter()
         .find(|w| w.name() == "mlperf_resnet50_64b_infer")
         .expect("resnet exists");
-    let silicon = runner.silicon(&w, &gpu)?;
-    let sampled = runner.sampled(&w, &gpu)?;
+    let sampled = runner.simulation(&w, &gpu, true)?;
     let single = SingleIteration::new(gpu, runner.options().pka.sim_options()).evaluate(&w)?;
 
     let pks_ratio = single.simulated_cycles as f64 / sampled.pks_simulated_cycles.max(1) as f64;
@@ -775,9 +758,9 @@ pub fn single_iteration_study(runner: &ExperimentRunner) -> Result<Report, PkaEr
         w.name(),
         single.error_pct,
         single.simulated_cycles,
-        abs_pct_error(sampled.pks_projected_cycles as f64, silicon.total_cycles as f64),
+        sampled.pks_error_pct,
         sampled.pks_simulated_cycles,
-        abs_pct_error(sampled.pka_projected_cycles as f64, silicon.total_cycles as f64),
+        sampled.pka_error_pct,
         sampled.pka_simulated_cycles,
     );
     let data = json!({

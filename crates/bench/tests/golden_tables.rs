@@ -8,14 +8,14 @@
 //! observed error is exactly zero.
 
 use pka_bench::{tables, ExperimentRunner, RunnerOptions};
-use pka_gpu::GpuConfig;
-use pka_profile::Profiler;
-use pka_stats::error::abs_pct_error;
 use pka_workloads::all_workloads;
 use serde_json::Value;
 
 /// Relative tolerance for golden numeric comparisons.
 const REL_TOL: f64 = 1e-9;
+
+/// The Table 4 rows the workspace suite regenerates.
+const SAMPLE: [&str; 4] = ["gauss_208", "bfs65536", "cutcp", "fdtd2d"];
 
 fn golden(name: &str) -> Value {
     let path = format!(
@@ -68,53 +68,24 @@ fn table3_matches_golden() {
 }
 
 #[test]
-fn table4_silicon_columns_match_golden() {
-    // The silicon PKS columns (error + speedup on three GPU generations)
-    // for a cross-suite sample of Table 4 rows, recomputed exactly the way
-    // `tables::table4` computes them. The sampled-simulation columns are
-    // covered by the `#[ignore]`d full regeneration below — in debug mode
-    // they would dominate the suite's runtime.
+fn table4_sample_rows_match_golden() {
+    // Whole Table 4 records — silicon columns on three generations and the
+    // simulation columns on the Volta model — for a sample cheap enough for
+    // a debug build. `gauss_208` and `bfs65536` run the full-simulation
+    // baseline, so the baseline, PKS and PKA columns are all pinned here;
+    // the `#[ignore]`d regeneration below covers every row.
     let rows = golden("table4");
     let rows = rows.as_array().expect("table4 is a record array");
     let runner = ExperimentRunner::new(RunnerOptions::default());
-    let gpus = [GpuConfig::v100(), GpuConfig::rtx2060(), GpuConfig::rtx3070()];
-    let sample = ["gauss_208", "bfs65536", "histo", "cutcp", "fdtd2d", "srad_v1"];
-
     let all = all_workloads();
-    for name in sample {
-        let row = rows
+    for name in SAMPLE {
+        let expected = rows
             .iter()
             .find(|r| r["workload"].as_str() == Some(name))
             .unwrap_or_else(|| panic!("{name} missing from golden table4"));
         let w = all.iter().find(|w| w.name() == name).expect("known workload");
-        let selection = runner.selection(w).expect("selects");
-        assert_eq!(
-            selection.k() as u64,
-            row["k"].as_u64().expect("k recorded"),
-            "{name}: group count drifted from golden"
-        );
-        for gpu in &gpus {
-            let silicon = runner.silicon(w, gpu).expect("silicon runs");
-            let profiler = Profiler::new(gpu.clone());
-            let mut projected = Vec::with_capacity(selection.k());
-            let mut rep_seconds = 0.0;
-            for id in selection.representative_ids() {
-                let rec = profiler
-                    .detailed(w, id.index()..id.index() + 1)
-                    .expect("rep profiles");
-                projected.push(rec[0].cycles);
-                rep_seconds += rec[0].seconds;
-            }
-            let proj = selection.project_with(&projected);
-            let expected = &row["silicon"][gpu.name()];
-            let error_pct = abs_pct_error(proj as f64, silicon.total_cycles as f64);
-            let speedup = silicon.total_seconds / rep_seconds.max(1e-12);
-            assert_json_close(
-                &serde_json::json!({"error_pct": error_pct, "speedup": speedup}),
-                expected,
-                &format!("table4.{name}.silicon.{}", gpu.name()),
-            );
-        }
+        let row = tables::table4_row(&runner, w).expect("row generates");
+        assert_json_close(&row, expected, &format!("table4.{name}"));
     }
 }
 

@@ -94,7 +94,9 @@ fn sampled_simulation_is_bitwise_identical_with_tracing_enabled() {
     let w = workload("bfs65536");
     let sampled = || {
         let runner = ExperimentRunner::new(RunnerOptions::quick());
-        let out = runner.sampled(&w, &GpuConfig::v100()).expect("sampled run");
+        let out = runner
+            .simulation(&w, &GpuConfig::v100(), false)
+            .expect("sampled run");
         format!("{out:?}")
     };
 

@@ -1,5 +1,5 @@
 use pka_gpu::GpuConfig;
-use pka_profile::Profiler;
+use pka_profile::{AppSiliconRun, Profiler};
 use pka_sim::{cost, SimOptions, Simulator};
 use pka_stats::error::abs_pct_error;
 use pka_stats::Executor;
@@ -272,23 +272,29 @@ impl Pka {
     /// Propagates profiling and clustering failures.
     pub fn silicon_pks_report(&self, workload: &Workload) -> Result<SiliconPksReport, PkaError> {
         let selection = self.select_kernels(workload)?;
-        self.silicon_report_for(workload, &selection)
+        let silicon = self.profiler.silicon_run(workload)?;
+        self.silicon_report_for(workload, &selection, &silicon)
     }
 
     /// Re-evaluates an existing selection (typically made on Volta) against
     /// this pipeline's silicon — the cross-generation transfer experiment
-    /// of Section 5.2.2.
+    /// of Section 5.2.2. `silicon` is the whole-application run of
+    /// `workload` on this pipeline's GPU
+    /// ([`Profiler::silicon_run`](pka_profile::Profiler::silicon_run)).
     ///
     /// # Errors
     ///
-    /// Propagates silicon-model failures.
+    /// [`PkaError::InvalidInput`] if the representatives are not distinct
+    /// kernels of `workload` (a hand-edited or foreign selection file);
+    /// otherwise propagates silicon-model failures.
     pub fn silicon_report_for(
         &self,
         workload: &Workload,
         selection: &Selection,
+        silicon: &AppSiliconRun,
     ) -> Result<SiliconPksReport, PkaError> {
         let _span = pka_obs::span("pka.silicon_report");
-        let silicon = self.profiler.silicon_run(workload)?;
+        check_representatives(workload, selection)?;
         // Run only the representatives on this GPU, one per work item; fold
         // the float seconds in representative order for bitwise stability.
         let reps: Vec<_> = selection.representative_ids();
@@ -398,8 +404,58 @@ impl Pka {
         let _span = pka_obs::span("pka.evaluate");
         let selection = self.select_kernels(workload)?;
         let silicon = self.profiler.silicon_run(workload)?;
-        let simulator = Simulator::new(self.gpu.clone(), self.config.sim);
+        let (report, rep_samples) =
+            self.simulate_reps(workload, &selection, &silicon, run_full_sim)?;
+        let attribution = if with_attribution {
+            let (records, pks_config) = self.attribution_inputs(workload)?;
+            let provenance = Pks::new(pks_config).provenance(&records, &selection)?;
+            Some(simulation_attribution(
+                workload.name(),
+                &selection,
+                &provenance,
+                silicon.total_cycles,
+                &rep_samples,
+            ))
+        } else {
+            None
+        };
+        Ok((report, attribution))
+    }
 
+    /// Simulates an existing selection on this pipeline's GPU: the
+    /// full-simulation baseline when `run_full_sim` is set, PKS-only and
+    /// full PKA. This is [`evaluate_in_simulation`](Self::evaluate_in_simulation)
+    /// after selection, for a selection made elsewhere (typically on Volta,
+    /// Section 5.2.2). `silicon` is the whole-application run of `workload`
+    /// on this pipeline's GPU, the error reference.
+    ///
+    /// # Errors
+    ///
+    /// [`PkaError::InvalidInput`] if the representatives are not distinct
+    /// kernels of `workload`; otherwise propagates simulation failures.
+    pub fn simulate_selection(
+        &self,
+        workload: &Workload,
+        selection: &Selection,
+        silicon: &AppSiliconRun,
+        run_full_sim: bool,
+    ) -> Result<SimulationReport, PkaError> {
+        Ok(self
+            .simulate_reps(workload, selection, silicon, run_full_sim)?
+            .0)
+    }
+
+    /// [`simulate_selection`](Self::simulate_selection) plus the
+    /// per-representative samples the simulation attribution is built from.
+    fn simulate_reps(
+        &self,
+        workload: &Workload,
+        selection: &Selection,
+        silicon: &AppSiliconRun,
+        run_full_sim: bool,
+    ) -> Result<(SimulationReport, Vec<RepSimulation>), PkaError> {
+        check_representatives(workload, selection)?;
+        let simulator = Simulator::new(self.gpu.clone(), self.config.sim);
         // Each representative takes one engine pass: run to completion for
         // PKS, with the result at the PKP stop recorded on the way for PKA.
         // The monitor is item-local state, so items stay independent.
@@ -496,20 +552,6 @@ impl Pka {
         let fullsim_hours =
             cost::projected_sim_hours(fullsim_cycles.unwrap_or(silicon.total_cycles));
 
-        let attribution = if with_attribution {
-            let (records, pks_config) = self.attribution_inputs(workload)?;
-            let provenance = Pks::new(pks_config).provenance(&records, &selection)?;
-            Some(simulation_attribution(
-                workload.name(),
-                &selection,
-                &provenance,
-                silicon.total_cycles,
-                &rep_samples,
-            ))
-        } else {
-            None
-        };
-
         let report = SimulationReport {
             workload: workload.name().to_string(),
             silicon_cycles: silicon.total_cycles,
@@ -528,8 +570,36 @@ impl Pka {
             pka_dram_util_pct: pka_dram_weighted / pka_weight.max(1e-12),
             per_representative,
         };
-        Ok((report, attribution))
+        Ok((report, rep_samples))
     }
+}
+
+/// Refuses a selection whose representatives are not distinct kernels of
+/// `workload`: a deserialised selection file is checked against the
+/// workload it is applied to before any kernel is looked up.
+fn check_representatives(workload: &Workload, selection: &Selection) -> Result<(), PkaError> {
+    let n = workload.kernel_count();
+    let mut ids = selection.representative_ids();
+    if let Some(id) = ids.iter().find(|id| id.index() >= n) {
+        return Err(PkaError::InvalidInput {
+            message: format!(
+                "representative kernel {} is out of range for `{}` ({n} kernels)",
+                id.index(),
+                workload.name()
+            ),
+        });
+    }
+    ids.sort_unstable();
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(PkaError::InvalidInput {
+            message: format!(
+                "representative kernel {} of `{}` heads more than one group",
+                pair[0].index(),
+                workload.name()
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -574,7 +644,10 @@ mod tests {
         let selection = volta.select_kernels(&w).unwrap();
         for target in [GpuConfig::rtx2060(), GpuConfig::rtx3070()] {
             let pipeline = Pka::new(target, PkaConfig::default());
-            let report = pipeline.silicon_report_for(&w, &selection).unwrap();
+            let silicon = pipeline.profiler().silicon_run(&w).unwrap();
+            let report = pipeline
+                .silicon_report_for(&w, &selection, &silicon)
+                .unwrap();
             assert!(
                 report.error_pct < 10.0,
                 "{}: {}",

@@ -13,12 +13,11 @@
 //! Name normalisation, in order:
 //!
 //! 1. The raw dotted name is split on `.`; segments of the form
-//!    `shard<digits>` become a `shard="<digits>"` label and segments of
-//!    the form `w<digits>` (the executor's per-worker lanes) become a
+//!    `w<digits>` (the executor's per-worker lanes) become a
 //!    `worker="<digits>"` label.
 //! 2. Remaining segments are joined with `_`, any character outside
 //!    `[A-Za-z0-9_]` is mapped to `_`, and the result is prefixed `pka_`.
-//!    So `stream.shard3.records` → `pka_stream_records_total{shard="3"}`.
+//!    So `executor.worker_busy.w3` → `pka_executor_worker_busy{worker="3"}`.
 //! 3. Counters gain a `_total` suffix. Histograms expose cumulative
 //!    `le`-bucketed `_bucket` samples derived from the registry's fixed
 //!    inclusive upper edges (the overflow bucket becomes `le="+Inf"`),
@@ -41,7 +40,7 @@
 //! `pka.run_manifest/v1`-shaped document — counters, gauges, histograms
 //! (`le` buckets de-cumulated back into `edges`/`counts`), and
 //! `_total_ns`/`_calls` counter pairs re-joined into `stages` — keyed by
-//! the *normalised* sample identity (`pka_stream_records_total{shard="0"}`).
+//! the *normalised* sample identity (`pka_stream_records_total{worker="0"}`).
 //! The output feeds [`diff_manifests`](crate::diff_manifests) unchanged,
 //! so the CI regression gates work against a live `/metrics` endpoint
 //! exactly as they do against committed manifests.
@@ -79,9 +78,7 @@ fn normalize(raw: &str) -> NormalName {
     let mut labels = Vec::new();
     let mut kept: Vec<&str> = Vec::new();
     for seg in raw.split('.') {
-        if let Some(d) = digits_after(seg, "shard") {
-            labels.push(("shard".to_string(), d.to_string()));
-        } else if let Some(d) = digits_after(seg, "w") {
+        if let Some(d) = digits_after(seg, "w") {
             labels.push(("worker".to_string(), d.to_string()));
         } else {
             kept.push(seg);
@@ -468,7 +465,7 @@ fn integral(v: f64) -> Value {
 /// `# TYPE` line; histogram families are de-cumulated back into
 /// `edges`/`counts`, and `_total_ns`/`_calls` counter pairs are re-joined
 /// into the `stages` section. Series keys carry their sorted label block
-/// (`pka_stream_records_total{shard="0"}`).
+/// (`pka_stream_records_total{worker="0"}`).
 ///
 /// # Errors
 ///
@@ -672,19 +669,20 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
-    fn normalisation_extracts_shard_and_worker_labels() {
-        let n = normalize("stream.shard3.records");
+    fn normalisation_extracts_worker_labels() {
+        let n = normalize("stream.w3.records");
         assert_eq!(n.family, "pka_stream_records");
         assert_eq!(n.base, "stream.records");
-        assert_eq!(n.labels, vec![("shard".to_string(), "3".to_string())]);
+        assert_eq!(n.labels, vec![("worker".to_string(), "3".to_string())]);
 
         let n = normalize("executor.worker_busy.w12");
         assert_eq!(n.family, "pka_executor_worker_busy");
         assert_eq!(n.labels, vec![("worker".to_string(), "12".to_string())]);
 
-        // `w` and `shard` without digits are ordinary segments.
-        let n = normalize("stream.shard.weird-name");
-        assert_eq!(n.family, "pka_stream_shard_weird_name");
+        // `w` without digits, and the retired `shard<digits>`, are
+        // ordinary segments.
+        let n = normalize("stream.w.shard3.weird-name");
+        assert_eq!(n.family, "pka_stream_w_shard3_weird_name");
         assert!(n.labels.is_empty());
     }
 
@@ -692,8 +690,8 @@ mod tests {
     fn render_covers_every_metric_kind() {
         let r = Registry::new();
         r.counter("stream.records").add(100);
-        r.counter(crate::intern("stream.shard0.records")).add(40);
-        r.counter(crate::intern("stream.shard1.records")).add(60);
+        r.counter(crate::intern("stream.w0.records")).add(40);
+        r.counter(crate::intern("stream.w1.records")).add(60);
         r.gauge("stream.selected_k").set(9);
         let h = r.histogram("server.request_ns", &[1_000, 1_000_000]);
         h.record(500);
@@ -705,8 +703,8 @@ mod tests {
 # HELP pka_stream_records_total PKA counter `stream.records`.
 # TYPE pka_stream_records_total counter
 pka_stream_records_total 100
-pka_stream_records_total{shard=\"0\"} 40
-pka_stream_records_total{shard=\"1\"} 60
+pka_stream_records_total{worker=\"0\"} 40
+pka_stream_records_total{worker=\"1\"} 60
 # HELP pka_stream_selected_k PKA gauge `stream.selected_k`.
 # TYPE pka_stream_selected_k gauge
 pka_stream_selected_k 9
@@ -731,7 +729,7 @@ pka_pks_sweep_total_ns 1234
     fn round_trip_rebuilds_manifest_sections() {
         let r = Registry::new();
         r.counter("stream.records").add(7);
-        r.counter(crate::intern("stream.shard0.records")).add(3);
+        r.counter(crate::intern("stream.w0.records")).add(3);
         r.gauge("stream.max_buffered").set(-1);
         let h = r.histogram("stream.checkpoint_write_ns", &[10, 100]);
         h.record(5);
@@ -744,7 +742,7 @@ pka_pks_sweep_total_ns 1234
         assert_eq!(doc["schema"].as_str(), Some(MANIFEST_SCHEMA));
         assert_eq!(doc["counters"]["pka_stream_records_total"], json!(7));
         assert_eq!(
-            doc["counters"]["pka_stream_records_total{shard=\"0\"}"],
+            doc["counters"]["pka_stream_records_total{worker=\"0\"}"],
             json!(3)
         );
         assert_eq!(doc["gauges"]["pka_stream_max_buffered"], json!(-1));

@@ -39,7 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:<10} {:>10} {:>10}", "GPU", "error[%]", "speedup");
     for gpu in [GpuConfig::v100(), GpuConfig::rtx2060(), GpuConfig::rtx3070()] {
         let pipeline = Pka::new(gpu, PkaConfig::default());
-        let report = pipeline.silicon_report_for(&workload, &selection)?;
+        let silicon = pipeline.profiler().silicon_run(&workload)?;
+        let report = pipeline.silicon_report_for(&workload, &selection, &silicon)?;
         println!(
             "{:<10} {:>10.1} {:>9.1}x",
             report.gpu, report.error_pct, report.speedup

@@ -651,8 +651,9 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         let selection: Selection = serde_json::from_value(envelope["selection"].clone())
             .map_err(|e| format!("parse {path}: {e}"))?;
+        let silicon = pka.profiler().silicon_run(&w).map_err(|e| e.to_string())?;
         let report = pka
-            .silicon_report_for(&w, &selection)
+            .silicon_report_for(&w, &selection, &silicon)
             .map_err(|e| e.to_string())?;
         println!(
             "{} on {} (transferred selection): error {:.2}%, speedup {:.1}x",

@@ -17,18 +17,18 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------------
 
 /// A registry covering every metric kind and every normalisation rule:
-/// unlabeled and shard-labeled counters, gauges (including a negative
+/// unlabeled and worker-labeled counters, gauges (including a negative
 /// one), a histogram with under/over-flow observations, and stages both
 /// plain and worker-labeled.
 fn seeded_registry() -> obs::Registry {
     let r = obs::Registry::new();
     r.counter("stream.records").add(6_000);
-    r.counter(obs::intern("stream.shard0.records")).add(2_945);
-    r.counter(obs::intern("stream.shard1.records")).add(3_055);
+    r.counter(obs::intern("stream.w0.records")).add(2_945);
+    r.counter(obs::intern("stream.w1.records")).add(3_055);
     r.counter("stream.checkpoints").add(4);
     r.gauge("stream.selected_k").set(9);
     r.gauge("stream.max_buffered").set(-1);
-    r.gauge(obs::intern("stream.shard1.reservoir")).set(128);
+    r.gauge(obs::intern("stream.w1.reservoir")).set(128);
     let h = r.histogram(
         "stream.checkpoint_write_ns",
         &[1_000, 1_000_000, 100_000_000],
@@ -72,7 +72,7 @@ fn golden_body_round_trips_through_the_scrape_parser() {
         .expect("golden body parses");
     assert_eq!(doc["schema"].as_str(), Some(obs::MANIFEST_SCHEMA));
     assert_eq!(
-        doc["counters"]["pka_stream_records_total{shard=\"0\"}"],
+        doc["counters"]["pka_stream_records_total{worker=\"0\"}"],
         serde_json::json!(2_945)
     );
     assert_eq!(
@@ -98,26 +98,17 @@ enum Metric {
 
 /// A dotted metric name under the registry's naming discipline: plain
 /// segments first (headed by a per-kind prefix so kinds never collide on
-/// a family name), then at most one `shard<i>` and one `w<i>` label
-/// segment, in that order.
+/// a family name), then at most one `w<i>` label segment.
 fn arb_name(prefix: char) -> impl Strategy<Value = String> {
-    (
-        proptest::collection::vec(0u8..16, 1..4),
-        0u8..4,
-        0u8..8,
-        0u8..8,
-    )
-        .prop_map(move |(segs, mode, sh, w)| {
-            let mut parts: Vec<String> =
-                segs.iter().map(|n| format!("{prefix}{n}")).collect();
-            if mode & 1 != 0 {
-                parts.push(format!("shard{sh}"));
-            }
-            if mode & 2 != 0 {
+    (proptest::collection::vec(0u8..16, 1..4), 0u8..2, 0u8..8).prop_map(
+        move |(segs, labeled, w)| {
+            let mut parts: Vec<String> = segs.iter().map(|n| format!("{prefix}{n}")).collect();
+            if labeled != 0 {
                 parts.push(format!("w{w}"));
             }
             parts.join(".")
-        })
+        },
+    )
 }
 
 fn arb_metric() -> impl Strategy<Value = Metric> {

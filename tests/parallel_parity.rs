@@ -161,13 +161,15 @@ fn silicon_report_parity_across_worker_counts() {
         .select_kernels(&w)
         .expect("selects");
     for gpu in [GpuConfig::v100(), GpuConfig::rtx2060(), GpuConfig::rtx3070()] {
-        let sequential = Pka::new(gpu.clone(), PkaConfig::default().with_workers(1))
-            .silicon_report_for(&w, &selection)
-            .expect("sequential report");
+        let report_with = |workers: usize| {
+            let pka = Pka::new(gpu.clone(), PkaConfig::default().with_workers(workers));
+            let silicon = pka.profiler().silicon_run(&w).expect("silicon runs");
+            pka.silicon_report_for(&w, &selection, &silicon)
+                .expect("silicon report")
+        };
+        let sequential = report_with(1);
         for workers in WORKER_COUNTS {
-            let parallel = Pka::new(gpu.clone(), PkaConfig::default().with_workers(workers))
-                .silicon_report_for(&w, &selection)
-                .expect("parallel report");
+            let parallel = report_with(workers);
             assert_eq!(
                 sequential, parallel,
                 "{}: silicon report diverged at {workers} workers",

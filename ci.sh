@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Continuous-integration entry point. Mirrors .github/workflows/ci.yml so
-# the same gate runs locally: `./ci.sh`.
+# Continuous-integration entry point: `./ci.sh`. The `test` job of
+# .github/workflows/ci.yml runs exactly this script, so every gate has one
+# definition. Needs `jq` and `curl`; fails at once without them. Every
+# output lands in target/ci/ (cleared at start), where the workflow's
+# artifact uploads find it.
 #
 # Stages:
 #   1. release build (the binaries the experiments run through)
@@ -23,9 +26,10 @@
 #      populated stage timings)
 #   8. stream smoke — online PKS over a synthetic 100k-kernel stream with
 #      `--verify-batch` (exact batch-vs-stream selected-K agreement,
-#      projected cycles within 1%), plus a jq schema check over the emitted
+#      projected cycles within 1%), a jq schema check over the emitted
 #      `pka.stream_checkpoint/v1` file including the bounded-memory
-#      invariant (max_buffered <= reservoir cap + batch size)
+#      invariant (max_buffered <= reservoir cap + batch size), and a check
+#      of the run's `--metrics-out` manifest (stream report, record counter)
 #   9. live observability smoke — a snapshot-emitting stream run whose
 #      `pka.snapshot/v1` JSONL is jq-validated, `pka trace export` over its
 #      trace (valid Chrome trace-event JSON with worker lanes), and the
@@ -57,6 +61,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+for tool in jq curl; do
+    command -v "$tool" >/dev/null 2>&1 || { echo "ci.sh needs \`$tool\` on PATH" >&2; exit 1; }
+done
+OUT="$PWD/target/ci"
+rm -rf "$OUT"
+mkdir -p "$OUT"
+PKA=./target/release/pka
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -70,382 +82,300 @@ echo "==> cargo test --workspace -q (member crates)"
 cargo test --workspace -q
 
 echo "==> bench smoke (reduced iterations)"
-BENCH_SMOKE_JSON="$(mktemp -t bench_pka_smoke.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
-rm -f "$BENCH_SMOKE_JSON"
-PKA_BENCH_JSON="$BENCH_SMOKE_JSON" PKA_BENCH_SAMPLES=2 PKA_BENCH_WARMUP=1 \
+# Benches run with the package dir as cwd, hence the absolute output path.
+PKA_BENCH_JSON="$OUT/bench_smoke.json" PKA_BENCH_SAMPLES=2 PKA_BENCH_WARMUP=1 \
     cargo bench -q -p pka-bench --bench hot_paths
-PKA_BENCH_JSON="$BENCH_SMOKE_JSON" PKA_BENCH_SAMPLES=2 PKA_BENCH_WARMUP=1 \
+PKA_BENCH_JSON="$OUT/bench_smoke.json" PKA_BENCH_SAMPLES=2 PKA_BENCH_WARMUP=1 \
     cargo bench -q -p pka-bench --bench simulator
-if command -v jq >/dev/null 2>&1; then
-    jq -e '
-        type == "array" and length >= 3
-        and all(.[]; has("name") and has("iterations")
-                     and has("median_ns") and has("stddev_ns"))
-        and any(.[]; .name == "kmeans_sweep/bounded/50000")
-        and any(.[]; .name == "stream_ingest/online_pks/500000")
-        and any(.[]; .name == "server_session_roundtrip/http_session/100000")
-        and any(.[]; .name == "server_session_roundtrip/feed/100000")
-        and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
-        and any(.[]; .name == "pka_evaluate/backprop_full")
-    ' "$BENCH_SMOKE_JSON" >/dev/null
-    echo "bench json OK ($(jq length "$BENCH_SMOKE_JSON") records)"
-else
-    echo "jq not found; skipping bench json schema check" >&2
-fi
+jq -e '
+    type == "array" and length >= 3
+    and all(.[]; has("name") and has("iterations")
+                 and has("median_ns") and has("stddev_ns"))
+    and any(.[]; .name == "kmeans_sweep/bounded/50000")
+    and any(.[]; .name == "stream_ingest/online_pks/500000")
+    and any(.[]; .name == "server_session_roundtrip/http_session/100000")
+    and any(.[]; .name == "server_session_roundtrip/feed/100000")
+    and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
+    and any(.[]; .name == "pka_evaluate/backprop_full")
+' "$OUT/bench_smoke.json" >/dev/null
+echo "bench json OK ($(jq length "$OUT/bench_smoke.json") records)"
 
 echo "==> perfbench (helper tests, traced simulate smoke)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-PERFBENCH_OUT="$(mktemp -t perfbench_simulate.XXXXXX.txt)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload simulate --seed 1 --seconds 45 --trace 1 > "$PERFBENCH_OUT"
-if command -v jq >/dev/null 2>&1; then
-    tail -n 1 "$PERFBENCH_OUT" | jq -e '.correct == true' >/dev/null
-else
-    tail -n 1 "$PERFBENCH_OUT" | grep -q '"correct": true'
-fi
+    --workload simulate --seed 1 --seconds 45 --trace 1 > "$OUT/perfbench_simulate.txt"
+tail -n 1 "$OUT/perfbench_simulate.txt" | jq -e '.correct == true' >/dev/null
 echo "perfbench simulate OK (every pinned cycle count and error matched)"
-rm -f "$PERFBENCH_OUT"
 
 echo "==> observability smoke (traced pka simulate)"
-OBS_MANIFEST="$(mktemp -t pka_manifest.XXXXXX.json)"
-OBS_TRACE="$(mktemp -t pka_trace.XXXXXX.jsonl)"
-trap 'rm -f "$BENCH_SMOKE_JSON" "$OBS_MANIFEST" "$OBS_TRACE"' EXIT
-./target/release/pka simulate --workload bfs65536 \
-    --metrics-out "$OBS_MANIFEST" --trace-out "$OBS_TRACE" >/dev/null
-if command -v jq >/dev/null 2>&1; then
-    jq -e '
-        .schema == "pka.run_manifest/v1"
-        and (.counters["pkp.stops"] // 0) > 0
-        and (.counters | length) >= 6
-        and (.stages | length) >= 3
-        and (.wall_ns > 0)
-    ' "$OBS_MANIFEST" >/dev/null
-    echo "run manifest OK ($(jq '.counters | length' "$OBS_MANIFEST") counters)"
-else
-    echo "jq not found; skipping manifest schema check" >&2
-fi
-test -s "$OBS_TRACE"
-echo "trace OK ($(wc -l < "$OBS_TRACE") lines)"
+$PKA simulate --workload bfs65536 \
+    --metrics-out "$OUT/run_manifest.json" --trace-out "$OUT/pka_trace.jsonl" >/dev/null
+jq -e '
+    .schema == "pka.run_manifest/v1"
+    and (.counters["pkp.stops"] // 0) > 0
+    and (.counters | length) >= 6
+    and (.stages | length) >= 3
+    and (.wall_ns > 0)
+' "$OUT/run_manifest.json" >/dev/null
+echo "run manifest OK ($(jq '.counters | length' "$OUT/run_manifest.json") counters)"
+test -s "$OUT/pka_trace.jsonl"
+echo "trace OK ($(wc -l < "$OUT/pka_trace.jsonl") lines)"
 
 echo "==> stream smoke (online PKS vs batch on synthetic:100000)"
-STREAM_CKPT="$(mktemp -t pka_stream_ckpt.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE_JSON" "$OBS_MANIFEST" "$OBS_TRACE" "$STREAM_CKPT"' EXIT
-./target/release/pka stream --source synthetic:100000 --prefix 1000 \
-    --checkpoint-every 20000 --checkpoint "$STREAM_CKPT" \
-    --workers 4 --verify-batch >/dev/null
-if command -v jq >/dev/null 2>&1; then
-    jq -e '
-        .schema == "pka.stream_checkpoint/v1"
-        and .records == 100000
-        and .prefix == 1000
-        and .selected_k >= 1
-        and (.centroids | length) == .selected_k
-        and (.reservoir.items | length) <= .reservoir.cap
-        and .max_buffered <= (.reservoir.cap + .config.batch)
-        and (.config | has("pks"))
-    ' "$STREAM_CKPT" >/dev/null
-    echo "stream checkpoint OK (K=$(jq .selected_k "$STREAM_CKPT"), max_buffered=$(jq .max_buffered "$STREAM_CKPT"))"
-else
-    echo "jq not found; skipping stream checkpoint schema check" >&2
-fi
+$PKA stream --source synthetic:100000 --prefix 1000 \
+    --checkpoint-every 20000 --checkpoint "$OUT/stream_checkpoint.json" \
+    --workers 4 --verify-batch --metrics-out "$OUT/stream_manifest.json" >/dev/null
+jq -e '
+    .schema == "pka.stream_checkpoint/v1"
+    and .records == 100000
+    and .prefix == 1000
+    and .selected_k >= 1
+    and (.centroids | length) == .selected_k
+    and (.reservoir.items | length) <= .reservoir.cap
+    and .max_buffered <= (.reservoir.cap + .config.batch)
+    and (.config | has("pks"))
+' "$OUT/stream_checkpoint.json" >/dev/null
+jq -e '
+    .schema == "pka.run_manifest/v1"
+    and .report.command == "stream"
+    and .report.records == 100000
+    and (.counters["stream.records"] // 0) == 100000
+' "$OUT/stream_manifest.json" >/dev/null
+echo "stream checkpoint and manifest OK (K=$(jq .selected_k "$OUT/stream_checkpoint.json"), max_buffered=$(jq .max_buffered "$OUT/stream_checkpoint.json"))"
 
 echo "==> live observability smoke (snapshots, trace export, obs diff gate)"
-LIVE_DIR="$(mktemp -d -t pka_live.XXXXXX)"
-trap 'rm -f "$BENCH_SMOKE_JSON" "$OBS_MANIFEST" "$OBS_TRACE" "$STREAM_CKPT"; rm -rf "$LIVE_DIR"' EXIT
-./target/release/pka stream --source synthetic:100000 --prefix 1000 \
+$PKA stream --source synthetic:100000 --prefix 1000 \
     --checkpoint-every 20000 --workers 4 \
-    --snapshot-out "$LIVE_DIR/snapshots.jsonl" --snapshot-every 25000 \
-    --trace-out "$LIVE_DIR/trace.jsonl" >/dev/null
-if command -v jq >/dev/null 2>&1; then
-    head -n 1 "$LIVE_DIR/snapshots.jsonl" \
-        | jq -e '.schema == "pka.snapshot/v1" and .type == "header"' >/dev/null
-    jq -es '
-        [.[] | select(.type == "snapshot")]
-        | length >= 4
-        and all(.[]; .phase != "" and .records > 0 and .selected_k >= 1
-                     and (.timing | has("kernels_per_sec")))
-        and (last.records == 100000)
-    ' "$LIVE_DIR/snapshots.jsonl" >/dev/null
-    echo "snapshots OK ($(grep -c '"type":"snapshot"' "$LIVE_DIR/snapshots.jsonl") records)"
-else
-    echo "jq not found; skipping snapshot schema check" >&2
-fi
+    --snapshot-out "$OUT/snapshots.jsonl" --snapshot-every 25000 \
+    --trace-out "$OUT/live_trace.jsonl" >/dev/null
+head -n 1 "$OUT/snapshots.jsonl" \
+    | jq -e '.schema == "pka.snapshot/v1" and .type == "header"' >/dev/null
+jq -es '
+    [.[] | select(.type == "snapshot")]
+    | length >= 4
+    and all(.[]; .phase != "" and .records > 0 and .selected_k >= 1
+                 and (.timing | has("kernels_per_sec")))
+    and (last.records == 100000)
+' "$OUT/snapshots.jsonl" >/dev/null
+echo "snapshots OK ($(grep -c '"type":"snapshot"' "$OUT/snapshots.jsonl") records)"
 
-./target/release/pka trace export "$LIVE_DIR/trace.jsonl" --out "$LIVE_DIR/chrome.json"
-if command -v jq >/dev/null 2>&1; then
-    jq -e '
-        .displayTimeUnit == "ms"
-        and (.traceEvents | length) > 0
-        and ([.traceEvents[] | select(.ph == "M" and .name == "thread_name")]
-             | length) >= 2
-    ' "$LIVE_DIR/chrome.json" >/dev/null
-    echo "chrome trace OK ($(jq '.traceEvents | length' "$LIVE_DIR/chrome.json") events)"
-fi
+$PKA trace export "$OUT/live_trace.jsonl" --out "$OUT/chrome_trace.json"
+jq -e '
+    .displayTimeUnit == "ms"
+    and (.traceEvents | length) > 0
+    and ([.traceEvents[] | select(.ph == "M" and .name == "thread_name")]
+         | length) >= 2
+' "$OUT/chrome_trace.json" >/dev/null
+echo "chrome trace OK ($(jq '.traceEvents | length' "$OUT/chrome_trace.json") events)"
 
 # Regression gate: counters, checksums and gauges are deterministic for a
 # fixed config, so a counters-only diff against the committed baseline is
 # exact on any host. Bench medians are machine-dependent; that gate only
 # catches catastrophic slowdowns.
-./target/release/pka simulate --workload bfs65536 \
-    --metrics-out "$LIVE_DIR/current_manifest.json" >/dev/null
-./target/release/pka obs diff results/ci_baseline_manifest.json \
-    "$LIVE_DIR/current_manifest.json" --counters-only
-./target/release/pka obs diff results/ci_baseline_bench.json \
-    "$BENCH_SMOKE_JSON" --bench --bench-tol 500
-
-# Trend gate: the single-run diff tolerates sub-threshold noise, so a slow
-# creep (each step inside the stage tolerance, monotonically up) is
-# invisible to it. `obs trend-push` maintains a bounded ring of recent
-# manifests; `obs diff --trend` flags exactly that creeping shape.
-TREND_DIR="$LIVE_DIR/trend"
-./target/release/pka obs trend-push "$LIVE_DIR/current_manifest.json" \
-    "$TREND_DIR" --trend-cap 8
-# A short history must report without flagging.
-./target/release/pka obs diff --trend "$TREND_DIR"
-if command -v jq >/dev/null 2>&1; then
-    # Inject a +10-12%/run monotonic creep (every step under the 25% stage
-    # tolerance, cumulative well over it) and require a non-zero exit.
-    for pct in 12 24 38 52; do
-        jq --argjson p "$pct" '
-            (.stages[].total_ns) |= (. * (100 + $p) / 100 | floor)
-            | .wall_ns |= (. * (100 + $p) / 100 | floor)
-        ' "$LIVE_DIR/current_manifest.json" > "$LIVE_DIR/creep_$pct.json"
-        ./target/release/pka obs trend-push "$LIVE_DIR/creep_$pct.json" \
-            "$TREND_DIR/creep" --trend-cap 8
-    done
-    if ./target/release/pka obs diff --trend "$TREND_DIR/creep" \
-        > "$LIVE_DIR/trend_out.txt" 2>&1; then
-        echo "obs diff --trend failed to flag an injected creeping slowdown" >&2
-        exit 1
-    fi
-    grep -q "creeping" "$LIVE_DIR/trend_out.txt"
-    echo "obs trend gate OK (injected creep detected)"
-fi
+$PKA simulate --workload bfs65536 --metrics-out "$OUT/current_manifest.json" >/dev/null
+$PKA obs diff results/ci_baseline_manifest.json "$OUT/current_manifest.json" --counters-only
+$PKA obs diff results/ci_baseline_bench.json "$OUT/bench_smoke.json" --bench --bench-tol 500
 
 # The gate must actually fire: inject a 1.3x stage-timing regression and
 # require a non-zero exit. Both sides pass through jq so the comparison is
 # not polluted by jq's float re-rendering of 64-bit checksums.
-if command -v jq >/dev/null 2>&1; then
-    jq '.' "$LIVE_DIR/current_manifest.json" > "$LIVE_DIR/manifest_base.json"
-    jq '(.stages[].total_ns) |= (. * 13 / 10 | floor)' \
-        "$LIVE_DIR/current_manifest.json" > "$LIVE_DIR/manifest_regressed.json"
-    if ./target/release/pka obs diff "$LIVE_DIR/manifest_base.json" \
-        "$LIVE_DIR/manifest_regressed.json" > "$LIVE_DIR/diff_out.txt" 2>&1; then
-        echo "obs diff failed to flag an injected 30% stage regression" >&2
-        exit 1
-    fi
-    grep -q "REGRESSION" "$LIVE_DIR/diff_out.txt"
-    echo "obs diff gate OK (injected regression detected)"
+jq '.' "$OUT/current_manifest.json" > "$OUT/manifest_base.json"
+jq '(.stages[].total_ns) |= (. * 13 / 10 | floor)' \
+    "$OUT/current_manifest.json" > "$OUT/manifest_regressed.json"
+if $PKA obs diff "$OUT/manifest_base.json" "$OUT/manifest_regressed.json" \
+    > "$OUT/diff_out.txt" 2>&1; then
+    echo "obs diff failed to flag an injected 30% stage regression" >&2
+    exit 1
 fi
+grep -q "REGRESSION" "$OUT/diff_out.txt"
+echo "obs diff gate OK (injected regression detected)"
 
 echo "==> attribution smoke (pka.attribution/v1, explain, accuracy gate)"
-ATTR_DIR="$(mktemp -d -t pka_attr.XXXXXX)"
-trap 'rm -f "$BENCH_SMOKE_JSON" "$OBS_MANIFEST" "$OBS_TRACE" "$STREAM_CKPT"; rm -rf "$LIVE_DIR" "$ATTR_DIR"' EXIT
-./target/release/pka simulate --workload bfs65536 \
-    --attribution-out "$ATTR_DIR/attr.json" >/dev/null
-if command -v jq >/dev/null 2>&1; then
-    # The decomposition contract: signed per-group terms sum exactly to the
-    # signed reported errors (1e-9 relative in the library; 1e-6 absolute
-    # here to stay clear of jq's float re-rendering).
-    jq -e '
-        def abs: if . < 0 then -. else . end;
-        .schema == "pka.attribution/v1"
-        and .kind == "simulation"
-        and (.groups | length) >= 1
-        and ((([.groups[].pks_term_pct] | add) - .pks_err_signed_pct) | abs) < 1e-6
-        and ((([.groups[].total_term_pct] | add) - .pka_err_signed_pct) | abs) < 1e-6
-        and ((.pks_err_signed_pct | abs) - .pks_err_pct | abs) < 1e-9
-        and all(.groups[]; has("representative") and has("chrono_rank")
-                           and has("distance_to_centroid") and has("weight")
-                           and has("member_mean_ci_low") and has("member_mean_ci_high"))
-    ' "$ATTR_DIR/attr.json" >/dev/null
-    echo "attribution artifact OK ($(jq '.groups | length' "$ATTR_DIR/attr.json") groups)"
-else
-    echo "jq not found; skipping attribution schema check" >&2
-fi
-./target/release/pka obs explain "$ATTR_DIR/attr.json" > "$ATTR_DIR/explain.txt"
-grep -q "pka.attribution/v1" "$ATTR_DIR/explain.txt"
-echo "obs explain OK ($(wc -l < "$ATTR_DIR/explain.txt") lines)"
+$PKA simulate --workload bfs65536 --attribution-out "$OUT/attribution.json" >/dev/null
+# The decomposition contract: signed per-group terms sum exactly to the
+# signed reported errors (1e-9 relative in the library; 1e-6 absolute
+# here to stay clear of jq's float re-rendering).
+jq -e '
+    def abs: if . < 0 then -. else . end;
+    .schema == "pka.attribution/v1"
+    and .kind == "simulation"
+    and (.groups | length) >= 1
+    and ((([.groups[].pks_term_pct] | add) - .pks_err_signed_pct) | abs) < 1e-6
+    and ((([.groups[].total_term_pct] | add) - .pka_err_signed_pct) | abs) < 1e-6
+    and ((.pks_err_signed_pct | abs) - .pks_err_pct | abs) < 1e-9
+    and all(.groups[]; has("representative") and has("chrono_rank")
+                       and has("distance_to_centroid") and has("weight")
+                       and has("member_mean_ci_low") and has("member_mean_ci_high"))
+' "$OUT/attribution.json" >/dev/null
+echo "attribution artifact OK ($(jq '.groups | length' "$OUT/attribution.json") groups)"
+$PKA obs explain "$OUT/attribution.json" > "$OUT/explain_out.txt"
+grep -q "pka.attribution/v1" "$OUT/explain_out.txt"
+echo "obs explain OK ($(wc -l < "$OUT/explain_out.txt") lines)"
 
 # Stream-path determinism: the artifact is byte-identical for any worker
 # count (the same contract the checkpoints already gate on).
-./target/release/pka stream --source synthetic:100000 --prefix 1000 \
-    --workers 1 --attribution-out "$ATTR_DIR/attr_w1.json" >/dev/null
-./target/release/pka stream --source synthetic:100000 --prefix 1000 \
-    --workers 4 --attribution-out "$ATTR_DIR/attr_w4.json" >/dev/null
-cmp -s "$ATTR_DIR/attr_w1.json" "$ATTR_DIR/attr_w4.json"
+$PKA stream --source synthetic:100000 --prefix 1000 \
+    --workers 1 --attribution-out "$OUT/attr_w1.json" >/dev/null
+$PKA stream --source synthetic:100000 --prefix 1000 \
+    --workers 4 --attribution-out "$OUT/attr_w4.json" >/dev/null
+cmp "$OUT/attr_w1.json" "$OUT/attr_w4.json"
 echo "attribution worker parity OK"
 
 # The accuracy gate must actually fire: identical artifacts pass, an
 # injected representative swap is an exact-match regression.
-./target/release/pka obs diff "$ATTR_DIR/attr.json" "$ATTR_DIR/attr.json" >/dev/null
-if command -v jq >/dev/null 2>&1; then
-    jq '.groups[0].representative = 424242' "$ATTR_DIR/attr.json" \
-        > "$ATTR_DIR/attr_swapped.json"
-    if ./target/release/pka obs diff "$ATTR_DIR/attr.json" \
-        "$ATTR_DIR/attr_swapped.json" > "$ATTR_DIR/attr_diff_out.txt" 2>&1; then
-        echo "obs diff failed to flag an injected representative swap" >&2
-        exit 1
-    fi
-    grep -q "REGRESSION" "$ATTR_DIR/attr_diff_out.txt"
-    echo "attribution gate OK (injected representative swap detected)"
+$PKA obs diff "$OUT/attribution.json" "$OUT/attribution.json" >/dev/null
+jq '.groups[0].representative = 424242' "$OUT/attribution.json" \
+    > "$OUT/attribution_swapped.json"
+if $PKA obs diff "$OUT/attribution.json" "$OUT/attribution_swapped.json" \
+    > "$OUT/attr_diff_out.txt" 2>&1; then
+    echo "obs diff failed to flag an injected representative swap" >&2
+    exit 1
 fi
+grep -q "REGRESSION" "$OUT/attr_diff_out.txt"
+echo "attribution gate OK (injected representative swap detected)"
 
 echo "==> server smoke (pka serve: HTTP session parity, teardown)"
-SRV_DIR="$(mktemp -d -t pka_srv.XXXXXX)"
 SERVE_PID=""
-cleanup_server() {
-    [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true
-    rm -f "$BENCH_SMOKE_JSON" "$OBS_MANIFEST" "$OBS_TRACE" "$STREAM_CKPT"
-    rm -rf "$LIVE_DIR" "$ATTR_DIR" "$SRV_DIR"
-}
-trap cleanup_server EXIT
-if command -v curl >/dev/null 2>&1 && command -v jq >/dev/null 2>&1; then
-    # Batch CLI reference artifacts the service must reproduce bytewise.
-    ./target/release/pka stream --source synthetic:60000 --prefix 800 \
-        --checkpoint-every 20000 --checkpoint "$SRV_DIR/cli_ckpt.json" \
-        --attribution-out "$SRV_DIR/cli_attr.json" >/dev/null
+trap '[ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
+# Batch CLI reference artifacts the service must reproduce bytewise.
+$PKA stream --source synthetic:60000 --prefix 800 \
+    --checkpoint-every 20000 --checkpoint "$OUT/cli_ckpt.json" \
+    --attribution-out "$OUT/cli_attr.json" >/dev/null
 
-    ./target/release/pka serve --addr 127.0.0.1:0 --read-timeout-ms 5000 \
-        --trace-out "$SRV_DIR/serve_trace.jsonl" > "$SRV_DIR/serve.log" 2>&1 &
-    SERVE_PID=$!
-    ADDR=""
-    for _ in $(seq 1 100); do
-        ADDR="$(sed -n 's#^pka-server listening on http://##p' "$SRV_DIR/serve.log")"
-        [ -n "$ADDR" ] && break
+$PKA serve --addr 127.0.0.1:0 --read-timeout-ms 5000 \
+    --trace-out "$OUT/serve_trace.jsonl" > "$OUT/serve.log" 2>&1 &
+SERVE_PID=$!
+ADDR=""
+for _ in $(seq 1 100); do
+    ADDR="$(sed -n 's#^pka-server listening on http://##p' "$OUT/serve.log")"
+    [ -n "$ADDR" ] && break
+    sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "pka serve did not come up" >&2; exit 1; }
+curl -sf "http://$ADDR/healthz" >/dev/null
+
+# Wait for a session to leave the running states and fetch its result.
+wait_result() {
+    for _ in $(seq 1 600); do
+        CODE="$(curl -s -o "$OUT/result.json" -w '%{http_code}' \
+            "http://$ADDR/v1/sessions/$1/result")"
+        [ "$CODE" = 200 ] && return 0
+        [ "$CODE" = 202 ] || break
         sleep 0.1
     done
-    [ -n "$ADDR" ] || { echo "pka serve did not come up" >&2; exit 1; }
-    curl -sf "http://$ADDR/healthz" >/dev/null
+    echo "session $1 did not finish (last status $CODE)" >&2
+    cat "$OUT/result.json" >&2
+    return 1
+}
 
-    # Wait for a session to leave the running states and fetch its result.
-    wait_result() {
-        for _ in $(seq 1 600); do
-            CODE="$(curl -s -o "$SRV_DIR/result.json" -w '%{http_code}' \
-                "http://$ADDR/v1/sessions/$1/result")"
-            [ "$CODE" = 200 ] && return 0
-            [ "$CODE" = 202 ] || break
-            sleep 0.1
-        done
-        echo "session $1 did not finish (last status $CODE)" >&2
-        cat "$SRV_DIR/result.json" >&2
-        return 1
-    }
+# Single-pipeline streaming session: K and projected cycles must match
+# the CLI run exactly; checkpoint/attribution must be byte-identical.
+SID="$(curl -sf -X POST "http://$ADDR/v1/sessions" \
+    -d '{"mode":"stream","source":"synthetic:60000","prefix":800,"checkpoint_every":20000}' \
+    | jq -r .id)"
+wait_result "$SID"
+jq -e --argjson k "$(jq .selected_k "$OUT/cli_ckpt.json")" \
+    --argjson cycles "$(jq .projected_cycles "$OUT/cli_ckpt.json")" \
+    '.selected_k == $k and .projected_cycles == $cycles' \
+    "$OUT/result.json" >/dev/null
+curl -sf "http://$ADDR/v1/sessions/$SID/checkpoint" -o "$OUT/srv_ckpt.json"
+curl -sf "http://$ADDR/v1/sessions/$SID/attribution" -o "$OUT/srv_attr.json"
+cmp "$OUT/cli_ckpt.json" "$OUT/srv_ckpt.json"
+cmp "$OUT/cli_attr.json" "$OUT/srv_attr.json"
+head -n 1 <(curl -sf "http://$ADDR/v1/sessions/$SID/progress") \
+    | jq -e '.schema == "pka.snapshot/v1" and .type == "header"' >/dev/null
+echo "server session parity OK (K=$(jq .selected_k "$OUT/result.json"), artifacts byte-identical)"
+PARITY_SID="$SID"
 
-    # Single-pipeline streaming session: K and projected cycles must match
-    # the CLI run exactly; checkpoint/attribution must be byte-identical.
-    SID="$(curl -sf -X POST "http://$ADDR/v1/sessions" \
-        -d '{"mode":"stream","source":"synthetic:60000","prefix":800,"checkpoint_every":20000}' \
-        | jq -r .id)"
-    wait_result "$SID"
-    jq -e --argjson k "$(jq .selected_k "$SRV_DIR/cli_ckpt.json")" \
-        --argjson cycles "$(jq .projected_cycles "$SRV_DIR/cli_ckpt.json")" \
-        '.selected_k == $k and .projected_cycles == $cycles' \
-        "$SRV_DIR/result.json" >/dev/null
-    curl -sf "http://$ADDR/v1/sessions/$SID/checkpoint" -o "$SRV_DIR/srv_ckpt.json"
-    curl -sf "http://$ADDR/v1/sessions/$SID/attribution" -o "$SRV_DIR/srv_attr.json"
-    cmp -s "$SRV_DIR/cli_ckpt.json" "$SRV_DIR/srv_ckpt.json"
-    cmp -s "$SRV_DIR/cli_attr.json" "$SRV_DIR/srv_attr.json"
-    head -n 1 <(curl -sf "http://$ADDR/v1/sessions/$SID/progress") \
-        | jq -e '.schema == "pka.snapshot/v1" and .type == "header"' >/dev/null
-    echo "server session parity OK (K=$(jq .selected_k "$SRV_DIR/result.json"), artifacts byte-identical)"
-    PARITY_SID="$SID"
-
-    # Live telemetry: raw /metrics must satisfy the exposition grammar
-    # (every sample line's family declared by a preceding # TYPE), and the
-    # scrape->diff gate must pass clean against the committed deterministic
-    # baseline. Extra live families (server traffic, timing histograms) are
-    # informational on the current side; a baseline family disappearing or
-    # drifting is a regression.
-    curl -sf "http://$ADDR/metrics" -o "$SRV_DIR/metrics1.txt"
-    awk '
-        /^# TYPE / { type[$3] = 1; next }
-        /^#/ { next }
-        NF == 0 { next }
-        {
-            name = $1; sub(/\{.*/, "", name)
-            fam = name
-            sub(/_bucket$/, "", fam); sub(/_count$/, "", fam); sub(/_sum$/, "", fam)
-            if (!(name in type) && !(fam in type)) {
-                print "sample without # TYPE: " $1 > "/dev/stderr"; exit 1
-            }
+# Live telemetry: raw /metrics must satisfy the exposition grammar
+# (every sample line's family declared by a preceding # TYPE), and the
+# scrape->diff gate must pass clean against the committed deterministic
+# baseline. Extra live families (server traffic, timing histograms) are
+# informational on the current side; a baseline family disappearing or
+# drifting is a regression.
+curl -sf "http://$ADDR/metrics" -o "$OUT/metrics1.txt"
+awk '
+    /^# TYPE / { type[$3] = 1; next }
+    /^#/ { next }
+    NF == 0 { next }
+    {
+        name = $1; sub(/\{.*/, "", name)
+        fam = name
+        sub(/_bucket$/, "", fam); sub(/_count$/, "", fam); sub(/_sum$/, "", fam)
+        if (!(name in type) && !(fam in type)) {
+            print "sample without # TYPE: " $1 > "/dev/stderr"; exit 1
         }
-    ' "$SRV_DIR/metrics1.txt"
-    ./target/release/pka obs scrape "http://$ADDR/metrics" --out "$SRV_DIR/scrape1.json"
-    ./target/release/pka obs diff results/ci_baseline_scrape.json \
-        "$SRV_DIR/scrape1.json" --counters-only
-    jq '.counters.pka_stream_records_total += 1' results/ci_baseline_scrape.json \
-        > "$SRV_DIR/scrape_regressed.json"
-    if ./target/release/pka obs diff "$SRV_DIR/scrape_regressed.json" \
-        "$SRV_DIR/scrape1.json" --counters-only > "$SRV_DIR/scrape_diff_out.txt" 2>&1; then
-        echo "obs diff failed to flag an injected scrape regression" >&2
-        exit 1
-    fi
-    grep -q "REGRESSION" "$SRV_DIR/scrape_diff_out.txt"
-    echo "server scrape gate OK ($(jq '.counters | length' "$SRV_DIR/scrape1.json") counter series)"
-
-    # DELETE mid-stream: cancellation-safe teardown must stop at a batch
-    # boundary and leave a checkpoint the CLI can resume to completion.
-    SID="$(curl -sf -X POST "http://$ADDR/v1/sessions" \
-        -d "{\"mode\":\"stream\",\"source\":\"synthetic:1000000\",\"prefix\":800,\"checkpoint_every\":10000,\"checkpoint_path\":\"$SRV_DIR/teardown_ckpt.json\"}" \
-        | jq -r .id)"
-    for _ in $(seq 1 600); do
-        REC="$(curl -sf "http://$ADDR/v1/sessions/$SID" | jq .records)"
-        [ "$REC" -ge 10000 ] && break
-        sleep 0.05
-    done
-
-    # Mid-session telemetry: the 1M-kernel session is live right now. The
-    # bare host:port form exercises the default /metrics path of `scrape`.
-    ./target/release/pka obs scrape "http://$ADDR" --out "$SRV_DIR/scrape2.json"
-    jq -e '
-        .gauges.pka_server_sessions_active == 1
-        and .counters.pka_server_sessions_created_total == 2
-    ' "$SRV_DIR/scrape2.json" >/dev/null
-    # Counters and stage totals only move forward between scrapes.
-    jq -en --slurpfile a "$SRV_DIR/scrape1.json" --slurpfile b "$SRV_DIR/scrape2.json" '
-        all($a[0].counters | to_entries[]; ($b[0].counters[.key] // -1) >= .value)
-        and all($a[0].stages | to_entries[];
-                ($b[0].stages[.key].total_ns // -1) >= .value.total_ns)
-    ' >/dev/null
-    # A live SSE subscriber sees the snapshot header frame first.
-    (curl -sN --max-time 3 "http://$ADDR/v1/sessions/$SID/events" || true) \
-        | head -n 1 > "$SRV_DIR/sse_head.txt"
-    grep -q '^data: {"schema":"pka.snapshot/v1","type":"header"}' "$SRV_DIR/sse_head.txt"
-    echo "server live telemetry OK (sessions_active=1 mid-1M-session, counters monotonic, SSE header seen)"
-
-    curl -sf -X DELETE "http://$ADDR/v1/sessions/$SID" -o "$SRV_DIR/teardown.json"
-    jq -e '.status == "cancelled" and .records < 1000000' \
-        "$SRV_DIR/teardown.json" >/dev/null
-    jq -e '.schema == "pka.stream_checkpoint/v1" and .records < 1000000' \
-        "$SRV_DIR/teardown_ckpt.json" >/dev/null
-    ./target/release/pka stream --source synthetic:1000000 --resume \
-        --checkpoint "$SRV_DIR/teardown_ckpt.json" >/dev/null
-    jq -e '.records == 1000000' "$SRV_DIR/teardown_ckpt.json" >/dev/null
-    echo "server teardown OK (cancelled at $(jq .records "$SRV_DIR/teardown.json") records, CLI resumed to 1000000)"
-
-    # Clean service exit: shutdown joins every worker before returning.
-    curl -sf -X POST "http://$ADDR/v1/shutdown" >/dev/null
-    wait "$SERVE_PID"
-    SERVE_PID=""
-    grep -q "pka-server stopped" "$SRV_DIR/serve.log"
-    echo "server shutdown OK"
-
-    # Request correlation: the access line for the parity checkpoint fetch
-    # must round-trip its request id into a `server.request` trace event
-    # carrying the same session id.
-    REQ_ID="$(grep '"type":"access"' "$SRV_DIR/serve.log" \
-        | jq -s --arg p "/v1/sessions/$PARITY_SID/checkpoint" \
-            '[.[] | select(.path == $p)][0].req_id')"
-    [ -n "$REQ_ID" ] && [ "$REQ_ID" != "null" ]
-    jq -es --argjson id "$REQ_ID" --arg sid "$PARITY_SID" '
-        any(.[]; .type == "event" and .name == "server.request"
-                 and .fields.req_id == $id and .fields.session == $sid)
-    ' "$SRV_DIR/serve_trace.jsonl" >/dev/null
-    echo "server request correlation OK (req_id $REQ_ID joined access log to trace)"
-else
-    echo "curl or jq not found; skipping server smoke" >&2
+    }
+' "$OUT/metrics1.txt"
+$PKA obs scrape "http://$ADDR/metrics" --out "$OUT/scrape1.json"
+$PKA obs diff results/ci_baseline_scrape.json "$OUT/scrape1.json" --counters-only
+jq '.counters.pka_stream_records_total += 1' results/ci_baseline_scrape.json \
+    > "$OUT/scrape_regressed.json"
+if $PKA obs diff "$OUT/scrape_regressed.json" "$OUT/scrape1.json" --counters-only \
+    > "$OUT/scrape_diff_out.txt" 2>&1; then
+    echo "obs diff failed to flag an injected scrape regression" >&2
+    exit 1
 fi
+grep -q "REGRESSION" "$OUT/scrape_diff_out.txt"
+echo "server scrape gate OK ($(jq '.counters | length' "$OUT/scrape1.json") counter series)"
+
+# DELETE mid-stream: cancellation-safe teardown must stop at a batch
+# boundary and leave a checkpoint the CLI can resume to completion.
+SID="$(curl -sf -X POST "http://$ADDR/v1/sessions" \
+    -d "{\"mode\":\"stream\",\"source\":\"synthetic:1000000\",\"prefix\":800,\"checkpoint_every\":10000,\"checkpoint_path\":\"$OUT/teardown_ckpt.json\"}" \
+    | jq -r .id)"
+for _ in $(seq 1 600); do
+    REC="$(curl -sf "http://$ADDR/v1/sessions/$SID" | jq .records)"
+    [ "$REC" -ge 10000 ] && break
+    sleep 0.05
+done
+
+# Mid-session telemetry: the 1M-kernel session is live right now. The
+# bare host:port form exercises the default /metrics path of `scrape`.
+$PKA obs scrape "http://$ADDR" --out "$OUT/scrape2.json"
+jq -e '
+    .gauges.pka_server_sessions_active == 1
+    and .counters.pka_server_sessions_created_total == 2
+' "$OUT/scrape2.json" >/dev/null
+# Counters and stage totals only move forward between scrapes.
+jq -en --slurpfile a "$OUT/scrape1.json" --slurpfile b "$OUT/scrape2.json" '
+    all($a[0].counters | to_entries[]; ($b[0].counters[.key] // -1) >= .value)
+    and all($a[0].stages | to_entries[];
+            ($b[0].stages[.key].total_ns // -1) >= .value.total_ns)
+' >/dev/null
+# A live SSE subscriber sees the snapshot header frame first.
+(curl -sN --max-time 3 "http://$ADDR/v1/sessions/$SID/events" || true) \
+    | head -n 1 > "$OUT/sse_head.txt"
+grep -q '^data: {"schema":"pka.snapshot/v1","type":"header"}' "$OUT/sse_head.txt"
+echo "server live telemetry OK (sessions_active=1 mid-1M-session, counters monotonic, SSE header seen)"
+
+curl -sf -X DELETE "http://$ADDR/v1/sessions/$SID" -o "$OUT/teardown.json"
+jq -e '.status == "cancelled" and .records < 1000000' "$OUT/teardown.json" >/dev/null
+jq -e '.schema == "pka.stream_checkpoint/v1" and .records < 1000000' \
+    "$OUT/teardown_ckpt.json" >/dev/null
+$PKA stream --source synthetic:1000000 --resume \
+    --checkpoint "$OUT/teardown_ckpt.json" >/dev/null
+jq -e '.records == 1000000' "$OUT/teardown_ckpt.json" >/dev/null
+echo "server teardown OK (cancelled at $(jq .records "$OUT/teardown.json") records, CLI resumed to 1000000)"
+
+# Clean service exit: shutdown joins every worker before returning.
+curl -sf -X POST "http://$ADDR/v1/shutdown" >/dev/null
+wait "$SERVE_PID"
+SERVE_PID=""
+grep -q "pka-server stopped" "$OUT/serve.log"
+echo "server shutdown OK"
+
+# Request correlation: the access line for the parity checkpoint fetch
+# must round-trip its request id into a `server.request` trace event
+# carrying the same session id.
+REQ_ID="$(grep '"type":"access"' "$OUT/serve.log" \
+    | jq -s --arg p "/v1/sessions/$PARITY_SID/checkpoint" \
+        '[.[] | select(.path == $p)][0].req_id')"
+[ -n "$REQ_ID" ] && [ "$REQ_ID" != "null" ]
+jq -es --argjson id "$REQ_ID" --arg sid "$PARITY_SID" '
+    any(.[]; .type == "event" and .name == "server.request"
+             and .fields.req_id == $id and .fields.session == $sid)
+' "$OUT/serve_trace.jsonl" >/dev/null
+echo "server request correlation OK (req_id $REQ_ID joined access log to trace)"
 
 echo "CI OK"

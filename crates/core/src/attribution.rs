@@ -22,7 +22,13 @@
 //! Everything here is a pure function of the selection, the provenance and
 //! the per-representative simulation samples, so artifacts are
 //! byte-identical across worker counts.
+//!
+//! The typed reader is the only one: `pka obs explain` and `pka obs diff`
+//! parse an artifact into [`ErrorAttribution`] (which refuses a foreign
+//! schema and names any missing or mistyped field) and then render it with
+//! [`ErrorAttribution::explain`] or gate it with [`ErrorAttribution::diff`].
 
+use pka_obs::{DiffEntry, DiffReport};
 use serde::value::{Map, Value, ValueError};
 use serde::{Deserialize, Serialize};
 
@@ -33,6 +39,10 @@ pub const ATTRIBUTION_SCHEMA: &str = "pka.attribution/v1";
 
 /// Relative tolerance of the sum-to-total invariant.
 const SUM_REL_TOL: f64 = 1e-9;
+
+/// A single group contributing more than this share of the total absolute
+/// error is flagged by [`ErrorAttribution::explain`].
+const DOMINANCE_THRESHOLD_PCT: f64 = 50.0;
 
 /// Provenance of one group's representative, computed from the detailed
 /// records the selection was made from (see `Pks::provenance`).
@@ -165,7 +175,10 @@ fn put_opt<T: Serialize>(m: &mut Map, key: &str, value: &Option<T>) {
 }
 
 fn req<T: Deserialize>(value: &Value, key: &str) -> Result<T, ValueError> {
-    T::from_json_value(&value[key])
+    let field = value
+        .get(key)
+        .ok_or_else(|| ValueError::custom(format!("attribution field `{key}`: missing")))?;
+    T::from_json_value(field)
         .map_err(|e| ValueError::custom(format!("attribution field `{key}`: {e}")))
 }
 
@@ -246,8 +259,14 @@ impl Serialize for ErrorAttribution {
 
 impl Deserialize for ErrorAttribution {
     fn from_json_value(value: &Value) -> Result<Self, ValueError> {
+        let schema: String = req(value, "schema")?;
+        if schema != ATTRIBUTION_SCHEMA {
+            return Err(ValueError::custom(format!(
+                "attribution field `schema`: expected `{ATTRIBUTION_SCHEMA}`, got `{schema}`"
+            )));
+        }
         Ok(Self {
-            schema: req(value, "schema")?,
+            schema,
             workload: req(value, "workload")?,
             kind: req(value, "kind")?,
             reference_cycles: req(value, "reference_cycles")?,
@@ -258,7 +277,14 @@ impl Deserialize for ErrorAttribution {
             pka_err_signed_pct: opt(value, "pka_err_signed_pct")?,
             pka_err_pct: opt(value, "pka_err_pct")?,
             dram_util_pct: opt(value, "dram_util_pct")?,
-            groups: req(value, "groups")?,
+            groups: req::<Vec<Value>>(value, "groups")?
+                .iter()
+                .enumerate()
+                .map(|(i, g)| {
+                    GroupAttribution::from_json_value(g)
+                        .map_err(|e| e.in_context(&format!("group {i}")))
+                })
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -319,6 +345,214 @@ impl ErrorAttribution {
         }
         Ok(())
     }
+
+    /// Renders the artifact as a ranked table: groups ordered by absolute
+    /// total error contribution (descending), each with its
+    /// representative's provenance, the bootstrap CI on the mean member
+    /// cycles, the PKP skip ratio, and the signed PKS / PKP / total terms.
+    /// Any single group past 50% of the total absolute error gets a
+    /// trailing `WARNING:` line. This is `pka obs explain`.
+    pub fn explain(&self) -> Vec<String> {
+        let mut rows: Vec<&GroupAttribution> = self.groups.iter().collect();
+        rows.sort_by(|a, b| {
+            b.total_term_pct
+                .abs()
+                .partial_cmp(&a.total_term_pct.abs())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.group.cmp(&b.group))
+        });
+        let total_abs: f64 = rows.iter().map(|r| r.total_term_pct.abs()).sum();
+
+        let mut lines = Vec::new();
+        lines.push(format!(
+            "{ATTRIBUTION_SCHEMA} — {} ({})",
+            self.workload, self.kind
+        ));
+        let mut totals = format!(
+            "reference {} cycles; PKS error {:+.4}% (reported {:.4}%)",
+            self.reference_cycles, self.pks_err_signed_pct, self.pks_err_pct,
+        );
+        if let (Some(signed), Some(abs)) = (self.pka_err_signed_pct, self.pka_err_pct) {
+            totals.push_str(&format!("; PKA error {signed:+.4}% (reported {abs:.4}%)"));
+        }
+        if let Some(dram) = self.dram_util_pct {
+            totals.push_str(&format!("; DRAM {dram:.2}%"));
+        }
+        lines.push(totals);
+        lines.push(format!(
+            "{} group(s), ranked by |total contribution|:",
+            rows.len()
+        ));
+        lines.push(format!(
+            "{:>4} {:>5} {:>6} {:>6} {:>10} {:>10} {:>6} {:>9} {:>9} {:>9} {:>7}  {}",
+            "rank",
+            "group",
+            "rep",
+            "chrono",
+            "weight",
+            "dist",
+            "skip%",
+            "pks%",
+            "pkp%",
+            "total%",
+            "share%",
+            "ci(mean member cycles)"
+        ));
+        let mut warnings = Vec::new();
+        for (rank, r) in rows.iter().enumerate() {
+            let share = if total_abs > 0.0 {
+                r.total_term_pct.abs() / total_abs * 100.0
+            } else {
+                0.0
+            };
+            let skip = r
+                .skip_ratio
+                .map_or("-".to_string(), |s| format!("{:.1}", s * 100.0));
+            let pkp = r
+                .pkp_term_pct
+                .map_or("-".to_string(), |t| format!("{t:+.4}"));
+            lines.push(format!(
+                "{:>4} {:>5} {:>6} {:>6} {:>10} {:>10.4} {:>6} {:>9} {:>9} {:>9} {:>7.1}  [{:.1}, {:.1}]",
+                rank + 1,
+                r.group,
+                r.representative,
+                r.chrono_rank,
+                r.weight,
+                r.distance_to_centroid,
+                skip,
+                format!("{:+.4}", r.pks_term_pct),
+                pkp,
+                format!("{:+.4}", r.total_term_pct),
+                share,
+                r.member_mean_ci_low,
+                r.member_mean_ci_high,
+            ));
+            if share > DOMINANCE_THRESHOLD_PCT {
+                warnings.push(format!(
+                    "WARNING: group {} (representative {}) contributes {share:.1}% of the total \
+                     error (> {DOMINANCE_THRESHOLD_PCT:.0}%) — raise K or inspect its representative",
+                    r.group, r.representative
+                ));
+            }
+        }
+        lines.extend(warnings);
+        lines
+    }
+
+    /// Compares this (baseline) artifact with `current` for CI accuracy
+    /// gating. This is the attribution branch of `pka obs diff`.
+    ///
+    /// Exact comparisons (any change is a regression): workload, kind,
+    /// group count, and each group's representative — a representative
+    /// swap means the clustering itself changed. Tolerance comparisons
+    /// (`error_tol_pct` absolute percent points): `pks_err_pct`,
+    /// `pka_err_pct` and `dram_util_pct`. Per-group weights are reported
+    /// informationally (they legitimately grow with stream length) and
+    /// never flag on their own.
+    pub fn diff(&self, current: &ErrorAttribution, error_tol_pct: f64) -> DiffReport {
+        let mut report = DiffReport::default();
+        push_exact(
+            &mut report,
+            "workload",
+            Some(self.workload.clone()),
+            Some(current.workload.clone()),
+        );
+        push_exact(
+            &mut report,
+            "kind",
+            Some(self.kind.clone()),
+            Some(current.kind.clone()),
+        );
+        let (bg, cg) = (&self.groups, &current.groups);
+        push_exact(
+            &mut report,
+            "selected_k",
+            Some(bg.len().to_string()),
+            Some(cg.len().to_string()),
+        );
+        push_scalar(
+            &mut report,
+            "pks_err_pct",
+            Some(self.pks_err_pct),
+            Some(current.pks_err_pct),
+            error_tol_pct,
+        );
+        push_scalar(
+            &mut report,
+            "pka_err_pct",
+            self.pka_err_pct,
+            current.pka_err_pct,
+            error_tol_pct,
+        );
+        push_scalar(
+            &mut report,
+            "dram_util_pct",
+            self.dram_util_pct,
+            current.dram_util_pct,
+            error_tol_pct,
+        );
+        let render = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
+        for i in 0..bg.len().max(cg.len()) {
+            let rep = |g: Option<&GroupAttribution>| g.map(|g| g.representative.to_string());
+            push_exact(
+                &mut report,
+                &format!("group{i}.representative"),
+                rep(bg.get(i)),
+                rep(cg.get(i)),
+            );
+            // Weights drift legitimately (longer streams); informational only.
+            let weight = |g: Option<&GroupAttribution>| g.map(|g| g.weight);
+            report.entries.push(DiffEntry {
+                kind: "attribution",
+                name: format!("group{i}.weight"),
+                base: render(weight(bg.get(i))),
+                current: render(weight(cg.get(i))),
+                delta_pct: None,
+                regression: false,
+            });
+        }
+        report
+    }
+}
+
+fn push_scalar(
+    report: &mut DiffReport,
+    name: &str,
+    base: Option<f64>,
+    current: Option<f64>,
+    tol_points: f64,
+) {
+    let render = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.6}"));
+    let (delta, regression) = match (base, current) {
+        (Some(b), Some(c)) => (Some(c - b), (c - b).abs() > tol_points),
+        (Some(_), None) => (None, true), // reported value disappeared
+        (None, Some(_)) => (None, false), // new value: informational
+        (None, None) => (None, false),
+    };
+    report.entries.push(DiffEntry {
+        kind: "attribution",
+        name: name.to_string(),
+        base: render(base),
+        current: render(current),
+        delta_pct: delta,
+        regression,
+    });
+}
+
+fn push_exact(report: &mut DiffReport, name: &str, base: Option<String>, current: Option<String>) {
+    let regression = match (&base, &current) {
+        (Some(b), Some(c)) => b != c,
+        (Some(_), None) => true,
+        _ => false,
+    };
+    report.entries.push(DiffEntry {
+        kind: "attribution",
+        name: name.to_string(),
+        base: base.unwrap_or_else(|| "-".to_string()),
+        current: current.unwrap_or_else(|| "-".to_string()),
+        delta_pct: None,
+        regression,
+    });
 }
 
 /// Builds a selection-kind attribution: the truth is the profiled members'
@@ -519,5 +753,177 @@ pub fn simulation_attribution(
         pka_err_pct: Some(pka_stats::error::abs_pct_error(pka_projected as f64, silicon)),
         dram_util_pct: Some(dram_util),
         groups,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn group(i: usize, rep: u64, weight: u64, pks: f64, pkp: f64) -> GroupAttribution {
+        GroupAttribution {
+            group: i,
+            representative: rep,
+            chrono_rank: 0,
+            distance_to_centroid: 0.25,
+            weight,
+            profiled_count: weight,
+            member_cycles: 1_000 * weight,
+            member_mean_ci_low: 990.0,
+            member_mean_ci_high: 1_010.0,
+            rep_cycles_pks: 1_000,
+            rep_cycles_pka: Some(995),
+            skip_ratio: Some(0.4),
+            pks_term_pct: pks,
+            pkp_term_pct: Some(pkp),
+            total_term_pct: pks + pkp,
+            dram_util_pct: None,
+            dram_share_pct: None,
+        }
+    }
+
+    fn artifact(groups: Vec<GroupAttribution>) -> ErrorAttribution {
+        ErrorAttribution {
+            schema: ATTRIBUTION_SCHEMA.to_string(),
+            workload: "synthetic:1000".to_string(),
+            kind: "simulation".to_string(),
+            reference_cycles: 1_000_000,
+            pks_projected_cycles: 1_010_000,
+            pka_projected_cycles: Some(1_005_000),
+            pks_err_signed_pct: 1.0,
+            pks_err_pct: 1.0,
+            pka_err_signed_pct: Some(0.5),
+            pka_err_pct: Some(0.5),
+            dram_util_pct: Some(12.0),
+            groups,
+        }
+    }
+
+    fn object(value: Value) -> Map {
+        match value {
+            Value::Object(m) => m,
+            other => panic!("expected an object, got {other}"),
+        }
+    }
+
+    #[test]
+    fn explain_ranks_by_absolute_contribution_and_flags_dominance() {
+        let doc = artifact(vec![
+            group(0, 3, 100, 0.1, 0.0),
+            group(1, 7, 50, -2.0, -0.5),
+            group(2, 9, 10, 0.3, 0.1),
+        ]);
+        let lines = doc.explain();
+        let rank1 = lines
+            .iter()
+            .find(|l| l.trim_start().starts_with("1 "))
+            .unwrap();
+        assert!(rank1.contains(" 1 "), "group 1 leads: {rank1}");
+        // |−2.5| of |−2.5|+0.1+0.4 = 83% > 50% dominance.
+        let warning = lines.last().unwrap();
+        assert!(warning.starts_with("WARNING:"), "{warning}");
+        assert!(warning.contains("group 1"), "{warning}");
+        assert!(warning.contains("representative 7"), "{warning}");
+    }
+
+    #[test]
+    fn explain_without_dominant_group_has_no_warning() {
+        let doc = artifact(vec![group(0, 3, 100, 0.5, 0.0), group(1, 7, 50, -0.5, 0.0)]);
+        assert!(doc.explain().iter().all(|l| !l.starts_with("WARNING:")));
+    }
+
+    #[test]
+    fn reader_rejects_foreign_or_missing_schema() {
+        let mut doc = object(artifact(vec![group(0, 3, 100, 0.5, 0.1)]).to_json_value());
+        doc.insert("schema".to_string(), Value::from("other/v1"));
+        let err = ErrorAttribution::from_json_value(&Value::Object(doc.clone()))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("`schema`") && err.contains("other/v1"),
+            "{err}"
+        );
+        doc.remove("schema");
+        let err = ErrorAttribution::from_json_value(&Value::Object(doc))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("`schema`: missing"), "{err}");
+        assert!(ErrorAttribution::from_json_value(&Value::Object(Map::new())).is_err());
+    }
+
+    #[test]
+    fn reader_names_a_missing_group_field() {
+        let doc = artifact(vec![group(0, 3, 100, 0.5, 0.1), group(1, 4, 10, 0.1, 0.0)]);
+        let mut value = object(doc.to_json_value());
+        let mut groups = value["groups"].as_array().unwrap().clone();
+        let mut second = object(groups[1].clone());
+        second.remove("total_term_pct");
+        groups[1] = Value::Object(second);
+        value.insert("groups".to_string(), Value::Array(groups));
+        let err = ErrorAttribution::from_json_value(&Value::Object(value))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("group 1") && err.contains("`total_term_pct`: missing"),
+            "{err}"
+        );
+        // The untouched artifact reads back unchanged.
+        assert_eq!(
+            ErrorAttribution::from_json_value(&doc.to_json_value()).unwrap(),
+            doc
+        );
+    }
+
+    #[test]
+    fn self_diff_is_clean() {
+        let doc = artifact(vec![group(0, 3, 100, 0.5, 0.1)]);
+        assert_eq!(doc.diff(&doc, 0.5).regressions(), 0);
+    }
+
+    #[test]
+    fn representative_swap_is_a_regression() {
+        let base = artifact(vec![group(0, 3, 100, 0.5, 0.1)]);
+        let swapped = artifact(vec![group(0, 4, 100, 0.5, 0.1)]);
+        let report = base.diff(&swapped, 0.5);
+        assert_eq!(report.regressions(), 1);
+        let e = report.entries.iter().find(|e| e.regression).unwrap();
+        assert_eq!(e.name, "group0.representative");
+    }
+
+    #[test]
+    fn error_drift_past_tolerance_flags_but_weight_growth_does_not() {
+        let base = artifact(vec![group(0, 3, 100, 0.5, 0.1)]);
+        let mut drifted = artifact(vec![group(0, 3, 900, 0.5, 0.1)]);
+        drifted.pks_err_pct = 2.1; // +1.1 > 0.5 tol
+        let report = base.diff(&drifted, 0.5);
+        assert_eq!(report.regressions(), 1);
+        let e = report.entries.iter().find(|e| e.regression).unwrap();
+        assert_eq!(e.name, "pks_err_pct");
+        let w = report
+            .entries
+            .iter()
+            .find(|e| e.name == "group0.weight")
+            .unwrap();
+        assert!(!w.regression && w.base != w.current);
+    }
+
+    #[test]
+    fn group_count_change_is_a_regression() {
+        let base = artifact(vec![group(0, 3, 100, 0.5, 0.1)]);
+        let split = artifact(vec![group(0, 3, 60, 0.3, 0.1), group(1, 9, 40, 0.2, 0.0)]);
+        let report = base.diff(&split, 0.5);
+        assert_eq!(report.regressions(), 1, "only the K change flags");
+        assert!(report
+            .entries
+            .iter()
+            .any(|e| e.name == "selected_k" && e.regression));
+        // The new group's representative row is informational, mirroring
+        // the new-checksum convention in manifest diffs.
+        let new_rep = report
+            .entries
+            .iter()
+            .find(|e| e.name == "group1.representative")
+            .unwrap();
+        assert!(!new_rep.regression && new_rep.base == "-");
     }
 }

@@ -116,8 +116,7 @@ pub fn chrome_trace(jsonl: &str) -> Result<Value, String> {
                     continue;
                 };
                 // Chrome renders one counter track per event name, with one
-                // series per args key — so `snapshot.shard0.records`,
-                // `snapshot.shard1.records`, ... each get their own lane.
+                // series per args key: one lane per counter name.
                 events.push(json!({
                     "ph": "C", "name": name, "cat": "counter",
                     "pid": PID, "tid": tid,
@@ -222,7 +221,7 @@ mod tests {
         assert_eq!(c[0]["name"].as_str(), Some("snapshot.kernels_per_sec"));
         assert_eq!(c[0]["args"]["kernels_per_sec"].as_f64(), Some(1_250_000.0));
         assert_eq!(c[0]["ts"].as_f64(), Some(2.0));
-        // One counter lane per shard: distinct names, one series each.
+        // One lane per counter name: distinct names, one series each.
         assert_eq!(c[1]["name"].as_str(), Some("snapshot.shard0.records"));
         assert_eq!(c[1]["args"]["records"].as_u64(), Some(512));
         assert_eq!(c[2]["name"].as_str(), Some("snapshot.shard1.records"));

@@ -31,12 +31,10 @@
 
 #![forbid(unsafe_code)]
 
-mod attribution;
 mod diff;
 mod export;
 mod expose;
 mod snapshot_sink;
-mod trend;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -49,14 +47,10 @@ use std::time::Instant;
 
 use serde_json::{json, Map, Value};
 
-pub use attribution::{
-    diff_attributions, explain_attribution, ATTRIBUTION_SCHEMA, DOMINANCE_THRESHOLD_PCT,
-};
 pub use diff::{diff_bench, diff_manifests, DiffEntry, DiffReport, DiffThresholds};
 pub use export::chrome_trace;
 pub use expose::{global_prometheus, parse_exposition, prometheus_text, EXPOSITION_CONTENT_TYPE};
 pub use snapshot_sink::{SnapshotRecord, SNAPSHOT_SCHEMA};
-pub use trend::{trend_load, trend_push, trend_report, TrendThresholds};
 
 use snapshot_sink::SnapshotSink;
 
@@ -66,32 +60,11 @@ pub const MANIFEST_SCHEMA: &str = "pka.run_manifest/v1";
 /// Schema identifier stamped into every JSONL trace line.
 pub const TRACE_SCHEMA: &str = "pka.trace/v1";
 
-/// Percentile routine injected by the binary (see [`set_percentile_fn`]).
-static PERCENTILE_FN: OnceLock<fn(&[f64], f64) -> f64> = OnceLock::new();
-
-/// Register the percentile routine used to annotate manifest histogram
-/// sections with `p50`/`p95`/`p99`.
-///
-/// `pka-obs` sits below `pka-stats` in the crate DAG, so it cannot call
-/// `pka_stats::summary::percentile` directly; binaries inject it once at
-/// startup. Until a routine is registered (and for empty histograms),
-/// manifests simply omit the percentile keys — existing `edges`/`counts`
-/// bytes are unchanged either way, so `obs diff` baselines do not churn.
-/// The first registration wins; later calls are ignored.
-pub fn set_percentile_fn(f: fn(&[f64], f64) -> f64) {
-    let _ = PERCENTILE_FN.set(f);
-}
-
 /// Approximate percentile `p` of a fixed-bucket histogram: rank the sample
 /// index `p/100 * (total - 1)` into the cumulative counts, map bucket `i`
 /// to its inclusive upper edge (the overflow bucket maps to the last edge),
-/// and linearly interpolate fractional ranks via the injected routine.
-fn histogram_percentile(
-    edges: &[u64],
-    counts: &[u64],
-    p: f64,
-    percentile: fn(&[f64], f64) -> f64,
-) -> f64 {
+/// and linearly interpolate fractional ranks between the two edges.
+fn histogram_percentile(edges: &[u64], counts: &[u64], p: f64) -> f64 {
     let total: u64 = counts.iter().sum();
     debug_assert!(total > 0, "caller guards empty histograms");
     let rank = p / 100.0 * (total.saturating_sub(1)) as f64;
@@ -109,9 +82,19 @@ fn histogram_percentile(
         }
         edges.last().copied().unwrap_or(0) as f64
     };
-    let low = value_at(rank.floor() as u64);
-    let high = value_at(rank.ceil() as u64);
-    percentile(&[low, high], (rank - rank.floor()) * 100.0)
+    let (low, high) = (value_at(rank.floor() as u64), value_at(rank.ceil() as u64));
+    // `pka_stats::summary::percentile(&[low, high], frac * 100.0)`, spelled
+    // out operation for operation so manifests keep their exact bits:
+    // sort the pair, re-derive the rank over two samples, interpolate.
+    let (lo, hi) = if high < low { (high, low) } else { (low, high) };
+    let t = (rank - rank.floor()) * 100.0 / 100.0;
+    if t == 0.0 {
+        lo
+    } else if t == 1.0 {
+        hi
+    } else {
+        lo * (1.0 - t) + hi * t
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -765,7 +748,6 @@ pub struct Snapshot {
 impl Snapshot {
     /// The snapshot as a JSON value (the manifest body minus config).
     pub fn to_value(&self) -> Value {
-        let percentile = PERCENTILE_FN.get().copied();
         let histograms: Map = self
             .histograms
             .iter()
@@ -775,14 +757,12 @@ impl Snapshot {
                     Value::Object(m) => m,
                     _ => unreachable!("histogram section serializes to an object"),
                 };
-                if let Some(f) = percentile {
-                    if counts.iter().any(|&c| c > 0) {
-                        for (key, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
-                            section.insert(
-                                key.to_string(),
-                                json!(histogram_percentile(edges, counts, p, f)),
-                            );
-                        }
+                if counts.iter().any(|&c| c > 0) {
+                    for (key, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
+                        section.insert(
+                            key.to_string(),
+                            json!(histogram_percentile(edges, counts, p)),
+                        );
                     }
                 }
                 (k.clone(), Value::Object(section))
@@ -1351,21 +1331,8 @@ mod tests {
         assert_eq!(v["stages"]["test.stage"]["calls"].as_u64(), Some(1));
     }
 
-    /// Mirrors `pka_stats::summary::percentile` (rank `p/100 * (n-1)`,
-    /// linear interpolation) without the upward crate dependency.
-    fn linear_percentile(xs: &[f64], p: f64) -> f64 {
-        if xs.is_empty() {
-            return 0.0;
-        }
-        let rank = p / 100.0 * (xs.len() - 1) as f64;
-        let lo = xs[rank.floor() as usize];
-        let hi = xs[rank.ceil() as usize];
-        lo + (hi - lo) * (rank - rank.floor())
-    }
-
     #[test]
-    fn histogram_percentiles_appear_once_routine_is_registered() {
-        set_percentile_fn(linear_percentile);
+    fn histogram_percentiles_interpolate_between_bucket_edges() {
         let r = Registry::new();
         let h = r.histogram("test.pctl", &[10, 100, 1000]);
         for _ in 0..90 {

@@ -10,8 +10,12 @@
 //! function of the input stream and configuration, so the record payload is
 //! byte-identical across `--workers` counts. All wall-clock-derived data
 //! (elapsed nanoseconds, kernels/s throughput, cumulative checkpoint write
-//! time) is quarantined in a `"timing"` sub-object added by the sink, which
-//! parity tooling strips before comparison.
+//! time) is quarantined in a `"timing"` sub-object, which parity tooling
+//! strips before comparison.
+//!
+//! [`SnapshotRecord::header_line`] and [`SnapshotRecord::stamped_line`] are
+//! the only writers of the line format: the sink here and the server's
+//! NDJSON progress and SSE streams all call them.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -52,8 +56,26 @@ pub struct SnapshotRecord {
 }
 
 impl SnapshotRecord {
+    /// The header line that opens every `pka.snapshot/v1` stream.
+    pub fn header_line() -> String {
+        json!({ "type": "header", "schema": SNAPSHOT_SCHEMA }).to_string()
+    }
+
+    /// One `pka.snapshot/v1` line: the payload stamped with `type`, `seq`
+    /// and the volatile `timing` sub-object.
+    pub fn stamped_line(&self, seq: u64, timing: Map) -> String {
+        let mut line = match self.to_value() {
+            Value::Object(m) => m,
+            _ => unreachable!("snapshot record serializes to an object"),
+        };
+        line.insert("type".to_string(), json!("snapshot"));
+        line.insert("seq".to_string(), json!(seq));
+        line.insert("timing".to_string(), Value::Object(timing));
+        Value::Object(line).to_string()
+    }
+
     /// The record as a JSON object (deterministic payload only; `type`,
-    /// `seq`, and `timing` are stamped by the sink).
+    /// `seq`, and `timing` are added by [`Self::stamped_line`]).
     pub fn to_value(&self) -> Value {
         json!({
             "phase": self.phase,
@@ -124,8 +146,7 @@ impl SnapshotSink {
 
     pub(crate) fn attach(&mut self, path: &Path) -> io::Result<()> {
         let mut w = BufWriter::new(File::create(path)?);
-        let header = json!({ "type": "header", "schema": SNAPSHOT_SCHEMA });
-        writeln!(w, "{header}")?;
+        writeln!(w, "{}", SnapshotRecord::header_line())?;
         w.flush()?;
         self.writer = Some(w);
         Ok(())
@@ -168,20 +189,14 @@ impl SnapshotSink {
             }
         }
 
-        let mut line = match record.to_value() {
-            Value::Object(m) => m,
-            _ => unreachable!("snapshot record serializes to an object"),
-        };
-        line.insert("type".to_string(), json!("snapshot"));
-        line.insert("seq".to_string(), json!(self.seq));
-        line.insert("timing".to_string(), Value::Object(timing));
+        let seq = self.seq;
         self.seq += 1;
 
         if let Some(w) = self.writer.as_mut() {
-            let value = Value::Object(line);
+            let line = record.stamped_line(seq, timing);
             // A failed snapshot write must never abort the pipeline; drop
             // the writer so the run completes without snapshots.
-            if writeln!(w, "{value}").and_then(|_| w.flush()).is_err() {
+            if writeln!(w, "{line}").and_then(|_| w.flush()).is_err() {
                 self.writer = None;
             }
         }

@@ -65,6 +65,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pka_core::Executor;
+use pka_obs::SnapshotRecord;
 use serde_json::{json, Value};
 
 /// Histogram edges for `server.request_ns` (1 µs .. 10 s).
@@ -428,10 +429,7 @@ impl PkaServer {
         if writer.write_all(head.as_bytes()).is_err() {
             return 0;
         }
-        if !send(
-            writer,
-            "data: {\"schema\":\"pka.snapshot/v1\",\"type\":\"header\"}\n\n",
-        ) {
+        if !send(writer, &format!("data: {}\n\n", SnapshotRecord::header_line())) {
             return written;
         }
 
@@ -567,7 +565,8 @@ impl PkaServer {
             ("GET", Some("progress")) => {
                 let st = session.cell.state.lock().expect("session state");
                 let mut body = String::new();
-                body.push_str("{\"schema\":\"pka.snapshot/v1\",\"type\":\"header\"}\n");
+                body.push_str(&SnapshotRecord::header_line());
+                body.push('\n');
                 for line in &st.progress {
                     body.push_str(line);
                     body.push('\n');

@@ -737,20 +737,6 @@ fn push_progress(st: &mut SessionState, line: String) {
     st.progress.push_back(line);
 }
 
-/// Stamps a [`SnapshotRecord`] payload exactly like the `pka-obs` snapshot
-/// sink does (`type`/`seq`/`timing`), except `timing` is empty: progress
-/// served over HTTP is built purely from checkpoint state, so interleaved
-/// sessions produce byte-identical progress to serial runs.
-fn stamp_line(record: &SnapshotRecord, seq: u64) -> String {
-    let mut v = record.to_value();
-    if let Value::Object(m) = &mut v {
-        m.insert("type".into(), Value::from("snapshot"));
-        m.insert("seq".into(), Value::from(seq));
-        m.insert("timing".into(), json!({}));
-    }
-    v.to_string()
-}
-
 fn group_counts_of(selection: &Value) -> Vec<u64> {
     serde_json::from_value::<Selection>(selection.clone())
         .map(|s| s.groups().iter().map(|g| g.count()).collect())
@@ -828,7 +814,10 @@ fn run_stream(
         if let Some(p) = &ckpt {
             cp.write_to(p)?;
         }
-        let line = stamp_line(&progress_record(cp), cp.seq);
+        // `timing` stays empty: progress served over HTTP is built purely
+        // from checkpoint state, so interleaved sessions produce
+        // byte-identical progress to serial runs.
+        let line = progress_record(cp).stamped_line(cp.seq, Map::new());
         let mut st = on_cell.state.lock().expect("session state");
         st.records = cp.records;
         st.selected_k = Some(cp.selected_k);

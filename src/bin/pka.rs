@@ -62,11 +62,6 @@ fn main() -> ExitCode {
         eprintln!("error: unexpected argument `{}`\n{USAGE}", positional[0]);
         return ExitCode::from(2);
     }
-    // Manifest histograms render p50/p95/p99 through the shared stats
-    // routine; registration is process-global and first-wins.
-    principal_kernel_analysis::obs::set_percentile_fn(
-        principal_kernel_analysis::stats::summary::percentile,
-    );
     if let Err(e) = obs_setup(&flags) {
         eprintln!("error: {e}");
         return ExitCode::from(2);
@@ -233,8 +228,6 @@ const USAGE: &str = "usage:
   pka obs diff BASELINE.json CURRENT.json [--counters-only]
               [--counter-tol PCT] [--gauge-tol PCT] [--stage-tol PCT]
               [--bench [--bench-tol PCT]] [--error-tol PCT]
-  pka obs diff --trend TREND_DIR [--trend-window N] [--stage-tol PCT]
-  pka obs trend-push MANIFEST.json TREND_DIR [--trend-cap N]
 
 `stream` runs the bounded-memory online PKS pipeline: the first J kernels
 are profiled in detail and clustered exactly like the batch pipeline, then
@@ -294,7 +287,7 @@ mid-request are dropped with 408 after `--read-timeout-ms` (default
 30000). `obs scrape URL` fetches a /metrics endpoint (bare host:port
 defaults to the /metrics path) and rewrites it as a
 `pka.run_manifest/v1` metrics document, so a live service can be gated
-with the same `obs diff` / trend machinery as offline runs.
+with the same `obs diff` gate as offline runs.
 
 `trace export` converts a `--trace-out` JSONL file into Chrome
 trace-event JSON that opens directly in Perfetto (ui.perfetto.dev) or
@@ -303,11 +296,6 @@ chrome://tracing, one lane per executor worker. `obs diff` compares two
 ratios, checksum changes) — or, with `--bench`, two bench-medians files —
 and exits non-zero when any delta exceeds its threshold; `--counters-only`
 skips the machine-dependent stage/wall sections for cross-host CI gating.
-`obs trend-push` appends a manifest to a bounded per-commit ring
-(`--trend-cap` files, default 16), and `obs diff --trend` scans that ring
-for creeping slowdowns: stage timings that rise monotonically across the
-trailing `--trend-window` runs (default 4), each step under the single-run
-threshold but cumulatively past it.
 
 observability flags (any of them turns collection on; results are
 unchanged — observability output is excluded from parity):
@@ -390,9 +378,6 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
             "bench",
             "bench-tol",
             "error-tol",
-            "trend",
-            "trend-window",
-            "trend-cap",
         ],
         _ => return None,
     })
@@ -1018,17 +1003,19 @@ fn cmd_trace(flags: &HashMap<String, String>, positional: &[String]) -> Result<(
     Ok(())
 }
 
-/// `pka obs diff BASE CURRENT [...]`: compare two run manifests (or two
-/// bench medians files with `--bench`) and fail on regressions past the
-/// thresholds — the CI regression gate.
+/// `pka obs diff BASE CURRENT [...]`: compare two run manifests, two bench
+/// medians files (`--bench`) or two attribution artifacts and fail on
+/// regressions past the thresholds — the CI regression gate. `obs explain`
+/// renders one attribution artifact; `obs scrape` reads a live /metrics.
 fn cmd_obs(flags: &HashMap<String, String>, positional: &[String]) -> Result<(), String> {
-    use principal_kernel_analysis::obs::{
-        diff_bench, diff_manifests, trend_load, trend_push, trend_report, DiffThresholds,
-        TrendThresholds,
-    };
+    use principal_kernel_analysis::core::{ErrorAttribution, ATTRIBUTION_SCHEMA};
+    use principal_kernel_analysis::obs::{diff_bench, diff_manifests, DiffThresholds};
     let read = |path: &String| -> Result<serde_json::Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
+    };
+    let attribution = |path: &String, doc: serde_json::Value| -> Result<ErrorAttribution, String> {
+        serde_json::from_value(doc).map_err(|e| format!("{path}: {e}"))
     };
     let pct_flag = |name: &str, default: f64| -> Result<f64, String> {
         flags
@@ -1048,8 +1035,7 @@ fn cmd_obs(flags: &HashMap<String, String>, positional: &[String]) -> Result<(),
             let path = positional
                 .get(1)
                 .ok_or("obs explain needs an ATTRIBUTION.json path")?;
-            let doc = read(path)?;
-            for line in principal_kernel_analysis::obs::explain_attribution(&doc)? {
+            for line in attribution(path, read(path)?)?.explain() {
                 println!("{line}");
             }
             return Ok(());
@@ -1078,54 +1064,12 @@ fn cmd_obs(flags: &HashMap<String, String>, positional: &[String]) -> Result<(),
             }
             return Ok(());
         }
-        Some("trend-push") => {
-            let manifest_path = positional
-                .get(1)
-                .ok_or("obs trend-push needs a MANIFEST.json path")?;
-            let dir = positional
-                .get(2)
-                .ok_or("obs trend-push needs a TREND_DIR path")?;
-            let cap = int_flag(flags, "trend-cap")?.unwrap_or(16) as usize;
-            let manifest = read(manifest_path)?;
-            let written = trend_push(std::path::Path::new(dir), &manifest, cap)
-                .map_err(|e| format!("trend-push {dir}: {e}"))?;
-            println!("trend ring: appended {}", written.display());
-            return Ok(());
-        }
         Some(other) => return Err(format!("unknown obs subcommand `{other}`\n{USAGE}")),
         None => {
             return Err(format!(
-                "obs needs a subcommand (diff, explain, scrape, trend-push)\n{USAGE}"
+                "obs needs a subcommand (diff, explain, scrape)\n{USAGE}"
             ))
         }
-    }
-    if let Some(dir) = flags.get("trend") {
-        // Trend mode: scan the bounded manifest ring for creeping
-        // slowdowns the single-run gate cannot see.
-        let runs = trend_load(std::path::Path::new(dir))
-            .map_err(|e| format!("trend ring {dir}: {e}"))?;
-        let defaults = TrendThresholds::default();
-        let window = match int_flag(flags, "trend-window")? {
-            Some(n) if n >= 2 => n as usize,
-            Some(_) => return Err("--trend-window must be at least 2".to_string()),
-            None => defaults.window,
-        };
-        let thresholds = TrendThresholds {
-            stage_pct: pct_flag("stage-tol", defaults.stage_pct)?,
-            window,
-        };
-        let report = trend_report(&runs, &thresholds)?;
-        println!(
-            "trend ring {dir}: {} run(s), window {window}",
-            runs.len()
-        );
-        for line in report.lines() {
-            println!("{line}");
-        }
-        return match report.regressions() {
-            0 => Ok(()),
-            n => Err(format!("{n} creeping slowdown(s) across the trend window")),
-        };
     }
     let (Some(base_path), Some(cur_path)) = (positional.get(1), positional.get(2)) else {
         return Err("obs diff needs BASELINE and CURRENT file paths".to_string());
@@ -1135,15 +1079,11 @@ fn cmd_obs(flags: &HashMap<String, String>, positional: &[String]) -> Result<(),
     let defaults = DiffThresholds::default();
     // Attribution artifacts are sniffed by schema so the same `obs diff`
     // entry point gates accuracy drift next to the performance manifests.
-    let attribution_schema = principal_kernel_analysis::obs::ATTRIBUTION_SCHEMA;
-    let report = if base["schema"].as_str() == Some(attribution_schema)
-        || current["schema"].as_str() == Some(attribution_schema)
+    let report = if base["schema"].as_str() == Some(ATTRIBUTION_SCHEMA)
+        || current["schema"].as_str() == Some(ATTRIBUTION_SCHEMA)
     {
-        principal_kernel_analysis::obs::diff_attributions(
-            &base,
-            &current,
-            pct_flag("error-tol", 0.5)?,
-        )?
+        let tol = pct_flag("error-tol", 0.5)?;
+        attribution(base_path, base)?.diff(&attribution(cur_path, current)?, tol)
     } else if flags.contains_key("bench") {
         diff_bench(&base, &current, pct_flag("bench-tol", defaults.stage_pct)?)?
     } else {

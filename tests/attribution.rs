@@ -3,8 +3,8 @@
 //!
 //! The contract under test: per-group signed contributions sum exactly
 //! (1e-9 relative) to the reported projection error, the artifact is
-//! byte-identical for any worker count, and the `obs` layer's explain /
-//! diff entry points agree with the core writer on the schema id.
+//! byte-identical for any worker count, and the typed reader behind
+//! `pka obs explain` / `pka obs diff` fails closed on a malformed file.
 
 use principal_kernel_analysis::core::{Pka, PkaConfig, Selection};
 use principal_kernel_analysis::gpu::GpuConfig;
@@ -12,7 +12,7 @@ use principal_kernel_analysis::stream::{
     synthetic_workload, Checkpoint, StreamConfig, StreamError, StreamPks, WorkloadSource,
 };
 use principal_kernel_analysis::workloads::{rodinia, Workload};
-use principal_kernel_analysis::{core, obs, profile::Profiler};
+use principal_kernel_analysis::{core, profile::Profiler};
 
 fn find(suite: Vec<Workload>, name: &str) -> Workload {
     suite.into_iter().find(|w| w.name() == name).expect("known workload")
@@ -20,12 +20,6 @@ fn find(suite: Vec<Workload>, name: &str) -> Workload {
 
 fn tiny_gpu() -> GpuConfig {
     GpuConfig::builder("itest8").num_sms(8).build().expect("valid")
-}
-
-#[test]
-fn core_and_obs_agree_on_the_schema_id() {
-    assert_eq!(core::ATTRIBUTION_SCHEMA, obs::ATTRIBUTION_SCHEMA);
-    assert_eq!(core::ATTRIBUTION_SCHEMA, "pka.attribution/v1");
 }
 
 #[test]
@@ -116,39 +110,79 @@ fn explain_and_diff_close_the_loop_on_a_real_artifact() {
     let (_, attribution) = pka
         .evaluate_with_attribution(&w, false)
         .expect("pipeline runs");
-    let doc = serde_json::to_value(&attribution).expect("serialises");
+    // The artifact reads back through the same typed reader `obs` uses.
+    let doc: core::ErrorAttribution =
+        serde_json::from_value(serde_json::to_value(&attribution).expect("serialises"))
+            .expect("reads back");
+    assert_eq!(doc, attribution);
 
     // explain renders a header naming the schema, workload and kind.
-    let lines = obs::explain_attribution(&doc).expect("explains");
+    let lines = doc.explain();
     assert!(lines[0].contains(core::ATTRIBUTION_SCHEMA), "{}", lines[0]);
     assert!(lines[0].contains("gauss_208"), "{}", lines[0]);
 
     // Identical artifacts gate clean ...
-    let clean = obs::diff_attributions(&doc, &doc, 0.5).expect("diffs");
-    assert_eq!(clean.regressions(), 0);
+    assert_eq!(doc.diff(&doc, 0.5).regressions(), 0);
 
     // ... a representative swap is an exact-match regression ...
     let mut swapped = doc.clone();
-    if let serde_json::Value::Object(m) = &mut swapped {
-        let mut groups = m["groups"].as_array().expect("groups").clone();
-        if let serde_json::Value::Object(g) = &mut groups[0] {
-            g.insert("representative".to_string(), serde_json::json!(424_242u64));
-        }
-        m.insert("groups".to_string(), serde_json::Value::Array(groups));
-    }
-    let swap = obs::diff_attributions(&doc, &swapped, 0.5).expect("diffs");
-    assert!(swap.regressions() >= 1, "representative swap must gate");
+    swapped.groups[0].representative = 424_242;
+    assert!(doc.diff(&swapped, 0.5).regressions() >= 1, "representative swap must gate");
 
     // ... and error drift past the tolerance is a threshold regression.
     let mut drifted = doc.clone();
-    let reported = doc["pks_err_pct"].as_f64().expect("pks_err_pct");
-    if let serde_json::Value::Object(m) = &mut drifted {
-        m.insert("pks_err_pct".to_string(), serde_json::json!(reported + 2.0));
+    drifted.pks_err_pct += 2.0;
+    assert!(doc.diff(&drifted, 0.5).regressions() >= 1, "2-point drift must gate at 0.5");
+    assert_eq!(doc.diff(&drifted, 5.0).regressions(), 0, "5-point tolerance absorbs the drift");
+}
+
+/// `pka obs explain` parses with the typed reader: a foreign schema or a
+/// missing field is exit 1 with the field named, never a table (a missing
+/// headline error used to render as 0).
+#[test]
+fn cli_explain_refuses_a_malformed_artifact_by_field() {
+    let pka = Pka::new(tiny_gpu(), PkaConfig::default());
+    let w = find(rodinia::workloads(), "gauss_208");
+    let (_, attribution) = pka
+        .select_kernels_with_attribution(&w)
+        .expect("selection runs");
+    let good = serde_json::to_value(&attribution).expect("serialises");
+    let mut foreign = good.clone();
+    let mut headless = good.clone();
+    let mut partial = good.clone();
+    if let serde_json::Value::Object(m) = &mut foreign {
+        m.insert("schema".to_string(), serde_json::json!("pka.attribution/v0"));
     }
-    let drift = obs::diff_attributions(&doc, &drifted, 0.5).expect("diffs");
-    assert!(drift.regressions() >= 1, "2-point drift must gate at 0.5");
-    let lax = obs::diff_attributions(&doc, &drifted, 5.0).expect("diffs");
-    assert_eq!(lax.regressions(), 0, "5-point tolerance absorbs the drift");
+    if let serde_json::Value::Object(m) = &mut headless {
+        m.remove("pks_err_signed_pct");
+    }
+    if let serde_json::Value::Object(m) = &mut partial {
+        let mut groups = m["groups"].as_array().expect("groups").clone();
+        if let serde_json::Value::Object(g) = &mut groups[0] {
+            g.remove("total_term_pct");
+        }
+        m.insert("groups".to_string(), serde_json::Value::Array(groups));
+    }
+    for (tag, doc, field) in [
+        ("foreign", &foreign, "`schema`"),
+        ("headless", &headless, "`pks_err_signed_pct`"),
+        ("partial", &partial, "`total_term_pct`"),
+    ] {
+        let path = std::env::temp_dir().join(format!(
+            "pka_attribution_{tag}_{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, doc.to_string()).expect("write artifact");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pka"))
+            .args(["obs", "explain", path.to_str().expect("utf8 path")])
+            .output()
+            .expect("pka runs");
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{tag}: no table is printed");
+        assert!(stderr.contains(field), "{tag}: {stderr}");
+    }
 }
 
 #[test]

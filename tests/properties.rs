@@ -1,6 +1,10 @@
 //! Property-based tests over the core invariants, spanning crates.
 
-use principal_kernel_analysis::core::{fit_tail_ensemble, PkpConfig, PkpMonitor};
+use std::sync::OnceLock;
+
+use principal_kernel_analysis::core::{
+    fit_tail_ensemble, ErrorAttribution, Pka, PkaConfig, PkpConfig, PkpMonitor,
+};
 use principal_kernel_analysis::gpu::{
     GpuConfig, GpuGeneration, KernelDescriptor, KernelMetrics, KernelPhase, Occupancy,
     SiliconExecutor,
@@ -11,9 +15,16 @@ use principal_kernel_analysis::sim::{
     IpcSample, KernelSimResult, MaxCyclesMonitor, MaxInstructionsMonitor, NullMonitor,
     SimMonitor, SimOptions, Simulator, WarpProgram,
 };
+use principal_kernel_analysis::obs::Registry;
+use principal_kernel_analysis::profile::Profiler;
 use principal_kernel_analysis::stats::hash::UnitStream;
-use principal_kernel_analysis::stats::{OnlineStats, RollingStats};
+use principal_kernel_analysis::stats::{summary, OnlineStats, RollingStats};
+use principal_kernel_analysis::stream::{
+    synthetic_workload, Checkpoint, StreamConfig, StreamError, StreamPks, WorkloadSource,
+};
+use principal_kernel_analysis::workloads::rodinia;
 use proptest::prelude::*;
+use serde_json::Value;
 
 /// A random but always-valid kernel descriptor, kept small enough for
 /// debug-mode simulation.
@@ -418,5 +429,156 @@ proptest! {
             .collect();
         prop_assert_eq!(got, want);
         prop_assert!(hits > 0, "repeats of the hot rows must hit");
+    }
+}
+
+/// One real artifact of each file type read back in: a simulation-kind
+/// `pka.attribution/v1` (every optional field present) and a final
+/// `pka.stream_checkpoint/v1`, built once per test binary.
+fn read_back_documents() -> &'static [(&'static str, Value); 2] {
+    static DOCS: OnceLock<[(&'static str, Value); 2]> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let gpu = GpuConfig::builder("prop8").num_sms(8).build().expect("valid");
+        let w = rodinia::workloads()
+            .into_iter()
+            .find(|w| w.name() == "gauss_208")
+            .expect("known workload");
+        let (_, attribution) = Pka::new(gpu, PkaConfig::default())
+            .evaluate_with_attribution(&w, false)
+            .expect("pipeline runs");
+        let mut source =
+            WorkloadSource::new(synthetic_workload(600), Profiler::new(GpuConfig::v100()));
+        let outcome = StreamPks::new(StreamConfig::default().with_prefix(200))
+            .run(&mut source, |_: &Checkpoint| Ok::<(), StreamError>(()))
+            .expect("stream runs");
+        [
+            ("attribution", serde_json::to_value(&attribution).expect("serialises")),
+            ("checkpoint", outcome.final_checkpoint.to_value()),
+        ]
+    })
+}
+
+/// Every node below the root as a path of object keys / array indices.
+fn node_paths(v: &Value, at: &[String], out: &mut Vec<Vec<String>>) {
+    let children: Vec<(String, &Value)> = match v {
+        Value::Object(m) => m.iter().map(|(k, c)| (k.clone(), c)).collect(),
+        Value::Array(xs) => xs.iter().enumerate().map(|(i, c)| (i.to_string(), c)).collect(),
+        _ => return,
+    };
+    for (step, child) in children {
+        let mut path = at.to_vec();
+        path.push(step);
+        node_paths(child, &path, out);
+        out.push(path);
+    }
+}
+
+fn node_mut<'a>(v: &'a mut Value, path: &[String]) -> &'a mut Value {
+    path.iter().fold(v, |v, step| match v {
+        Value::Object(m) => m.get_mut(step).expect("path exists"),
+        Value::Array(xs) => &mut xs[step.parse::<usize>().expect("index step")],
+        _ => unreachable!("paths only descend into containers"),
+    })
+}
+
+/// The text of `doc` damaged one way: truncated at a byte, one node
+/// overwritten with a value of another shape, or one field / array
+/// element deleted.
+fn damaged(doc: &Value, how: u64, pick: u64, with: u64) -> String {
+    if how == 0 {
+        let text = doc.to_string();
+        let cut = (pick % text.len() as u64) as usize;
+        return String::from_utf8_lossy(&text.as_bytes()[..cut]).into_owned();
+    }
+    let mut paths = Vec::new();
+    node_paths(doc, &[], &mut paths);
+    let path = &paths[(pick % paths.len() as u64) as usize];
+    let mut out = doc.clone();
+    if how == 1 {
+        let replacements = [
+            Value::Null,
+            serde_json::json!(-1),
+            serde_json::json!(0),
+            serde_json::json!(0.5),
+            serde_json::json!(1e300),
+            serde_json::json!(u64::MAX),
+            serde_json::json!("x"),
+            serde_json::json!(true),
+            serde_json::json!([]),
+            serde_json::json!({}),
+            serde_json::json!([1, 2, 3]),
+        ];
+        let replacement = &replacements[(with % replacements.len() as u64) as usize];
+        *node_mut(&mut out, path) = replacement.clone();
+    } else {
+        let (last, parent) = path.split_last().expect("non-root path");
+        match node_mut(&mut out, parent) {
+            Value::Object(m) => {
+                m.remove(last);
+            }
+            Value::Array(xs) => {
+                xs.remove(last.parse::<usize>().expect("index step"));
+            }
+            _ => unreachable!("parents are containers"),
+        }
+    }
+    out.to_string()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The typed readers of files read back in fail closed: a truncated,
+    /// mutated or field-deleted attribution artifact or stream checkpoint
+    /// is `Ok` or `Err`, never a panic.
+    #[test]
+    fn damaged_attribution_and_checkpoint_files_never_panic_their_readers(
+        how in 0u64..3,
+        pick in any::<u64>(),
+        with in any::<u64>(),
+    ) {
+        // Read the way `pka obs` and `pka stream --resume` read a file.
+        for (kind, doc) in read_back_documents() {
+            let text = damaged(doc, how, pick, with);
+            if *kind == "attribution" {
+                let _ = serde_json::from_str::<ErrorAttribution>(&text);
+            } else if let Ok(value) = serde_json::from_str::<Value>(&text) {
+                let _ = Checkpoint::from_value(&value);
+            }
+        }
+    }
+
+    /// Manifest histogram percentiles are the shared stats routine applied
+    /// to the two bucket edges around the rank, bit for bit.
+    #[test]
+    fn manifest_percentiles_match_the_stats_routine(
+        counts in prop::collection::vec(0u64..40, 1..6),
+        step in 1u64..1_000,
+    ) {
+        let edges: Vec<u64> = (1..counts.len() as u64).map(|i| i * step).collect();
+        let registry = Registry::new();
+        let h = registry.histogram("prop.pctl", &edges);
+        for (bucket, &n) in counts.iter().enumerate() {
+            let value = edges.get(bucket).copied().unwrap_or(u64::MAX);
+            for _ in 0..n {
+                h.record(value);
+            }
+        }
+        let manifest = registry.snapshot().to_value();
+        let section = &manifest["histograms"]["prop.pctl"];
+        let total: u64 = counts.iter().sum();
+        prop_assume!(total > 0);
+        let edge_at = |target: u64| -> f64 {
+            let mut cumulative = 0;
+            let bucket = counts.iter().position(|&c| { cumulative += c; cumulative > target });
+            bucket.and_then(|b| edges.get(b)).or(edges.last()).copied().unwrap_or(0) as f64
+        };
+        for (key, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
+            let rank = p / 100.0 * (total - 1) as f64;
+            let pair = [edge_at(rank.floor() as u64), edge_at(rank.ceil() as u64)];
+            let want = summary::percentile(&pair, (rank - rank.floor()) * 100.0);
+            let got = section[key].as_f64().expect("percentile present");
+            prop_assert!(got.to_bits() == want.to_bits(), "{key} of {counts:?}: {got} vs {want}");
+        }
     }
 }

@@ -201,6 +201,8 @@ fn jsonl_round_trip_matches_the_workload_source() {
 
 /// The sharded engine is gone: its flag is a usage error (not silently a
 /// single-pipeline run) and its checkpoint layout fails closed on resume.
+/// The retired `obs` trend ring fails the same way: `--trend` is an
+/// unknown flag and `trend-push` an unknown subcommand.
 #[test]
 fn cli_refuses_the_retired_shard_flag_and_checkpoint_layout() {
     let pka = |args: &[&str]| {
@@ -220,6 +222,16 @@ fn cli_refuses_the_retired_shard_flag_and_checkpoint_layout() {
     assert_eq!(out.status.code(), Some(2), "usage error");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--fast-math"), "{stderr}");
+
+    let out = pka(&["obs", "diff", "--trend", "trend_ring"]);
+    assert_eq!(out.status.code(), Some(2), "usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("does not accept --trend"), "{stderr}");
+
+    let out = pka(&["obs", "trend-push", "manifest.json", "trend_ring"]);
+    assert_eq!(out.status.code(), Some(1), "a typed failure, not a panic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown obs subcommand `trend-push`"), "{stderr}");
 
     let path = std::env::temp_dir().join(format!(
         "pka_stream_parity_sharded_{}.json",

@@ -101,8 +101,8 @@ fn export_is_valid_chrome_trace_json() {
 
 /// Golden test for the counter-track fixture: a trace carrying
 /// `"counter"` records (snapshot throughput, reservoir occupancy, one
-/// lane per shard) converts to the committed Chrome JSON byte for byte,
-/// with one `"C"` event per well-formed counter record.
+/// lane per counter name) converts to the committed Chrome JSON byte for
+/// byte, with one `"C"` event per well-formed counter record.
 #[test]
 fn counter_tracks_match_committed_golden() {
     let out = temp_path("counters_chrome.json");
@@ -140,12 +140,12 @@ fn counter_tracks_match_committed_golden() {
         assert!(c["ts"].as_f64().is_some());
         assert!(c["args"].as_object().is_some_and(|m| !m.is_empty()));
     }
-    // One counter lane per shard: distinct per-shard track names.
+    // One lane per counter name: each distinct name is its own track.
     for name in ["snapshot.shard0.records", "snapshot.shard1.records"] {
         assert_eq!(
             counters.iter().filter(|c| c["name"].as_str() == Some(name)).count(),
             2,
-            "missing shard lane {name}"
+            "missing counter lane {name}"
         );
     }
     assert!(!events

@@ -18,9 +18,13 @@
 #      they emit (which must include the kmeans_sweep/bounded entry, the
 #      simulator's micro_kernel_sequence row and the
 #      pka_evaluate/backprop_full whole-evaluation row)
-#   6. perfbench — the repository benchmark's helper tests, then one
-#      traced `simulate` run whose last line must report `"correct": true`
-#      (every member's simulated cycles and errors equal the pinned values)
+#   6. perfbench — the repository benchmark's helper tests, one traced
+#      `simulate` run whose last line must report `"correct": true` (every
+#      member's simulated cycles and errors equal the pinned values), and
+#      one untraced `serve` run whose last line must report
+#      `"correct": true` and `"failed": 0` (every session's K,
+#      representatives and projected cycles equal the pinned values after
+#      the HTTP, record-decoding and tail-classifier path; ~50 s)
 #   7. observability smoke — a traced `pka simulate` run whose
 #      run_manifest.json is jq-validated (schema, a fired PKP stop rule,
 #      populated stage timings)
@@ -100,12 +104,16 @@ jq -e '
 ' "$OUT/bench_smoke.json" >/dev/null
 echo "bench json OK ($(jq length "$OUT/bench_smoke.json") records)"
 
-echo "==> perfbench (helper tests, traced simulate smoke)"
+echo "==> perfbench (helper tests, traced simulate smoke, serve pins)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload simulate --seed 1 --seconds 45 --trace 1 > "$OUT/perfbench_simulate.txt"
 tail -n 1 "$OUT/perfbench_simulate.txt" | jq -e '.correct == true' >/dev/null
 echo "perfbench simulate OK (every pinned cycle count and error matched)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve --seed 1 --seconds 45 --trace 0 > "$OUT/perfbench_serve.txt"
+tail -n 1 "$OUT/perfbench_serve.txt" | jq -e '.correct == true and .failed == 0' >/dev/null
+echo "perfbench serve OK (every session's K, representatives and projected cycles matched)"
 
 echo "==> observability smoke (traced pka simulate)"
 $PKA simulate --workload bfs65536 \

@@ -62,43 +62,35 @@ impl MlpClassifier {
         let d = x.cols();
 
         let mut rng = UnitStream::new(seed ^ 0xa076_1d64_78bd_642f);
-        // He-style initialisation scaled for ReLU.
+        // Training keeps both layers as contiguous row-major buffers, rows
+        // of width `d + 1` (`w1`) and `HIDDEN + 1` (`w2`), bias last. Every
+        // sum must keep its operand order: `tests/classifier_pins.rs` pins
+        // the fitted bits.
+        // He-style initialisation scaled for ReLU; biases start at zero.
         let scale1 = (2.0 / d as f64).sqrt();
-        let mut w1: Vec<Vec<f64>> = (0..HIDDEN)
-            .map(|_| {
-                (0..=d)
-                    .map(|j| {
-                        if j == d {
-                            0.0
-                        } else {
-                            (rng.next_f64() - 0.5) * 2.0 * scale1
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut w1 = vec![0.0; HIDDEN * (d + 1)];
+        for w in w1.chunks_exact_mut(d + 1) {
+            for wj in &mut w[..d] {
+                *wj = (rng.next_f64() - 0.5) * 2.0 * scale1;
+            }
+        }
         let scale2 = (2.0 / HIDDEN as f64).sqrt();
-        let mut w2: Vec<Vec<f64>> = (0..k)
-            .map(|_| {
-                (0..=HIDDEN)
-                    .map(|j| {
-                        if j == HIDDEN {
-                            0.0
-                        } else {
-                            (rng.next_f64() - 0.5) * 2.0 * scale2
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut w2 = vec![0.0; k * (HIDDEN + 1)];
+        for w in w2.chunks_exact_mut(HIDDEN + 1) {
+            for wh in &mut w[..HIDDEN] {
+                *wh = (rng.next_f64() - 0.5) * 2.0 * scale2;
+            }
+        }
 
-        let class_index = |label: usize| classes.binary_search(&label).expect("label seen");
+        // Each row's class index, looked up once before the epochs.
+        let targets: Vec<usize> = y
+            .iter()
+            .map(|label| classes.binary_search(label).expect("label seen"))
+            .collect();
         let mut order: Vec<usize> = (0..xs.rows()).collect();
         // Per-sample forward/backward scratch, hoisted out of the training
-        // loop. Each buffer is filled with the same expressions, in the same
-        // order, as the allocating formulation it replaces, so the fitted
-        // weights are bit-identical.
-        let mut hidden = vec![0.0; HIDDEN];
+        // loop.
+        let mut hidden = [0.0; HIDDEN];
         let mut probs = vec![0.0; k];
         let mut dlogits = vec![0.0; k];
 
@@ -111,11 +103,11 @@ impl MlpClassifier {
             for &i in &order {
                 let row = xs.row(i);
                 // Forward.
-                for (hz, w) in hidden.iter_mut().zip(&w1) {
+                for (hz, w) in hidden.iter_mut().zip(w1.chunks_exact(d + 1)) {
                     let z: f64 = w[..d].iter().zip(row).map(|(a, b)| a * b).sum::<f64>() + w[d];
                     *hz = z.max(0.0);
                 }
-                for (p, w) in probs.iter_mut().zip(&w2) {
+                for (p, w) in probs.iter_mut().zip(w2.chunks_exact(HIDDEN + 1)) {
                     *p = w[..HIDDEN]
                         .iter()
                         .zip(&hidden)
@@ -132,39 +124,40 @@ impl MlpClassifier {
                     *p /= sum;
                 }
 
-                // Backward.
-                let target = class_index(y[i]);
-                for (c, (dl, &p)) in dlogits.iter_mut().zip(&probs).enumerate() {
-                    *dl = p - if c == target { 1.0 } else { 0.0 };
-                }
+                // Backward. The cross-entropy gradient is `p - onehot`, and
+                // `p - 0.0` is `p` exactly, so only the target moves.
+                dlogits.copy_from_slice(&probs);
+                dlogits[targets[i]] -= 1.0;
                 let mut dhidden = [0.0; HIDDEN];
-                for (c, dl) in dlogits.iter().enumerate() {
-                    for (h, dh) in dhidden.iter_mut().enumerate() {
-                        *dh += dl * w2[c][h];
+                for (dl, w) in dlogits.iter().zip(w2.chunks_exact(HIDDEN + 1)) {
+                    for (dh, wh) in dhidden.iter_mut().zip(&w[..HIDDEN]) {
+                        *dh += dl * wh;
                     }
                 }
-                for (c, dl) in dlogits.iter().enumerate() {
-                    for h in 0..HIDDEN {
-                        w2[c][h] -= lr * dl * hidden[h];
+                for (dl, w) in dlogits.iter().zip(w2.chunks_exact_mut(HIDDEN + 1)) {
+                    for (wh, hz) in w[..HIDDEN].iter_mut().zip(&hidden) {
+                        *wh -= lr * dl * hz;
                     }
-                    w2[c][HIDDEN] -= lr * dl;
+                    w[HIDDEN] -= lr * dl;
                 }
-                for (h, dh) in dhidden.iter().enumerate() {
-                    if hidden[h] > 0.0 {
-                        for (j, &xj) in row.iter().enumerate() {
-                            w1[h][j] -= lr * dh * xj;
+                for ((dh, &hz), w) in dhidden.iter().zip(&hidden).zip(w1.chunks_exact_mut(d + 1)) {
+                    if hz > 0.0 {
+                        for (wj, &xj) in w[..d].iter_mut().zip(row) {
+                            *wj -= lr * dh * xj;
                         }
-                        w1[h][d] -= lr * dh;
+                        w[d] -= lr * dh;
                     }
                 }
             }
         }
 
+        let rows =
+            |flat: Vec<f64>, width: usize| flat.chunks_exact(width).map(<[f64]>::to_vec).collect();
         Ok(Self {
             scaler,
             classes,
-            w1,
-            w2,
+            w1: rows(w1, d + 1),
+            w2: rows(w2, HIDDEN + 1),
         })
     }
 

@@ -432,6 +432,8 @@ pub struct JsonlSource {
     path: Option<PathBuf>,
     reader: Box<dyn BufRead + Send>,
     line: u64,
+    /// The last line read, reused for every line.
+    buf: String,
 }
 
 impl std::fmt::Debug for JsonlSource {
@@ -457,6 +459,7 @@ impl JsonlSource {
             path: Some(path),
             reader: Box::new(BufReader::new(file)),
             line: 0,
+            buf: String::new(),
         })
     }
 
@@ -468,6 +471,7 @@ impl JsonlSource {
             path: None,
             reader: Box::new(BufReader::new(std::io::stdin())),
             line: 0,
+            buf: String::new(),
         }
     }
 
@@ -478,25 +482,62 @@ impl JsonlSource {
             path: None,
             reader: Box::new(reader),
             line: 0,
+            buf: String::new(),
         }
     }
 
-    fn next_line(&mut self) -> Result<Option<String>, StreamError> {
+    /// Reads up to the next non-blank line into `self.buf`; `false` means
+    /// end of input.
+    fn next_line(&mut self) -> Result<bool, StreamError> {
         loop {
-            let mut buf = String::new();
-            let n = self.reader.read_line(&mut buf)?;
-            if n == 0 {
-                return Ok(None);
+            self.buf.clear();
+            if self.reader.read_line(&mut self.buf)? == 0 {
+                return Ok(false);
             }
             self.line += 1;
-            if !buf.trim().is_empty() {
-                return Ok(Some(buf));
+            if !self.buf.trim().is_empty() {
+                return Ok(true);
             }
         }
     }
+}
 
-    fn parse(&self, text: &str, want_detailed: bool) -> Result<SourceRecord, StreamError> {
-        parse_record_line(text, self.line, want_detailed)
+/// The last value of each `pka.kernel_record/v1` member the decoder reads,
+/// as a JSON object would keep it (a repeated key's last occurrence wins).
+#[derive(Default)]
+struct RecordMembers {
+    id: Option<Value>,
+    name: Option<Value>,
+    grid_blocks: Option<Value>,
+    block_threads: Option<Value>,
+    shared_mem_bytes: Option<Value>,
+    tensor_elements: Option<Value>,
+    cycles: Option<Value>,
+    seconds: Option<Value>,
+    dram_util_pct: Option<Value>,
+    l2_miss_rate_pct: Option<Value>,
+    metrics: Option<Value>,
+}
+
+impl RecordMembers {
+    /// Keeps `value` when `key` is one of the record's members; any other
+    /// member was parsed (and so validated) and is dropped.
+    fn set(&mut self, key: &str, value: Value) {
+        let slot = match key {
+            "id" => &mut self.id,
+            "name" => &mut self.name,
+            "grid_blocks" => &mut self.grid_blocks,
+            "block_threads" => &mut self.block_threads,
+            "shared_mem_bytes" => &mut self.shared_mem_bytes,
+            "tensor_elements" => &mut self.tensor_elements,
+            "cycles" => &mut self.cycles,
+            "seconds" => &mut self.seconds,
+            "dram_util_pct" => &mut self.dram_util_pct,
+            "l2_miss_rate_pct" => &mut self.l2_miss_rate_pct,
+            "metrics" => &mut self.metrics,
+            _ => return,
+        };
+        *slot = Some(value);
     }
 }
 
@@ -506,91 +547,99 @@ impl JsonlSource {
 /// extracted when `want_detailed` is set — exactly [`JsonlSource`]'s
 /// behaviour, which also backs [`FeedSource`] so records fed over the wire
 /// parse byte-for-byte like records read from a file.
+///
+/// The line is fully validated as JSON, but no object is built: the
+/// record's members land in fixed slots as they are parsed, and a tail
+/// record allocates only its name.
 fn parse_record_line(
     text: &str,
     line: u64,
     want_detailed: bool,
 ) -> Result<SourceRecord, StreamError> {
-    {
-        let bad = |message: String| StreamError::Parse { line, message };
-        let value: Value = serde_json::from_str(text.trim())
-            .map_err(|e| bad(format!("invalid json: {e}")))?;
-        let Value::Object(obj) = &value else {
-            return Err(bad("record is not a json object".into()));
-        };
-        let req_u64 = |key: &str| -> Result<u64, StreamError> {
-            obj.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| bad(format!("missing or non-integer `{key}`")))
-        };
-        let name = obj
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("missing `name`".into()))?
-            .to_string();
-        let kernel_id = KernelId::new(req_u64("id")?);
-        let lightweight = LightweightRecord {
-            kernel_id,
-            name: name.clone(),
-            grid_blocks: req_u64("grid_blocks")?,
-            block_threads: u32::try_from(req_u64("block_threads")?)
-                .map_err(|_| bad("`block_threads` exceeds u32".into()))?,
-            shared_mem_bytes: u32::try_from(req_u64("shared_mem_bytes")?)
-                .map_err(|_| bad("`shared_mem_bytes` exceeds u32".into()))?,
-            tensor_elements: req_u64("tensor_elements")?,
-        };
-        if !want_detailed {
-            return Ok(SourceRecord {
-                lightweight,
-                detailed: None,
-            });
-        }
-        let req_f64 = |key: &str| -> Result<f64, StreamError> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| bad(format!("detailed prefix record missing `{key}`")))
-        };
-        let Some(Value::Object(metrics)) = obj.get("metrics") else {
-            return Err(bad(
-                "detailed prefix record missing `metrics` object".into()
-            ));
-        };
-        let metric = |key: &str| -> Result<f64, StreamError> {
-            metrics
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| bad(format!("metrics missing `{key}`")))
-        };
-        let detailed = DetailedRecord {
-            kernel_id,
-            name,
-            metrics: KernelMetrics {
-                coalesced_global_loads: metric("coalesced_global_loads")?,
-                coalesced_global_stores: metric("coalesced_global_stores")?,
-                coalesced_local_loads: metric("coalesced_local_loads")?,
-                thread_global_loads: metric("thread_global_loads")?,
-                thread_global_stores: metric("thread_global_stores")?,
-                thread_local_loads: metric("thread_local_loads")?,
-                thread_shared_loads: metric("thread_shared_loads")?,
-                thread_shared_stores: metric("thread_shared_stores")?,
-                thread_global_atomics: metric("thread_global_atomics")?,
-                instructions: metric("instructions")?,
-                divergence_efficiency: metric("divergence_efficiency")?,
-                thread_blocks: metrics
-                    .get("thread_blocks")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| bad("metrics missing `thread_blocks`".into()))?,
-            },
-            cycles: req_u64("cycles")?,
-            seconds: req_f64("seconds")?,
-            dram_util_pct: req_f64("dram_util_pct")?,
-            l2_miss_rate_pct: req_f64("l2_miss_rate_pct")?,
-        };
-        Ok(SourceRecord {
-            lightweight,
-            detailed: Some(detailed),
-        })
+    let bad = |message: String| StreamError::Parse { line, message };
+    let mut members = RecordMembers::default();
+    let is_object = serde_json::walk_object(text.trim(), |key, value| members.set(&key, value))
+        .map_err(|e| bad(format!("invalid json: {e}")))?;
+    if !is_object {
+        return Err(bad("record is not a json object".into()));
     }
+    let req_u64 = |value: &Option<Value>, key: &str| -> Result<u64, StreamError> {
+        value
+            .as_ref()
+            .and_then(Value::as_u64)
+            .ok_or_else(|| bad(format!("missing or non-integer `{key}`")))
+    };
+    let Some(Value::String(name)) = members.name else {
+        return Err(bad("missing `name`".into()));
+    };
+    let kernel_id = KernelId::new(req_u64(&members.id, "id")?);
+    let grid_blocks = req_u64(&members.grid_blocks, "grid_blocks")?;
+    let block_threads = u32::try_from(req_u64(&members.block_threads, "block_threads")?)
+        .map_err(|_| bad("`block_threads` exceeds u32".into()))?;
+    let shared_mem_bytes = u32::try_from(req_u64(&members.shared_mem_bytes, "shared_mem_bytes")?)
+        .map_err(|_| bad("`shared_mem_bytes` exceeds u32".into()))?;
+    let tensor_elements = req_u64(&members.tensor_elements, "tensor_elements")?;
+    let lightweight = |name| LightweightRecord {
+        kernel_id,
+        name,
+        grid_blocks,
+        block_threads,
+        shared_mem_bytes,
+        tensor_elements,
+    };
+    if !want_detailed {
+        return Ok(SourceRecord {
+            lightweight: lightweight(name),
+            detailed: None,
+        });
+    }
+    let req_f64 = |value: &Option<Value>, key: &str| -> Result<f64, StreamError> {
+        value
+            .as_ref()
+            .and_then(Value::as_f64)
+            .ok_or_else(|| bad(format!("detailed prefix record missing `{key}`")))
+    };
+    let Some(Value::Object(metrics)) = &members.metrics else {
+        return Err(bad(
+            "detailed prefix record missing `metrics` object".into()
+        ));
+    };
+    let metric = |key: &str| -> Result<f64, StreamError> {
+        metrics
+            .get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| bad(format!("metrics missing `{key}`")))
+    };
+    let metrics = KernelMetrics {
+        coalesced_global_loads: metric("coalesced_global_loads")?,
+        coalesced_global_stores: metric("coalesced_global_stores")?,
+        coalesced_local_loads: metric("coalesced_local_loads")?,
+        thread_global_loads: metric("thread_global_loads")?,
+        thread_global_stores: metric("thread_global_stores")?,
+        thread_local_loads: metric("thread_local_loads")?,
+        thread_shared_loads: metric("thread_shared_loads")?,
+        thread_shared_stores: metric("thread_shared_stores")?,
+        thread_global_atomics: metric("thread_global_atomics")?,
+        instructions: metric("instructions")?,
+        divergence_efficiency: metric("divergence_efficiency")?,
+        thread_blocks: metrics
+            .get("thread_blocks")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| bad("metrics missing `thread_blocks`".into()))?,
+    };
+    let detailed = DetailedRecord {
+        kernel_id,
+        name: name.clone(),
+        metrics,
+        cycles: req_u64(&members.cycles, "cycles")?,
+        seconds: req_f64(&members.seconds, "seconds")?,
+        dram_util_pct: req_f64(&members.dram_util_pct, "dram_util_pct")?,
+        l2_miss_rate_pct: req_f64(&members.l2_miss_rate_pct, "l2_miss_rate_pct")?,
+    };
+    Ok(SourceRecord {
+        lightweight: lightweight(name),
+        detailed: Some(detailed),
+    })
 }
 
 impl KernelSource for JsonlSource {
@@ -603,20 +652,17 @@ impl KernelSource for JsonlSource {
     }
 
     fn next_record(&mut self, want_detailed: bool) -> Result<Option<SourceRecord>, StreamError> {
-        match self.next_line()? {
-            None => Ok(None),
-            Some(text) => Ok(Some(self.parse(&text, want_detailed)?)),
+        if !self.next_line()? {
+            return Ok(None);
         }
+        parse_record_line(&self.buf, self.line, want_detailed).map(Some)
     }
 
     fn skip(&mut self, n: u64) -> Result<u64, StreamError> {
         // Lines are skipped without parsing — resume fast-forwards through
         // the already-processed region at I/O speed.
         let mut skipped = 0;
-        while skipped < n {
-            if self.next_line()?.is_none() {
-                break;
-            }
+        while skipped < n && self.next_line()? {
             skipped += 1;
         }
         Ok(skipped)
@@ -1381,6 +1427,219 @@ mod tests {
             let skip_every = rng.next_below(6) as usize;
             if let Err(e) = feed_vs_jsonl(&bodies, capacity, want_detailed, skip_every) {
                 proptest::prop_assert!(false, "{e}\nbodies: {bodies:?} capacity {capacity}");
+            }
+        }
+    }
+
+    /// The decoder this module had before records were walked without a
+    /// tree: `from_str::<Value>`, then field lookups in the map. Kept as
+    /// the differential oracle for [`parse_record_line`].
+    fn parse_record_line_tree(
+        text: &str,
+        line: u64,
+        want_detailed: bool,
+    ) -> Result<SourceRecord, StreamError> {
+        {
+            let bad = |message: String| StreamError::Parse { line, message };
+            let value: Value = serde_json::from_str(text.trim())
+                .map_err(|e| bad(format!("invalid json: {e}")))?;
+            let Value::Object(obj) = &value else {
+                return Err(bad("record is not a json object".into()));
+            };
+            let req_u64 = |key: &str| -> Result<u64, StreamError> {
+                obj.get(key)
+                    .and_then(Value::as_u64)
+                    .ok_or_else(|| bad(format!("missing or non-integer `{key}`")))
+            };
+            let name = obj
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or_else(|| bad("missing `name`".into()))?
+                .to_string();
+            let kernel_id = KernelId::new(req_u64("id")?);
+            let lightweight = LightweightRecord {
+                kernel_id,
+                name: name.clone(),
+                grid_blocks: req_u64("grid_blocks")?,
+                block_threads: u32::try_from(req_u64("block_threads")?)
+                    .map_err(|_| bad("`block_threads` exceeds u32".into()))?,
+                shared_mem_bytes: u32::try_from(req_u64("shared_mem_bytes")?)
+                    .map_err(|_| bad("`shared_mem_bytes` exceeds u32".into()))?,
+                tensor_elements: req_u64("tensor_elements")?,
+            };
+            if !want_detailed {
+                return Ok(SourceRecord {
+                    lightweight,
+                    detailed: None,
+                });
+            }
+            let req_f64 = |key: &str| -> Result<f64, StreamError> {
+                obj.get(key)
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| bad(format!("detailed prefix record missing `{key}`")))
+            };
+            let Some(Value::Object(metrics)) = obj.get("metrics") else {
+                return Err(bad(
+                    "detailed prefix record missing `metrics` object".into()
+                ));
+            };
+            let metric = |key: &str| -> Result<f64, StreamError> {
+                metrics
+                    .get(key)
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| bad(format!("metrics missing `{key}`")))
+            };
+            let detailed = DetailedRecord {
+                kernel_id,
+                name,
+                metrics: KernelMetrics {
+                    coalesced_global_loads: metric("coalesced_global_loads")?,
+                    coalesced_global_stores: metric("coalesced_global_stores")?,
+                    coalesced_local_loads: metric("coalesced_local_loads")?,
+                    thread_global_loads: metric("thread_global_loads")?,
+                    thread_global_stores: metric("thread_global_stores")?,
+                    thread_local_loads: metric("thread_local_loads")?,
+                    thread_shared_loads: metric("thread_shared_loads")?,
+                    thread_shared_stores: metric("thread_shared_stores")?,
+                    thread_global_atomics: metric("thread_global_atomics")?,
+                    instructions: metric("instructions")?,
+                    divergence_efficiency: metric("divergence_efficiency")?,
+                    thread_blocks: metrics
+                        .get("thread_blocks")
+                        .and_then(Value::as_u64)
+                        .ok_or_else(|| bad("metrics missing `thread_blocks`".into()))?,
+                },
+                cycles: req_u64("cycles")?,
+                seconds: req_f64("seconds")?,
+                dram_util_pct: req_f64("dram_util_pct")?,
+                l2_miss_rate_pct: req_f64("l2_miss_rate_pct")?,
+            };
+            Ok(SourceRecord {
+                lightweight,
+                detailed: Some(detailed),
+            })
+        }
+    }
+
+    /// A record line as an ordered list of `(key, value)` JSON texts, so a
+    /// mutation can repeat, reorder or re-spell keys as raw text can.
+    fn members_of(line: &str) -> Vec<(String, String)> {
+        let Value::Object(map) = serde_json::from_str(line).unwrap() else {
+            unreachable!("record lines are objects")
+        };
+        map.into_iter()
+            .map(|(k, v)| (Value::String(k).to_string(), v.to_string()))
+            .collect()
+    }
+
+    fn render(members: &[(String, String)], rng: &mut TestRng) -> String {
+        let ws = |rng: &mut TestRng| [" ", "", "\t", ""][rng.next_below(4) as usize];
+        let body: Vec<String> = members
+            .iter()
+            .map(|(k, v)| format!("{}{k}{}:{}{v}", ws(rng), ws(rng), ws(rng)))
+            .collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    /// One random record line, valid or damaged: duplicate keys, escaped
+    /// keys, unknown and nested members, a wrong type or a missing field
+    /// (top level or in `metrics`), a non-object document, trailing
+    /// characters, truncation or one overwritten byte.
+    fn mutated_line(rng: &mut TestRng, detailed: &[String]) -> String {
+        const WRONG: [&str; 12] = [
+            "\"7\"", "-3", "2.5", "1e400", "18446744073709551616", "4294967296", "true",
+            "null", "[]", "{}", "{\"instructions\":1}", "\"\"",
+        ];
+        let source = if rng.next_below(3) == 0 {
+            lightweight_line(rng.next_below(1 << 20))
+        } else {
+            detailed[rng.next_below(detailed.len() as u64) as usize].clone()
+        };
+        let mut members = members_of(&source);
+        let pick = |rng: &mut TestRng, n: usize| rng.next_below(n as u64) as usize;
+        for _ in 0..rng.next_below(3) {
+            let i = pick(rng, members.len());
+            match rng.next_below(9) {
+                0 => {
+                    // Repeat a member, before (the original wins) or after
+                    // (the copy wins) with a random value.
+                    let dup = (members[i].0.clone(), WRONG[pick(rng, WRONG.len())].to_string());
+                    let at = if rng.next_below(2) == 0 { 0 } else { members.len() };
+                    members.insert(at, dup);
+                }
+                1 => {
+                    // The same key spelled with a \\u escape.
+                    let key = members[i].0.clone();
+                    let first = u32::from(key.as_bytes()[1]);
+                    members[i].0 = format!("\"\\u{first:04x}{}", &key[2..]);
+                }
+                2 => {
+                    let (open, close) = (pick(rng, 130), pick(rng, 130));
+                    let nested = format!("{}1{}", "[".repeat(open), "]".repeat(close));
+                    members.insert(i, ("\"extra\"".into(), nested));
+                }
+                3 => {
+                    let nested = "{\"a\":[1,{\"b\":null}],\"name\":2}";
+                    members.insert(i, ("\"x\"".into(), nested.into()));
+                }
+                4 => members[i].1 = WRONG[pick(rng, WRONG.len())].to_string(),
+                5 => {
+                    members.remove(i);
+                }
+                6 if members[i].0 == "\"metrics\"" => {
+                    let mut inner = members_of(&members[i].1);
+                    let j = pick(rng, inner.len());
+                    if rng.next_below(2) == 0 {
+                        inner.remove(j);
+                    } else {
+                        inner[j].1 = WRONG[pick(rng, WRONG.len())].to_string();
+                    }
+                    members[i].1 = render(&inner, rng);
+                }
+                _ => {}
+            }
+            if members.is_empty() {
+                break;
+            }
+        }
+        let mut line = render(&members, rng);
+        match rng.next_below(10) {
+            0 => line = format!("[{line}]"),
+            1 => line.push_str([" x", "}", ",", " {}", "\t "][pick(rng, 5)]),
+            2 => line.truncate(pick(rng, line.len() + 1)),
+            3 => {
+                let at = pick(rng, line.len());
+                let byte = b" \"\\{}[]:,0-eE.tnfx\x7f\xff"[pick(rng, 20)];
+                let mut bytes = line.into_bytes();
+                bytes[at] = byte;
+                line = String::from_utf8_lossy(&bytes).into_owned();
+            }
+            4 => line = ["\"k\"", "42", "null", "", "  "][pick(rng, 5)].to_string(),
+            _ => {}
+        }
+        line
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The tree-free decoder returns exactly what the `Value`-tree
+        /// oracle returns, record or error (message and line number
+        /// included), in both views, on valid and damaged lines alike.
+        #[test]
+        fn decoder_equals_the_value_tree_oracle(seed in proptest::any::<u64>()) {
+            let mut rng = TestRng::from_seed(seed);
+            for _ in 0..16 {
+                let line = mutated_line(&mut rng, detailed_lines());
+                let number = 1 + rng.next_below(1000);
+                for want_detailed in [false, true] {
+                    let got = parse_record_line(&line, number, want_detailed);
+                    let want = parse_record_line_tree(&line, number, want_detailed);
+                    proptest::prop_assert!(
+                        got == want,
+                        "line {line:?} detailed {want_detailed}\n  got: {got:?}\n want: {want:?}"
+                    );
+                }
             }
         }
     }

@@ -40,6 +40,18 @@ pub trait Deserialize: Sized {
     /// Returns [`ValueError`] when the value's shape or range does not
     /// match `Self`.
     fn from_json_value(value: &Value) -> Result<Self, ValueError>;
+
+    /// The value of a struct field whose key is absent from the object
+    /// (derived readers call this instead of reading an absent key as
+    /// `null`).
+    ///
+    /// # Errors
+    ///
+    /// Fails by default, naming `field`; [`Option<T>`] reads an absent
+    /// field as `None`.
+    fn from_missing(field: &str) -> Result<Self, ValueError> {
+        Err(ValueError::custom(format!("missing field `{field}`")))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -244,6 +256,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
             T::from_json_value(value).map(Some)
         }
     }
+
+    fn from_missing(_field: &str) -> Result<Self, ValueError> {
+        Ok(None)
+    }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -314,6 +330,29 @@ mod tests {
         let v = Value::Object(Map::new());
         let err = Point::from_json_value(&v).unwrap_err();
         assert!(err.to_string().contains("Point.x"), "{err}");
+    }
+
+    /// An absent float is an error naming the field, not NaN; an explicit
+    /// `null` still reads as NaN (serializers write non-finite floats as
+    /// `null`), and an absent `Option` is `None`.
+    #[test]
+    fn absent_fields_are_missing_unless_optional() {
+        #[derive(Debug, PartialEq, Deserialize)]
+        struct Maybe {
+            n: Option<u64>,
+        }
+        let mut obj = Map::new();
+        obj.insert("x".into(), Value::from(1u64));
+        obj.insert("label".into(), Value::from("p"));
+        let err = Point::from_json_value(&Value::Object(obj.clone())).unwrap_err();
+        assert_eq!(err.to_string(), "Point.y: missing field `y`");
+
+        obj.insert("y".into(), Value::Null);
+        let p = Point::from_json_value(&Value::Object(obj)).unwrap();
+        assert!(p.y.is_nan());
+
+        let none = Maybe::from_json_value(&Value::Object(Map::new())).unwrap();
+        assert_eq!(none, Maybe { n: None });
     }
 
     #[test]

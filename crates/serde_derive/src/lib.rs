@@ -277,9 +277,13 @@ fn gen_deserialize(shape: &Shape) -> TokenStream {
             let mut body = String::new();
             for f in fields {
                 body.push_str(&format!(
-                    "{f}: ::serde::Deserialize::from_json_value(\
-                         obj.get({f:?}).unwrap_or(&::serde::value::Value::Null))\
-                         .map_err(|e| e.in_context(concat!({name:?}, \".\", {f:?})))?,\n"
+                    "{f}: match obj.get({f:?}) {{\
+                         ::std::option::Option::Some(v) => \
+                             ::serde::Deserialize::from_json_value(v),\
+                         ::std::option::Option::None => \
+                             ::serde::Deserialize::from_missing({f:?}),\
+                     }}\
+                     .map_err(|e| e.in_context(concat!({name:?}, \".\", {f:?})))?,\n"
                 ));
             }
             format!(

@@ -82,6 +82,24 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
     T::from_json_value(&value).map_err(Error::from)
 }
 
+/// Parses a JSON document and, when it is an object, walks its members
+/// without building the object: each key (borrowed from `input` when it
+/// holds no escape) and its parsed value go to `member` in document order,
+/// a repeated key once per occurrence. Returns `Ok(false)` for a valid
+/// document that is not an object. Syntax errors, their byte offsets and
+/// the [`MAX_DEPTH`] limit are exactly those of `from_str::<Value>`.
+///
+/// # Errors
+///
+/// Returns [`Error`] on malformed JSON or nesting deeper than
+/// [`MAX_DEPTH`].
+pub fn walk_object<'a>(
+    input: &'a str,
+    member: impl FnMut(std::borrow::Cow<'a, str>, Value),
+) -> Result<bool, Error> {
+    parse::walk_object(input, member)
+}
+
 /// Serializes to a compact JSON string.
 ///
 /// # Errors
@@ -286,6 +304,56 @@ mod tests {
         assert!(from_str::<Value>(&nested(200_000)).is_err());
         let mixed = "[{\"a\":".repeat(100_000);
         assert!(from_str::<Value>(&mixed).is_err());
+    }
+
+    /// `walk_object` is `from_str::<Value>` without the object: the same
+    /// members (last key wins once collected), the same errors at the same
+    /// offsets, and `false` for a valid non-object document.
+    #[test]
+    fn walk_object_agrees_with_the_value_parser() {
+        let walk = |text: &str| {
+            let mut map = Map::new();
+            let mut borrowed = Vec::new();
+            walk_object(text, |key, value| {
+                borrowed.push(matches!(key, std::borrow::Cow::Borrowed(_)));
+                map.insert(key.into_owned(), value);
+            })
+            .map(|is_object| (is_object.then(|| Value::Object(map)), borrowed))
+        };
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{{\"k\":{}1{}}}", open.repeat(depth), close.repeat(depth))
+        };
+        let deep_ok = nested("[", "]", MAX_DEPTH - 1);
+        let too_deep = nested("[", "]", MAX_DEPTH);
+        let cases = [
+            " {\"a\": 1, \"b\": [true, null], \"a\": \"x\"} ",
+            "{\"na\\u006de\": \"k\", \"\\\"q\": {\"n\": -1.5e3}}",
+            "{}",
+            "{\"a\": 1} x",
+            "{\"a\" 1}",
+            "{\"a\": 1,}",
+            "{\"a\": \"unterminated",
+            "{\"tab\there\": 1}",
+            "{\"caf\u{e9}\": 2}",
+            "[1, 2]",
+            "\"just a string\"",
+            "",
+            "nul",
+            &deep_ok,
+            &too_deep,
+        ];
+        for text in cases {
+            let tree: Result<Value, Error> = from_str(text);
+            match (walk(text), tree) {
+                (Ok((Some(walked), _)), Ok(tree)) => assert_eq!(walked, tree, "{text}"),
+                (Ok((None, _)), Ok(tree)) => assert!(tree.as_object().is_none(), "{text}"),
+                (Err(a), Err(b)) => assert_eq!(a, b, "{text}"),
+                (a, b) => panic!("{text}: walk {a:?} vs tree {b:?}"),
+            }
+        }
+        let (walked, borrowed) = walk("{\"plain\": 1, \"esc\\u0061ped\": 2}").unwrap();
+        assert_eq!(walked, Some(json!({"plain": 1u64, "escaped": 2u64})));
+        assert_eq!(borrowed, [true, false]);
     }
 
     #[test]

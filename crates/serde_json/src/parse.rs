@@ -1,25 +1,40 @@
 //! A small recursive-descent JSON parser for the vendored `serde_json`.
 
+use std::borrow::Cow;
+
 use serde::value::{Map, Number, Value};
 
 use crate::{Error, MAX_DEPTH};
 
 pub(crate) fn parse(input: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
+    let mut p = Parser::new(input);
     let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON document"));
-    }
+    p.finish()?;
     Ok(value)
 }
 
+/// Parses `input` as one document. When it is an object, hands each member
+/// to `member` in document order instead of building the object, and
+/// returns `true`; any other value is parsed whole and dropped. Every
+/// syntax error, its offset and the depth limit are those of [`parse`].
+pub(crate) fn walk_object<'a>(
+    input: &'a str,
+    mut member: impl FnMut(Cow<'a, str>, Value),
+) -> Result<bool, Error> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    let is_object = p.peek() == Some(b'{');
+    if is_object {
+        p.nested(|p| p.parse_members(&mut member))?;
+    } else {
+        p.parse_value()?;
+    }
+    p.finish()?;
+    Ok(is_object)
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
@@ -27,6 +42,25 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Accepts only whitespace after the document.
+    fn finish(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after JSON document"))
+        }
+    }
+
     fn err(&self, message: &str) -> Error {
         Error::new(format!("{message} at byte {}", self.pos))
     }
@@ -90,24 +124,27 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(open @ (b'[' | b'{')) => {
-                // One native stack frame per level: past the limit, fail
-                // with an error instead of overflowing the stack.
-                if self.depth == MAX_DEPTH {
-                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
-                }
-                self.depth += 1;
-                let value = if open == b'[' {
-                    self.parse_array()
-                } else {
-                    self.parse_object()
-                };
-                self.depth -= 1;
-                value
-            }
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one array or object level deeper. One native stack
+    /// frame per level: past the limit, fail with an error instead of
+    /// overflowing the stack.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -130,33 +167,70 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
         let mut map = Map::new();
+        self.parse_members(&mut |key: Cow<'a, str>, value| {
+            map.insert(key.into_owned(), value);
+        })?;
+        Ok(Value::Object(map))
+    }
+
+    /// Walks one object, handing each member to `member` in order.
+    fn parse_members(
+        &mut self,
+        member: &mut impl FnMut(Cow<'a, str>, Value),
+    ) -> Result<(), Error> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.parse_string()?;
+            let key = self.parse_key()?;
             self.skip_ws();
             self.expect(b':')?;
             let value = self.parse_value()?;
-            map.insert(key, value);
+            member(key, value);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => {}
-                Some(b'}') => return Ok(Value::Object(map)),
+                Some(b'}') => return Ok(()),
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
+    }
+
+    /// An object key, borrowed from the input when it holds no escape or
+    /// control character; otherwise [`parse_string`](Self::parse_string)
+    /// reads it from the same position, with the same errors.
+    fn parse_key(&mut self) -> Result<Cow<'a, str>, Error> {
+        if self.peek() == Some(b'"') {
+            let start = self.pos + 1;
+            let end = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map(|len| start + len);
+            if let Some(end) = end.filter(|&end| self.bytes[end] == b'"') {
+                self.pos = end + 1;
+                return Ok(Cow::Borrowed(&self.text[start..end]));
+            }
+        }
+        self.parse_string().map(Cow::Owned)
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy a run of plain ASCII at once; everything else goes
+            // through the byte-wise cases below.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || !(0x20..0x80).contains(&b))
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),

@@ -23,7 +23,9 @@
 //! full-simulation baseline).
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use principal_kernel_analysis::core::{Pka, PkaConfig, PkpConfig, PksConfig, Selection};
@@ -32,6 +34,41 @@ use principal_kernel_analysis::ml::{silhouette_score, Matrix};
 use principal_kernel_analysis::profile::Profiler;
 use principal_kernel_analysis::sim::cost::{format_duration, projected_sim_seconds};
 use principal_kernel_analysis::workloads::{all_workloads, Workload};
+
+/// Report output goes through [`out!`]/[`outln!`] to [`write_stdout`], never
+/// `print!`, which panics when the reader of a pipe has gone away.
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+macro_rules! outln {
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Whether stdout still takes report output: open, closed by its reader
+/// (`pka ... | head`), or failed with another error (already reported).
+static STDOUT_STATE: AtomicU8 = AtomicU8::new(STDOUT_OPEN);
+const STDOUT_OPEN: u8 = 0;
+const STDOUT_CLOSED: u8 = 1;
+const STDOUT_FAILED: u8 = 2;
+
+/// The one writer of report output. Once the reader of stdout is gone,
+/// the rest of the report is dropped quietly, and the command still
+/// finishes its work (files it writes, the exit status a gate reports).
+/// Any other write error is reported once and fails the command.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT_STATE.load(Ordering::Relaxed) != STDOUT_OPEN {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            STDOUT_STATE.store(STDOUT_CLOSED, Ordering::Relaxed);
+        } else {
+            STDOUT_STATE.store(STDOUT_FAILED, Ordering::Relaxed);
+            eprintln!("error: writing stdout: {e}");
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,7 +113,7 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&flags, &positional),
         "obs" => cmd_obs(&flags, &positional),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
@@ -88,7 +125,8 @@ fn main() -> ExitCode {
         }
     }
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) if STDOUT_STATE.load(Ordering::Relaxed) != STDOUT_FAILED => ExitCode::SUCCESS,
+        Ok(()) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -438,7 +476,7 @@ fn gpu_from(flags: &HashMap<String, String>) -> Result<GpuConfig, String> {
 
 fn cmd_list(flags: &HashMap<String, String>) -> Result<(), String> {
     let filter = flags.get("suite").map(|s| s.to_lowercase());
-    println!("{:<33} {:<10} {:>10}", "workload", "suite", "kernels");
+    outln!("{:<33} {:<10} {:>10}", "workload", "suite", "kernels");
     for w in all_workloads() {
         let suite = w.suite().to_string();
         if let Some(f) = &filter {
@@ -446,7 +484,7 @@ fn cmd_list(flags: &HashMap<String, String>) -> Result<(), String> {
                 continue;
             }
         }
-        println!("{:<33} {:<10} {:>10}", w.name(), suite, w.kernel_count());
+        outln!("{:<33} {:<10} {:>10}", w.name(), suite, w.kernel_count());
     }
     Ok(())
 }
@@ -456,24 +494,24 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
     let profiler = Profiler::new(GpuConfig::v100());
     let cost = profiler.profiling_cost(&w);
     let silicon = profiler.silicon_run(&w).map_err(|e| e.to_string())?;
-    println!("workload:            {}", w.name());
-    println!("suite:               {}", w.suite());
-    println!("kernel launches:     {}", w.kernel_count());
-    println!(
+    outln!("workload:            {}", w.name());
+    outln!("suite:               {}", w.suite());
+    outln!("kernel launches:     {}", w.kernel_count());
+    outln!(
         "iteration structure: {}",
         w.iteration_hint()
             .map_or("none".to_string(), |p| format!("{p} kernels/iteration"))
     );
-    println!(
+    outln!(
         "silicon runtime:     {} ({} cycles)",
         format_duration(silicon.total_seconds),
         silicon.total_cycles
     );
-    println!(
+    outln!(
         "full simulation:     {} (projected)",
         format_duration(projected_sim_seconds(silicon.total_cycles))
     );
-    println!(
+    outln!(
         "detailed profiling:  {}{}",
         format_duration(cost.detailed_seconds()),
         if cost.detailed_is_intractable() {
@@ -502,7 +540,7 @@ fn write_attribution(
     payload.push('\n');
     std::fs::write(path, &payload).map_err(|e| format!("write {path}: {e}"))?;
     record_checksum("attribution", &payload);
-    println!("attribution written to {path}");
+    outln!("attribution written to {path}");
     Ok(())
 }
 
@@ -528,13 +566,13 @@ fn cmd_select(flags: &HashMap<String, String>) -> Result<(), String> {
         (pka.select_kernels(&w).map_err(|e| e.to_string())?, None)
     };
 
-    println!(
+    outln!(
         "{}: {} launches -> {} principal kernels (target error {target}%)",
         w.name(),
         w.kernel_count(),
         selection.k()
     );
-    println!(
+    outln!(
         "projection error {:.2}%, member dispersion {:.2}%",
         selection.error_pct(),
         selection.group_deviation_pct()
@@ -553,13 +591,13 @@ fn cmd_select(flags: &HashMap<String, String>) -> Result<(), String> {
             .collect();
         if let Ok(data) = Matrix::from_rows(&rows) {
             if let Ok(score) = silhouette_score(&data, &selection.labels()[..prefix]) {
-                println!("silhouette (first {prefix} kernels): {score:.3}");
+                outln!("silhouette (first {prefix} kernels): {score:.3}");
             }
         }
     }
     for (i, group) in selection.groups().iter().enumerate() {
         let rep = w.kernel(group.representative());
-        println!(
+        outln!(
             "  group {i:>2}: kernel {:>8} `{}` x {}",
             group.representative(),
             rep.name(),
@@ -591,7 +629,7 @@ fn cmd_select(flags: &HashMap<String, String>) -> Result<(), String> {
         }))
         .map_err(|e| format!("serialise selection: {e}"))?;
         std::fs::write(path, payload).map_err(|e| format!("write {path}: {e}"))?;
-        println!("selection written to {path}");
+        outln!("selection written to {path}");
     }
     write_attribution(flags, attribution.as_ref())?;
     Ok(())
@@ -640,7 +678,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
         let report = pka
             .silicon_report_for(&w, &selection, &silicon)
             .map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "{} on {} (transferred selection): error {:.2}%, speedup {:.1}x",
             report.workload, report.gpu, report.error_pct, report.speedup
         );
@@ -658,36 +696,36 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         (report, None)
     };
-    println!("workload: {} on {}", report.workload, pka.gpu().name());
-    println!("silicon:  {:>16} cycles", report.silicon_cycles);
+    outln!("workload: {} on {}", report.workload, pka.gpu().name());
+    outln!("silicon:  {:>16} cycles", report.silicon_cycles);
     if let (Some(cycles), Some(err)) = (report.fullsim_cycles, report.sim_error_pct) {
-        println!("full sim: {cycles:>16} cycles ({err:.1}% vs silicon)");
+        outln!("full sim: {cycles:>16} cycles ({err:.1}% vs silicon)");
     }
-    println!(
+    outln!(
         "PKS:      {:>16} cycles ({:.1}% vs silicon, {} of simulation)",
         report.pks_projected_cycles,
         report.pks_error_pct,
         format_duration(report.pks_hours * 3600.0)
     );
-    println!(
+    outln!(
         "PKA:      {:>16} cycles ({:.1}% vs silicon, {} of simulation, s = {threshold})",
         report.pka_projected_cycles,
         report.pka_error_pct,
         format_duration(report.pka_hours * 3600.0)
     );
-    println!(
+    outln!(
         "speedup:  PKS {:.1}x, PKA {:.1}x",
         report.pks_speedup(),
         report.pka_speedup()
     );
     if !report.per_representative.is_empty() {
-        println!("per-representative PKP accounting (simulated / projected):");
-        println!(
+        outln!("per-representative PKP accounting (simulated / projected):");
+        outln!(
             "  {:>10} {:>16} {:>16} {:>7}",
             "kernel", "simulated", "projected", "sim%"
         );
         for rp in &report.per_representative {
-            println!(
+            outln!(
                 "  {:>10} {:>16} {:>16} {:>6.1}%",
                 rp.kernel_id,
                 rp.simulated_cycles,
@@ -842,16 +880,16 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let report = &outcome.report;
     let selection = &outcome.selection;
-    println!("stream:   {spec}");
-    println!(
+    outln!("stream:   {spec}");
+    outln!(
         "records:  {} ({} profiled in detail, {} classified)",
         report.records,
         report.prefix,
         report.records - report.prefix
     );
-    println!("PKS:      K = {} groups", report.selected_k);
-    println!("projected: {:>15} cycles", report.projected_cycles);
-    println!(
+    outln!("PKS:      K = {} groups", report.selected_k);
+    outln!("projected: {:>15} cycles", report.projected_cycles);
+    outln!(
         "tail:     {} drift firings, {} re-clusters, {} checkpoints, max {} records buffered",
         report.drifts, report.reclusters, report.checkpoints, report.max_buffered
     );
@@ -861,13 +899,13 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
         .zip(&report.group_counts)
         .enumerate()
     {
-        println!(
+        outln!(
             "  group {i:>2}: kernel {:>8} x {count}",
             group.representative()
         );
     }
     if let Some(p) = &ckpt_path {
-        println!("checkpoint written to {}", p.display());
+        outln!("checkpoint written to {}", p.display());
     }
     write_attribution(flags, Some(&outcome.attribution))?;
 
@@ -887,7 +925,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
         let batch_projected = batch.projected_cycles();
         let rel_pct = 100.0 * (batch_projected as f64 - report.projected_cycles as f64).abs()
             / batch_projected.max(1) as f64;
-        println!(
+        outln!(
             "batch parity: K {} vs {} (stream), projected {} vs {} ({rel_pct:.4}% apart)",
             batch.k(),
             report.selected_k,
@@ -964,13 +1002,13 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = server.addr().map_err(|e| format!("local addr: {e}"))?;
     // Flushed eagerly: supervisors (and the CI smoke test) scrape this
     // line from a redirected log while the process is still running.
-    println!("pka-server listening on http://{addr}");
+    outln!("pka-server listening on http://{addr}");
     use std::io::Write as _;
     std::io::stdout()
         .flush()
         .map_err(|e| format!("flush stdout: {e}"))?;
     server.run().map_err(|e| format!("serve: {e}"))?;
-    println!("pka-server stopped");
+    outln!("pka-server stopped");
     Ok(())
 }
 
@@ -998,7 +1036,7 @@ fn cmd_trace(flags: &HashMap<String, String>, positional: &[String]) -> Result<(
             let events = chrome["traceEvents"].as_array().map_or(0, Vec::len);
             eprintln!("pka: wrote {events} trace events to {path}");
         }
-        None => println!("{rendered}"),
+        None => outln!("{rendered}"),
     }
     Ok(())
 }
@@ -1036,7 +1074,7 @@ fn cmd_obs(flags: &HashMap<String, String>, positional: &[String]) -> Result<(),
                 .get(1)
                 .ok_or("obs explain needs an ATTRIBUTION.json path")?;
             for line in attribution(path, read(path)?)?.explain() {
-                println!("{line}");
+                outln!("{line}");
             }
             return Ok(());
         }
@@ -1060,7 +1098,7 @@ fn cmd_obs(flags: &HashMap<String, String>, positional: &[String]) -> Result<(),
                         .map_err(|e| format!("write {path}: {e}"))?;
                     eprintln!("pka: scraped {families} metric series into {path}");
                 }
-                None => print!("{rendered}"),
+                None => out!("{rendered}"),
             }
             return Ok(());
         }
@@ -1095,7 +1133,7 @@ fn cmd_obs(flags: &HashMap<String, String>, positional: &[String]) -> Result<(),
         diff_manifests(&base, &current, &thresholds, flags.contains_key("counters-only"))?
     };
     for line in report.lines() {
-        println!("{line}");
+        outln!("{line}");
     }
     match report.regressions() {
         0 => Ok(()),

@@ -200,3 +200,33 @@ fn transferred_selection_files_still_parse_next_to_attribution() {
     let back: Selection = serde_json::from_value(value).expect("deserialises");
     assert_eq!(back, selection);
 }
+
+/// A reader that goes away (`pka obs explain FILE | head -3`) ends the
+/// command quietly: no panic on the broken pipe, no crash status.
+#[test]
+fn cli_output_to_a_closed_pipe_ends_quietly() {
+    let pka = Pka::new(tiny_gpu(), PkaConfig::default());
+    let w = find(rodinia::workloads(), "gauss_208");
+    let (_, attribution) = pka
+        .select_kernels_with_attribution(&w)
+        .expect("selection runs");
+    let path = std::env::temp_dir()
+        .join(format!("pka_attribution_pipe_{}.json", std::process::id()));
+    std::fs::write(&path, serde_json::to_string(&attribution).expect("serialises"))
+        .expect("write artifact");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pka"))
+        .args(["obs", "explain", path.to_str().expect("utf8 path")])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("pka runs");
+    // Close the only read end before the report is written.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("pka exits");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.code().is_some(), "ended by a signal: {:?}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+}

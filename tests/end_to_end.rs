@@ -261,3 +261,41 @@ fn cli_refuses_a_tampered_selection_file_without_panicking() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A selection file with a float field deleted is refused with the field
+/// named; the derived reader used to read the absent key as NaN.
+#[test]
+fn cli_refuses_a_selection_file_missing_a_float_field() {
+    let path = std::env::temp_dir().join(format!("pka_e2e_missing_{}.json", std::process::id()));
+    let pka = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_pka"))
+            .args(args)
+            .arg(&path)
+            .output()
+            .expect("pka runs")
+    };
+    let out = pka(&["select", "--workload", "gauss_208", "--out"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut doc: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).expect("selection file written"))
+            .expect("selection file is json");
+    let removed = match &mut doc {
+        serde_json::Value::Object(file) => match file.get_mut("selection") {
+            Some(serde_json::Value::Object(selection)) => selection.remove("member_deviation_pct"),
+            _ => None,
+        },
+        _ => None,
+    };
+    assert!(removed.is_some(), "selection file holds `selection.member_deviation_pct`");
+    std::fs::write(&path, doc.to_string()).expect("rewrite selection file");
+
+    let out = pka(&["simulate", "--workload", "gauss_208", "--selection"]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("missing field `member_deviation_pct`"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report is printed");
+}

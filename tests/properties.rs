@@ -20,7 +20,8 @@ use principal_kernel_analysis::profile::Profiler;
 use principal_kernel_analysis::stats::hash::UnitStream;
 use principal_kernel_analysis::stats::{summary, OnlineStats, RollingStats};
 use principal_kernel_analysis::stream::{
-    synthetic_workload, Checkpoint, StreamConfig, StreamError, StreamPks, WorkloadSource,
+    synthetic_workload, Checkpoint, JsonlSource, KernelSource, StreamConfig, StreamError,
+    StreamPks, WorkloadSource,
 };
 use principal_kernel_analysis::workloads::rodinia;
 use proptest::prelude::*;
@@ -579,6 +580,122 @@ proptest! {
             let want = summary::percentile(&pair, (rank - rank.floor()) * 100.0);
             let got = section[key].as_f64().expect("percentile present");
             prop_assert!(got.to_bits() == want.to_bits(), "{key} of {counts:?}: {got} vs {want}");
+        }
+    }
+}
+
+/// `pka.kernel_record/v1` lines with and without the detailed fields, as a
+/// producer writes them.
+fn record_lines() -> &'static [String] {
+    static LINES: OnceLock<Vec<String>> = OnceLock::new();
+    LINES.get_or_init(|| {
+        let mut source =
+            WorkloadSource::new(synthetic_workload(12), Profiler::new(GpuConfig::v100()));
+        let mut lines = Vec::new();
+        let mut detailed = false;
+        while let Some(record) = source.next_record(detailed).expect("synthetic record") {
+            lines.push(record.to_jsonl().to_string());
+            detailed = !detailed;
+        }
+        lines
+    })
+}
+
+/// One hostile line of bytes: a record line truncated or with bytes
+/// overwritten (any byte, so often not UTF-8), a number far out of range,
+/// a lone or broken surrogate escape, a raw control character, nesting at
+/// `MAX_DEPTH` ± 1, or plain random bytes.
+fn hostile_line(rng: &mut UnitStream) -> Vec<u8> {
+    let lines = record_lines();
+    let mut line = lines[rng.next_index(lines.len())].clone().into_bytes();
+    let at = |rng: &mut UnitStream, len: usize| rng.next_index(len.max(1));
+    let splice = |line: &mut Vec<u8>, needle: &str, with: &str| {
+        let text = String::from_utf8_lossy(line).replacen(needle, with, 1);
+        *line = text.into_bytes();
+    };
+    match rng.next_index(8) {
+        0 => line.truncate(at(rng, line.len())),
+        1 => {
+            for _ in 0..1 + rng.next_index(4) {
+                let i = at(rng, line.len());
+                line[i] = rng.next_index(256) as u8;
+            }
+        }
+        2 => {
+            const HUGE: [&str; 6] = [
+                "1e999999",
+                "-1e-999999",
+                "184467440737095516160000",
+                "-9223372036854775809",
+                "0.00000000000000000000000000000000000000000000000000000000000001",
+                "-",
+            ];
+            let with = HUGE[rng.next_index(HUGE.len())];
+            let field = ["\"id\":", "\"grid_blocks\":", "\"block_threads\":"][rng.next_index(3)];
+            let digits = "9".repeat(1 + rng.next_index(5_000));
+            let with = if rng.next_index(4) == 0 { digits.as_str() } else { with };
+            splice(&mut line, field, &format!("{field}{with},\"was\":"));
+        }
+        3 => {
+            const ESCAPES: [&str; 7] = [
+                "\\ud800",
+                "\\udc00",
+                "\\ud800\\u0041",
+                "\\ud800\\",
+                "\\u12",
+                "\\ud83d\\ude00",
+                "\\x41",
+            ];
+            let with = ESCAPES[rng.next_index(ESCAPES.len())];
+            splice(&mut line, "\"name\":\"", &format!("\"name\":\"{with}"));
+        }
+        4 => {
+            let i = at(rng, line.len());
+            line.insert(i, rng.next_index(0x20) as u8);
+        }
+        5 => {
+            let depth = serde_json::MAX_DEPTH - 2 + rng.next_index(4);
+            let (open, close) = if rng.next_index(2) == 0 { ("[", "]") } else { ("{\"k\":", "}") };
+            let nested = format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            if rng.next_index(2) == 0 {
+                line = nested.into_bytes();
+            } else {
+                splice(&mut line, "{", &format!("{{\"extra\":{nested},"));
+            }
+        }
+        6 => line = (0..rng.next_index(200)).map(|_| rng.next_index(256) as u8).collect(),
+        _ => {}
+    }
+    line
+}
+
+/// Pulls every record a `JsonlSource` over `bytes` yields, in both views,
+/// until the end or the first error.
+fn drain_records(bytes: Vec<u8>, want_detailed: bool) {
+    let mut source = JsonlSource::from_reader("prop", std::io::Cursor::new(bytes));
+    while let Ok(Some(_)) = source.next_record(want_detailed) {}
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The JSON text parser and the kernel-record decoder behind
+    /// `pka stream --source FILE.jsonl` and `pka serve` feeds fail closed: on
+    /// hostile text every call returns `Ok` or `Err`, never a panic or a
+    /// stack overflow. Non-UTF-8 lines reach the decoder both raw (the
+    /// reader refuses them) and through `String::from_utf8_lossy`.
+    #[test]
+    fn json_parser_and_record_decoder_never_panic(seed in any::<u64>()) {
+        let mut rng = UnitStream::new(seed);
+        for _ in 0..8 {
+            let bytes = hostile_line(&mut rng);
+            let text = String::from_utf8_lossy(&bytes).into_owned();
+            let _ = serde_json::from_str::<Value>(&text);
+            let mut body = text.into_bytes();
+            body.push(b'\n');
+            drain_records(body.clone(), false);
+            drain_records(body, true);
+            drain_records(bytes, rng.next_index(2) == 0);
         }
     }
 }

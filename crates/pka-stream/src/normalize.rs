@@ -88,12 +88,7 @@ mod tests {
 
     #[test]
     fn zscores_match_two_pass_after_observing_all() {
-        let rows = [
-            [1.0, 100.0],
-            [2.0, 200.0],
-            [3.0, 300.0],
-            [4.0, 400.0],
-        ];
+        let rows = [[1.0, 100.0], [2.0, 200.0], [3.0, 300.0], [4.0, 400.0]];
         let mut n = StreamingNormalizer::new(2);
         for row in &rows {
             n.observe(row);

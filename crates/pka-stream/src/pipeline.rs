@@ -18,8 +18,7 @@ use crate::StreamError;
 
 /// Bucket edges (ns) for the `stream.checkpoint_write_ns` histogram:
 /// 10 µs / 100 µs / 1 ms / 10 ms / 100 ms, plus overflow.
-const CHECKPOINT_WRITE_EDGES: &[u64] =
-    &[10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+const CHECKPOINT_WRITE_EDGES: &[u64] = &[10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
 
 /// Configuration for the online pipeline.
 ///
@@ -166,13 +165,28 @@ impl StreamConfig {
     pub fn to_value(&self) -> Value {
         let mut m = Map::new();
         m.insert("prefix".into(), Value::from(self.prefix));
-        m.insert("checkpoint_every".into(), Value::from(self.checkpoint_every));
+        m.insert(
+            "checkpoint_every".into(),
+            Value::from(self.checkpoint_every),
+        );
         m.insert("reservoir".into(), Value::from(self.reservoir as u64));
         m.insert("batch".into(), Value::from(self.batch as u64));
-        m.insert("drift_sigma_bits".into(), Value::from(self.drift_sigma.to_bits()));
-        m.insert("drift_alpha_bits".into(), Value::from(self.drift_alpha.to_bits()));
-        m.insert("drift_calibration".into(), Value::from(self.drift_calibration));
-        m.insert("recluster_iters".into(), Value::from(self.recluster_iters as u64));
+        m.insert(
+            "drift_sigma_bits".into(),
+            Value::from(self.drift_sigma.to_bits()),
+        );
+        m.insert(
+            "drift_alpha_bits".into(),
+            Value::from(self.drift_alpha.to_bits()),
+        );
+        m.insert(
+            "drift_calibration".into(),
+            Value::from(self.drift_calibration),
+        );
+        m.insert(
+            "recluster_iters".into(),
+            Value::from(self.recluster_iters as u64),
+        );
         m.insert("seed".into(), Value::from(self.seed));
         m.insert("classifier_seed".into(), Value::from(self.classifier_seed));
         let mut pks = Map::new();
@@ -212,11 +226,7 @@ impl StreamConfig {
             message: format!("config echo is missing or malformed: {what}"),
         };
         let map = value.as_object().ok_or_else(|| bad("not an object"))?;
-        let int = |key: &str| {
-            map.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| bad(key))
-        };
+        let int = |key: &str| map.get(key).and_then(Value::as_u64).ok_or_else(|| bad(key));
         let float_bits = |key: &str| int(key).map(f64::from_bits);
         let pks_map = map
             .get("pks")
@@ -297,7 +307,10 @@ impl StreamReport {
         m.insert("records".into(), Value::from(self.records));
         m.insert("prefix".into(), Value::from(self.prefix));
         m.insert("selected_k".into(), Value::from(self.selected_k as u64));
-        m.insert("projected_cycles".into(), Value::from(self.projected_cycles));
+        m.insert(
+            "projected_cycles".into(),
+            Value::from(self.projected_cycles),
+        );
         m.insert(
             "group_counts".into(),
             Value::Array(self.group_counts.iter().map(|&c| Value::from(c)).collect()),
@@ -431,7 +444,14 @@ impl StreamPks {
         F: FnMut(&Checkpoint) -> Result<(), StreamError>,
     {
         let (mut state, ensemble, source_name) = self.bootstrap(source)?;
-        self.drain_tail(source, &mut state, ensemble.as_ref(), &source_name, on_checkpoint, cancel)
+        self.drain_tail(
+            source,
+            &mut state,
+            ensemble.as_ref(),
+            &source_name,
+            on_checkpoint,
+            cancel,
+        )
     }
 
     /// Resumes from `checkpoint` against a restartable `source`.
@@ -551,7 +571,14 @@ impl StreamPks {
                 }),
             );
         }
-        self.drain_tail(source, &mut state, ensemble.as_ref(), &source_name, on_checkpoint, cancel)
+        self.drain_tail(
+            source,
+            &mut state,
+            ensemble.as_ref(),
+            &source_name,
+            on_checkpoint,
+            cancel,
+        )
     }
 
     /// Buffers the detailed prefix, runs batch PKS over it, trains the tail
@@ -597,7 +624,9 @@ impl StreamPks {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let selection = Pks::new(config.pks).with_executor(self.exec).select(&detailed)?;
+        let selection = Pks::new(config.pks)
+            .with_executor(self.exec)
+            .select(&detailed)?;
         let provenance = Pks::new(config.pks).provenance(&detailed, &selection)?;
         let k = selection.k();
 
@@ -635,7 +664,11 @@ impl StreamPks {
             let x = Matrix::from_rows(&features).map_err(|e| StreamError::Pipeline {
                 message: e.to_string(),
             })?;
-            Some(fit_tail_ensemble(&x, selection.labels(), config.classifier_seed)?)
+            Some(fit_tail_ensemble(
+                &x,
+                selection.labels(),
+                config.classifier_seed,
+            )?)
         };
 
         let records = prefix.len() as u64;
@@ -651,7 +684,11 @@ impl StreamPks {
             centroids,
             centroid_counts,
             drift: vec![
-                DriftTracker::new(config.drift_calibration, config.drift_sigma, config.drift_alpha);
+                DriftTracker::new(
+                    config.drift_calibration,
+                    config.drift_sigma,
+                    config.drift_alpha
+                );
                 k
             ],
             reservoir_items: Vec::new(),
@@ -710,7 +747,11 @@ impl StreamPks {
         let _span = pka_obs::span("stream.tail");
         // Snapshot cadence, read once: 0 keeps the per-record cost of live
         // snapshots at a single integer compare.
-        let snap_every = if pka_obs::enabled() { pka_obs::snapshot_every() } else { 0 };
+        let snap_every = if pka_obs::enabled() {
+            pka_obs::snapshot_every()
+        } else {
+            0
+        };
         let obs = pka_obs::enabled();
         match ensemble {
             None => {
@@ -719,8 +760,7 @@ impl StreamPks {
                 // end-of-stream report.
                 if source.next_record(false)?.is_some() {
                     return Err(StreamError::Pipeline {
-                        message: "source yielded tail records after reporting end of stream"
-                            .into(),
+                        message: "source yielded tail records after reporting end of stream".into(),
                     });
                 }
             }
@@ -823,8 +863,7 @@ impl StreamPks {
         // bumps member counts, so every error term still measures the
         // profiled prefix — the same decomposition the batch two-level
         // pipeline would report for this stream.
-        let attribution =
-            selection_attribution(source_name, &state.selection, &state.provenance);
+        let attribution = selection_attribution(source_name, &state.selection, &state.provenance);
         Ok(StreamOutcome {
             report,
             selection: state.selection.clone(),
@@ -1108,7 +1147,9 @@ mod tests {
             .run(&mut src, |_| Ok(()))
             .unwrap();
         let attribution = &outcome.attribution;
-        attribution.verify_sums().expect("per-group terms sum to the reported error");
+        attribution
+            .verify_sums()
+            .expect("per-group terms sum to the reported error");
         assert_eq!(attribution.kind, "selection");
         assert_eq!(attribution.workload, "workload:synthetic2000");
         assert_eq!(attribution.groups.len(), outcome.selection.k());
@@ -1179,7 +1220,9 @@ mod tests {
     fn cancel_mid_tail_leaves_resumable_checkpoint() {
         let full = {
             let mut src = source(3_000);
-            StreamPks::new(small_config()).run(&mut src, |_| Ok(())).unwrap()
+            StreamPks::new(small_config())
+                .run(&mut src, |_| Ok(()))
+                .unwrap()
         };
 
         let mut src = source(3_000);

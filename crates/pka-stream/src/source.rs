@@ -34,7 +34,10 @@ impl SourceRecord {
         obj.insert("id".into(), Value::from(lw.kernel_id.index()));
         obj.insert("name".into(), Value::from(lw.name.clone()));
         obj.insert("grid_blocks".into(), Value::from(lw.grid_blocks));
-        obj.insert("block_threads".into(), Value::from(u64::from(lw.block_threads)));
+        obj.insert(
+            "block_threads".into(),
+            Value::from(u64::from(lw.block_threads)),
+        );
         obj.insert(
             "shared_mem_bytes".into(),
             Value::from(u64::from(lw.shared_mem_bytes)),
@@ -47,17 +50,47 @@ impl SourceRecord {
             obj.insert("l2_miss_rate_pct".into(), Value::from(d.l2_miss_rate_pct));
             let m = &d.metrics;
             let mut metrics = Map::new();
-            metrics.insert("coalesced_global_loads".into(), Value::from(m.coalesced_global_loads));
-            metrics.insert("coalesced_global_stores".into(), Value::from(m.coalesced_global_stores));
-            metrics.insert("coalesced_local_loads".into(), Value::from(m.coalesced_local_loads));
-            metrics.insert("thread_global_loads".into(), Value::from(m.thread_global_loads));
-            metrics.insert("thread_global_stores".into(), Value::from(m.thread_global_stores));
-            metrics.insert("thread_local_loads".into(), Value::from(m.thread_local_loads));
-            metrics.insert("thread_shared_loads".into(), Value::from(m.thread_shared_loads));
-            metrics.insert("thread_shared_stores".into(), Value::from(m.thread_shared_stores));
-            metrics.insert("thread_global_atomics".into(), Value::from(m.thread_global_atomics));
+            metrics.insert(
+                "coalesced_global_loads".into(),
+                Value::from(m.coalesced_global_loads),
+            );
+            metrics.insert(
+                "coalesced_global_stores".into(),
+                Value::from(m.coalesced_global_stores),
+            );
+            metrics.insert(
+                "coalesced_local_loads".into(),
+                Value::from(m.coalesced_local_loads),
+            );
+            metrics.insert(
+                "thread_global_loads".into(),
+                Value::from(m.thread_global_loads),
+            );
+            metrics.insert(
+                "thread_global_stores".into(),
+                Value::from(m.thread_global_stores),
+            );
+            metrics.insert(
+                "thread_local_loads".into(),
+                Value::from(m.thread_local_loads),
+            );
+            metrics.insert(
+                "thread_shared_loads".into(),
+                Value::from(m.thread_shared_loads),
+            );
+            metrics.insert(
+                "thread_shared_stores".into(),
+                Value::from(m.thread_shared_stores),
+            );
+            metrics.insert(
+                "thread_global_atomics".into(),
+                Value::from(m.thread_global_atomics),
+            );
             metrics.insert("instructions".into(), Value::from(m.instructions));
-            metrics.insert("divergence_efficiency".into(), Value::from(m.divergence_efficiency));
+            metrics.insert(
+                "divergence_efficiency".into(),
+                Value::from(m.divergence_efficiency),
+            );
             metrics.insert("thread_blocks".into(), Value::from(m.thread_blocks));
             obj.insert("metrics".into(), Value::Object(metrics));
         }
@@ -202,7 +235,9 @@ impl KernelSource for WorkloadSource {
         let kernel = self.workload.kernel(id);
         let lightweight = LightweightRecord::new(id, &kernel);
         let detailed = if want_detailed {
-            let mut records = self.profiler.detailed(&self.workload, self.pos..self.pos + 1)?;
+            let mut records = self
+                .profiler
+                .detailed(&self.workload, self.pos..self.pos + 1)?;
             Some(records.remove(0))
         } else {
             None
@@ -350,7 +385,10 @@ pub struct RecordsSource {
 
 impl RecordsSource {
     /// Wraps detailed records paired with their lightweight views.
-    pub fn new(label: impl Into<String>, records: Vec<(DetailedRecord, LightweightRecord)>) -> Self {
+    pub fn new(
+        label: impl Into<String>,
+        records: Vec<(DetailedRecord, LightweightRecord)>,
+    ) -> Self {
         Self {
             label: label.into(),
             records,
@@ -600,9 +638,7 @@ fn parse_record_line(
             .ok_or_else(|| bad(format!("detailed prefix record missing `{key}`")))
     };
     let Some(Value::Object(metrics)) = &members.metrics else {
-        return Err(bad(
-            "detailed prefix record missing `metrics` object".into()
-        ));
+        return Err(bad("detailed prefix record missing `metrics` object".into()));
     };
     let metric = |key: &str| -> Result<f64, StreamError> {
         metrics
@@ -1074,7 +1110,8 @@ mod tests {
     #[test]
     fn jsonl_prefix_without_detailed_fields_errors() {
         let line = r#"{"id":0,"name":"k","grid_blocks":8,"block_threads":64,"shared_mem_bytes":0,"tensor_elements":512}"#;
-        let mut src = JsonlSource::from_reader("jsonl:test", std::io::Cursor::new(line.to_string()));
+        let mut src =
+            JsonlSource::from_reader("jsonl:test", std::io::Cursor::new(line.to_string()));
         // Lightweight pull succeeds ...
         let mut src2 =
             JsonlSource::from_reader("jsonl:test", std::io::Cursor::new(line.to_string()));
@@ -1127,7 +1164,10 @@ mod tests {
                 from_file.detailed.is_some(),
                 "record {i}"
             );
-            assert_eq!(from_feed.lightweight.kernel_id, original.lightweight.kernel_id);
+            assert_eq!(
+                from_feed.lightweight.kernel_id,
+                original.lightweight.kernel_id
+            );
         }
         assert!(feed.next_record(false).unwrap().is_none());
         assert!(jsonl.next_record(false).unwrap().is_none());
@@ -1441,8 +1481,8 @@ mod tests {
     ) -> Result<SourceRecord, StreamError> {
         {
             let bad = |message: String| StreamError::Parse { line, message };
-            let value: Value = serde_json::from_str(text.trim())
-                .map_err(|e| bad(format!("invalid json: {e}")))?;
+            let value: Value =
+                serde_json::from_str(text.trim()).map_err(|e| bad(format!("invalid json: {e}")))?;
             let Value::Object(obj) = &value else {
                 return Err(bad("record is not a json object".into()));
             };
@@ -1479,9 +1519,7 @@ mod tests {
                     .ok_or_else(|| bad(format!("detailed prefix record missing `{key}`")))
             };
             let Some(Value::Object(metrics)) = obj.get("metrics") else {
-                return Err(bad(
-                    "detailed prefix record missing `metrics` object".into()
-                ));
+                return Err(bad("detailed prefix record missing `metrics` object".into()));
             };
             let metric = |key: &str| -> Result<f64, StreamError> {
                 metrics
@@ -1547,8 +1585,18 @@ mod tests {
     /// characters, truncation or one overwritten byte.
     fn mutated_line(rng: &mut TestRng, detailed: &[String]) -> String {
         const WRONG: [&str; 12] = [
-            "\"7\"", "-3", "2.5", "1e400", "18446744073709551616", "4294967296", "true",
-            "null", "[]", "{}", "{\"instructions\":1}", "\"\"",
+            "\"7\"",
+            "-3",
+            "2.5",
+            "1e400",
+            "18446744073709551616",
+            "4294967296",
+            "true",
+            "null",
+            "[]",
+            "{}",
+            "{\"instructions\":1}",
+            "\"\"",
         ];
         let source = if rng.next_below(3) == 0 {
             lightweight_line(rng.next_below(1 << 20))
@@ -1563,8 +1611,15 @@ mod tests {
                 0 => {
                     // Repeat a member, before (the original wins) or after
                     // (the copy wins) with a random value.
-                    let dup = (members[i].0.clone(), WRONG[pick(rng, WRONG.len())].to_string());
-                    let at = if rng.next_below(2) == 0 { 0 } else { members.len() };
+                    let dup = (
+                        members[i].0.clone(),
+                        WRONG[pick(rng, WRONG.len())].to_string(),
+                    );
+                    let at = if rng.next_below(2) == 0 {
+                        0
+                    } else {
+                        members.len()
+                    };
                     members.insert(at, dup);
                 }
                 1 => {

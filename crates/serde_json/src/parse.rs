@@ -134,10 +134,7 @@ impl<'a> Parser<'a> {
     /// Runs `parse` one array or object level deeper. One native stack
     /// frame per level: past the limit, fail with an error instead of
     /// overflowing the stack.
-    fn nested<T>(
-        &mut self,
-        parse: impl FnOnce(&mut Self) -> Result<T, Error>,
-    ) -> Result<T, Error> {
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T, Error>) -> Result<T, Error> {
         if self.depth == MAX_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
         }
@@ -175,10 +172,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Walks one object, handing each member to `member` in order.
-    fn parse_members(
-        &mut self,
-        member: &mut impl FnMut(Cow<'a, str>, Value),
-    ) -> Result<(), Error> {
+    fn parse_members(&mut self, member: &mut impl FnMut(Cow<'a, str>, Value)) -> Result<(), Error> {
         self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -278,8 +272,8 @@ impl<'a> Parser<'a> {
                             .bytes
                             .get(start..end)
                             .ok_or_else(|| self.err("truncated UTF-8"))?;
-                        let s = std::str::from_utf8(chunk)
-                            .map_err(|_| self.err("invalid UTF-8"))?;
+                        let s =
+                            std::str::from_utf8(chunk).map_err(|_| self.err("invalid UTF-8"))?;
                         out.push_str(s);
                         self.pos = end;
                     }
@@ -291,7 +285,9 @@ impl<'a> Parser<'a> {
     fn parse_hex4(&mut self) -> Result<u32, Error> {
         let mut code = 0u32;
         for _ in 0..4 {
-            let b = self.bump().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let b = self
+                .bump()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let digit = (b as char)
                 .to_digit(16)
                 .ok_or_else(|| self.err("invalid hex digit"))?;
@@ -326,8 +322,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number slice is ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number slice is ASCII");
         if !is_float {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Number(Number::PosInt(n)));

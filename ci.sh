@@ -6,6 +6,8 @@
 # artifact uploads find it.
 #
 # Stages:
+#   0. formatting — `cargo fmt --check` over pka-stream, serde and
+#      serde_json (the other crates are not rustfmt-clean yet)
 #   1. release build (the binaries the experiments run through)
 #   2. tier-1 test suite (root package: integration + parity + property tests)
 #   3. tier-1 again, single-threaded — the parity suite spawns its own
@@ -73,6 +75,9 @@ rm -rf "$OUT"
 mkdir -p "$OUT"
 PKA=./target/release/pka
 
+echo "==> cargo fmt --check (pka-stream, serde, serde_json)"
+cargo fmt --check -p pka-stream -p serde -p serde_json
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -99,6 +104,7 @@ jq -e '
     and any(.[]; .name == "stream_ingest/online_pks/500000")
     and any(.[]; .name == "server_session_roundtrip/http_session/100000")
     and any(.[]; .name == "server_session_roundtrip/feed/100000")
+    and any(.[]; .name == "checkpoint_render/synthetic_100000")
     and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
     and any(.[]; .name == "pka_evaluate/backprop_full")
 ' "$OUT/bench_smoke.json" >/dev/null

@@ -19,6 +19,10 @@
 //!   row drives a `source: "feed"` session instead: the same 100k records
 //!   pre-rendered as NDJSON and posted in 500-line bodies, so the feed
 //!   queue and per-record JSON parsing are on the measured path.
+//! * `checkpoint_render` — one canonical JSON rendering of the final
+//!   `pka.stream_checkpoint/v1` of a 100k-record synthetic stream (prefix
+//!   2,000, a full 4,096-item reservoir), the text a `pka serve` session
+//!   and `pka stream --checkpoint` produce at every checkpoint.
 //!
 //! Run with `cargo bench -p pka-bench --bench hot_paths`; CI runs a
 //! reduced-iteration smoke via `PKA_BENCH_SAMPLES` / `PKA_BENCH_WARMUP`.
@@ -183,6 +187,25 @@ fn bench_stream_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_checkpoint_render(c: &mut Criterion) {
+    const N: u64 = 100_000;
+    let mut source = WorkloadSource::new(synthetic_workload(N), Profiler::new(GpuConfig::v100()));
+    let config = StreamConfig::default()
+        .with_prefix(2_000)
+        .with_reservoir(4_096);
+    let checkpoint = StreamPks::new(config)
+        .run(&mut source, |_| Ok(()))
+        .expect("stream runs")
+        .final_checkpoint;
+    assert_eq!(checkpoint.reservoir.items.len(), 4_096, "full reservoir");
+    let mut group = c.benchmark_group("checkpoint_render");
+    group.sample_size(50);
+    group.bench_function(format!("synthetic_{N}"), |b| {
+        b.iter(|| black_box(&checkpoint).to_json().len())
+    });
+    group.finish();
+}
+
 /// One raw-socket HTTP exchange against the in-process service.
 fn http_roundtrip(
     addr: std::net::SocketAddr,
@@ -332,6 +355,7 @@ criterion_group!(
     bench_pca_fit,
     bench_pkp_engine,
     bench_stream_ingest,
-    bench_server_roundtrip
+    bench_server_roundtrip,
+    bench_checkpoint_render
 );
 criterion_main!(hot_paths);

@@ -24,7 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use pka_core::{Executor, Pka, PkaConfig, PkpConfig, PksConfig, Selection};
+use pka_core::{Executor, Pka, PkaConfig, PkpConfig, PksConfig};
 use pka_gpu::GpuConfig;
 use pka_obs::SnapshotRecord;
 use pka_profile::Profiler;
@@ -737,9 +737,16 @@ fn push_progress(st: &mut SessionState, line: String) {
     st.progress.push_back(line);
 }
 
+/// The `count` of each of a serialised `Selection`'s groups, read in
+/// place (empty when the value is not shaped like one).
 fn group_counts_of(selection: &Value) -> Vec<u64> {
-    serde_json::from_value::<Selection>(selection.clone())
-        .map(|s| s.groups().iter().map(|g| g.count()).collect())
+    let Value::Array(groups) = &selection["groups"] else {
+        return Vec::new();
+    };
+    groups
+        .iter()
+        .map(|g| g["count"].as_u64())
+        .collect::<Option<_>>()
         .unwrap_or_default()
 }
 

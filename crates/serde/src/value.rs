@@ -273,7 +273,14 @@ pub(crate) fn write_number(n: &Number, f: &mut impl fmt::Write) -> fmt::Result {
     }
 }
 
-pub(crate) fn write_escaped(s: &str, f: &mut impl fmt::Write) -> fmt::Result {
+/// Writes `s` as a JSON string literal: quoted, with `"`, `\` and control
+/// characters escaped. The one string escaper behind every rendering of a
+/// [`Value`], exposed so a hand-written JSON writer emits the same bytes.
+///
+/// # Errors
+///
+/// Propagates the sink's error (never for a `String`).
+pub fn write_escaped(s: &str, f: &mut impl fmt::Write) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
         match c {

@@ -11,7 +11,7 @@
 
 mod parse;
 
-pub use serde::value::{Map, Number, Value};
+pub use serde::value::{write_escaped, Map, Number, Value};
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -145,7 +145,8 @@ fn write_pretty(value: &Value, indent: usize, out: &mut String) {
                 }
                 out.push('\n');
                 push_indent(out, indent + STEP);
-                let _ = write!(out, "{}: ", Value::String(k.clone()));
+                let _ = write_escaped(k, out);
+                out.push_str(": ");
                 write_pretty(v, indent + STEP, out);
             }
             out.push('\n');

@@ -345,10 +345,7 @@ impl KernelDescriptor {
 
     /// Total per-thread dynamic instructions across all classes.
     pub fn instructions_per_thread(&self) -> u64 {
-        InstClass::ALL
-            .iter()
-            .map(|&c| self.count(c) as u64)
-            .sum()
+        InstClass::ALL.iter().map(|&c| self.count(c) as u64).sum()
     }
 
     /// Total dynamic warp instructions in the grid.
@@ -573,7 +570,10 @@ impl KernelDescriptorBuilder {
                 message: "must be in [1, 32]".into(),
             });
         }
-        for (field, v) in [("l1_locality", d.l1_locality), ("l2_locality", d.l2_locality)] {
+        for (field, v) in [
+            ("l1_locality", d.l1_locality),
+            ("l2_locality", d.l2_locality),
+        ] {
             if !(0.0..=1.0).contains(&v) {
                 return Err(GpuError::InvalidKernel {
                     field,
@@ -581,7 +581,10 @@ impl KernelDescriptorBuilder {
                 });
             }
         }
-        if d.divergence_efficiency.is_nan() || d.divergence_efficiency <= 0.0 || d.divergence_efficiency > 1.0 {
+        if d.divergence_efficiency.is_nan()
+            || d.divergence_efficiency <= 0.0
+            || d.divergence_efficiency > 1.0
+        {
             return Err(GpuError::InvalidKernel {
                 field: "divergence_efficiency",
                 message: "must be in (0, 1]".into(),
@@ -680,7 +683,13 @@ mod tests {
             .branches_per_thread(0)
             .build()
             .unwrap_err();
-        assert!(matches!(err, GpuError::InvalidKernel { field: "instructions", .. }));
+        assert!(matches!(
+            err,
+            GpuError::InvalidKernel {
+                field: "instructions",
+                ..
+            }
+        ));
     }
 
     #[test]

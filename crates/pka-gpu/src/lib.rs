@@ -54,7 +54,9 @@ mod silicon;
 
 pub use arch::{GpuConfig, GpuConfigBuilder, GpuGeneration};
 pub use error::GpuError;
-pub use kernel::{Dim3, InstClass, KernelDescriptor, KernelDescriptorBuilder, KernelId, KernelPhase};
+pub use kernel::{
+    Dim3, InstClass, KernelDescriptor, KernelDescriptorBuilder, KernelId, KernelPhase,
+};
 pub use metrics::KernelMetrics;
 pub use occupancy::Occupancy;
 pub use silicon::{base_latency, warp_throughput, SiliconExecutor, SiliconResult};

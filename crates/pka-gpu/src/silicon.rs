@@ -212,10 +212,7 @@ impl SiliconExecutor {
         let l2_capacity = self.config.l2_bytes() as f64;
         let l1_fit = (l1_capacity / ws).min(1.0).sqrt();
         let l2_fit = (l2_capacity / ws).min(1.0).sqrt();
-        (
-            kernel.l1_locality() * l1_fit,
-            kernel.l2_locality() * l2_fit,
-        )
+        (kernel.l1_locality() * l1_fit, kernel.l2_locality() * l2_fit)
     }
 }
 

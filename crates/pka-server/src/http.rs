@@ -98,7 +98,9 @@ pub fn read_request<R: BufRead>(stream: &mut R, max_body: usize) -> Result<Reque
         .next()
         .ok_or_else(|| ReadError::Malformed("request line lacks a version".into()))?;
     if !version.starts_with("HTTP/1.") {
-        return Err(ReadError::Malformed(format!("unsupported version `{version}`")));
+        return Err(ReadError::Malformed(format!(
+            "unsupported version `{version}`"
+        )));
     }
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
@@ -250,7 +252,8 @@ mod tests {
 
     #[test]
     fn parses_request_with_body_and_query() {
-        let raw = b"POST /v1/sessions?verbose=1 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd";
+        let raw =
+            b"POST /v1/sessions?verbose=1 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd";
         let mut r = BufReader::new(&raw[..]);
         let req = read_request(&mut r, 1024).unwrap();
         assert_eq!(req.method, "POST");
@@ -263,7 +266,10 @@ mod tests {
     #[test]
     fn clean_eof_is_closed_and_oversize_body_is_too_large() {
         let mut empty = BufReader::new(&b""[..]);
-        assert!(matches!(read_request(&mut empty, 10), Err(ReadError::Closed)));
+        assert!(matches!(
+            read_request(&mut empty, 10),
+            Err(ReadError::Closed)
+        ));
 
         let raw = b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\n";
         let mut r = BufReader::new(&raw[..]);
@@ -272,12 +278,14 @@ mod tests {
 
     #[test]
     fn endless_request_line_is_malformed_within_the_head_cap() {
-        let too_large = |r: Result<Request, ReadError>| {
-            matches!(r, Err(ReadError::Malformed(m)) if m == "header block too large")
-        };
+        let too_large = |r: Result<Request, ReadError>| matches!(r, Err(ReadError::Malformed(m)) if m == "header block too large");
         let mut r = std::io::Cursor::new(vec![b'a'; 64 * 1024]);
         assert!(too_large(read_request(&mut r, 10)));
-        assert!(r.position() <= MAX_HEAD_BYTES as u64 + 1, "{}", r.position());
+        assert!(
+            r.position() <= MAX_HEAD_BYTES as u64 + 1,
+            "{}",
+            r.position()
+        );
 
         // A head of exactly the cap parses; one byte more does not.
         let head = |len: usize| {
@@ -287,7 +295,10 @@ mod tests {
         let (fits, over) = (head(MAX_HEAD_BYTES), head(MAX_HEAD_BYTES + 1));
         let req = read_request(&mut BufReader::new(fits.as_bytes()), 10).unwrap();
         assert_eq!(req.header("x").unwrap().len(), 16_361);
-        assert!(too_large(read_request(&mut BufReader::new(over.as_bytes()), 10)));
+        assert!(too_large(read_request(
+            &mut BufReader::new(over.as_bytes()),
+            10
+        )));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 # artifact uploads find it.
 #
 # Stages:
-#   0. formatting — `cargo fmt --check` over pka-stream, serde and
-#      serde_json (the other crates are not rustfmt-clean yet)
+#   0. formatting — `cargo fmt --check` over pka-stream, pka-server,
+#      pka-gpu, serde and serde_json (the other crates are not
+#      rustfmt-clean yet)
 #   1. release build (the binaries the experiments run through)
 #   2. tier-1 test suite (root package: integration + parity + property tests)
 #   3. tier-1 again, single-threaded — the parity suite spawns its own
@@ -75,8 +76,8 @@ rm -rf "$OUT"
 mkdir -p "$OUT"
 PKA=./target/release/pka
 
-echo "==> cargo fmt --check (pka-stream, serde, serde_json)"
-cargo fmt --check -p pka-stream -p serde -p serde_json
+echo "==> cargo fmt --check (pka-stream, pka-server, pka-gpu, serde, serde_json)"
+cargo fmt --check -p pka-stream -p pka-server -p pka-gpu -p serde -p serde_json
 
 echo "==> cargo build --release"
 cargo build --release

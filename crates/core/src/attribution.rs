@@ -298,6 +298,16 @@ fn signed_pct(projected: f64, reference: f64) -> f64 {
 }
 
 impl ErrorAttribution {
+    /// The artifact's file text: pretty JSON plus a trailing newline, so the
+    /// bytes are shell/jq friendly. `--attribution-out` writes exactly this
+    /// and `GET /v1/sessions/{id}/attribution` serves it.
+    pub fn to_artifact_text(&self) -> String {
+        let mut text =
+            serde_json::to_string_pretty(self).expect("rendering a JSON value cannot fail");
+        text.push('\n');
+        text
+    }
+
     /// Sum of the signed per-group PKS terms.
     pub fn pks_term_sum(&self) -> f64 {
         self.groups.iter().map(|g| g.pks_term_pct).sum()

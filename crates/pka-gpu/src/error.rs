@@ -28,6 +28,11 @@ pub enum GpuError {
         /// Why the value was rejected.
         message: String,
     },
+    /// No preset configuration has this command-line name.
+    UnknownGpu {
+        /// The name asked for.
+        name: String,
+    },
 }
 
 impl fmt::Display for GpuError {
@@ -39,6 +44,7 @@ impl fmt::Display for GpuError {
             GpuError::InvalidKernel { field, message } => {
                 write!(f, "invalid kernel field `{field}`: {message}")
             }
+            GpuError::UnknownGpu { name } => write!(f, "unknown gpu `{name}`"),
         }
     }
 }

@@ -191,58 +191,18 @@ impl Executor {
         out
     }
 
-    /// Splits `0..len` into fixed-size chunks and applies `f` to each,
-    /// returning the per-chunk results in chunk order.
-    ///
-    /// The chunk grid depends only on `len` and `chunk_size` — never on the
-    /// worker count — so a fold over the returned vector visits ranges in
-    /// the same order for every `Executor`, and per-chunk float reductions
-    /// stay bitwise identical across worker counts. This is the substrate
-    /// for data-parallel stages whose per-item state lives in slices (the
-    /// bounded K-Means assignment step): each chunk task reads its slice of
-    /// the shared inputs, returns owned results, and the caller splices
-    /// them back in chunk order.
-    ///
-    /// `f` receives `(chunk_index, range)`; every range but possibly the
-    /// last spans exactly `chunk_size` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pka_stats::Executor;
-    ///
-    /// let exec = Executor::new(4);
-    /// let chunk_sums = exec.map_chunks(10, 4, |_, r| r.sum::<usize>());
-    /// assert_eq!(chunk_sums, vec![0 + 1 + 2 + 3, 4 + 5 + 6 + 7, 8 + 9]);
-    /// ```
-    pub fn map_chunks<U, F>(&self, len: usize, chunk_size: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize, std::ops::Range<usize>) -> U + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let chunks: Vec<std::ops::Range<usize>> = (0..len)
-            .step_by(chunk_size)
-            .map(|lo| lo..(lo + chunk_size).min(len))
-            .collect();
-        self.map(&chunks, |i, range| f(i, range.clone()))
-    }
-
     /// Repeatedly fans a fixed chunked job out over a *persistent* set of
     /// workers.
     ///
-    /// [`map_chunks`](Executor::map_chunks) spawns fresh scoped threads on
-    /// every call — fine for one-shot fan-outs, but an iterative algorithm
-    /// dispatching a round per iteration (the bounded K-Means assignment
-    /// step) would pay ~100 µs of thread spawn per iteration. `rounds`
-    /// spawns the workers once, then lets `body` trigger any number of
-    /// rounds through the `run` callback it receives: each `run()` executes
-    /// `f` over the same fixed chunk grid and returns the per-chunk results
-    /// in chunk order, exactly like `map_chunks`.
+    /// [`map`](Executor::map) spawns fresh scoped threads on every call —
+    /// fine for one-shot fan-outs, but an iterative algorithm dispatching a
+    /// round per iteration (the bounded K-Means assignment step) would pay
+    /// ~100 µs of thread spawn per iteration. `rounds` spawns the workers
+    /// once, then lets `body` trigger any number of rounds through the
+    /// `run` callback it receives: each `run()` executes `f` over the same
+    /// fixed chunk grid — `f` receives `(chunk_index, range)`, every range
+    /// but possibly the last spanning exactly `chunk_size` items — and
+    /// returns the per-chunk results in chunk order.
     ///
     /// `f` is fixed for the lifetime of the pool, so per-round inputs must
     /// reach it through interior mutability (e.g. an `RwLock` the caller
@@ -250,8 +210,9 @@ impl Executor {
     /// so the lock is uncontended by construction).
     ///
     /// The chunk grid depends only on `(len, chunk_size)`, never on the
-    /// worker count, and results always splice in chunk order — the same
-    /// determinism contract as [`map_chunks`](Executor::map_chunks).
+    /// worker count, and results always splice in chunk order, so per-chunk
+    /// float reductions folded in that order stay bitwise identical across
+    /// worker counts.
     ///
     /// # Panics
     ///
@@ -542,49 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_covers_the_range_in_order() {
-        for (len, chunk) in [(0usize, 3usize), (1, 3), (9, 3), (10, 3), (10, 100), (257, 16)] {
-            for workers in [1, 2, 8] {
-                let exec = Executor::new(workers);
-                let ranges = exec.map_chunks(len, chunk, |i, r| (i, r));
-                let mut expected_lo = 0;
-                for (i, (idx, r)) in ranges.iter().enumerate() {
-                    assert_eq!(*idx, i);
-                    assert_eq!(r.start, expected_lo, "len={len} chunk={chunk}");
-                    assert!(r.end - r.start <= chunk);
-                    expected_lo = r.end;
-                }
-                assert_eq!(expected_lo, len, "len={len} chunk={chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn map_chunks_grid_is_worker_count_independent() {
-        // Per-chunk float sums folded in chunk order must be bitwise stable
-        // across worker counts: the grid only depends on (len, chunk_size).
-        let items: Vec<f64> = (0..1003).map(|i| (i as f64) * 1.0000001 + 0.1).collect();
-        let fold = |workers: usize| -> u64 {
-            Executor::new(workers)
-                .map_chunks(items.len(), 64, |_, r| items[r].iter().sum::<f64>())
-                .iter()
-                .sum::<f64>()
-                .to_bits()
-        };
-        let sequential = fold(1);
-        for workers in [2, 3, 8] {
-            assert_eq!(fold(workers), sequential);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn map_chunks_rejects_zero_chunk() {
-        Executor::new(1).map_chunks(4, 0, |_, _| ());
-    }
-
-    #[test]
-    fn rounds_matches_map_chunks_across_workers_and_rounds() {
+    fn rounds_matches_a_sequential_chunk_loop_across_workers_and_rounds() {
         let items: Vec<f64> = (0..1003).map(|i| (i as f64) * 1.0000001 + 0.1).collect();
         // Per-round inputs flow through interior mutability, as the
         // contract requires.
@@ -609,10 +528,13 @@ mod tests {
             );
             for (round, chunk_sums) in per_round.iter().enumerate() {
                 let s = 1.0 + round as f64;
-                let expected =
-                    Executor::sequential().map_chunks(items.len(), 64, |_, r| {
-                        items[r].iter().map(|x| x * s).sum::<f64>()
-                    });
+                let expected: Vec<f64> = (0..items.len())
+                    .step_by(64)
+                    .map(|lo| {
+                        let r = lo..(lo + 64).min(items.len());
+                        items[r].iter().map(|x| x * s).sum()
+                    })
+                    .collect();
                 // Bitwise: same chunk grid, same in-chunk fold order.
                 assert_eq!(
                     chunk_sums.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

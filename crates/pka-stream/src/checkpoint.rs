@@ -508,27 +508,44 @@ impl Checkpoint {
         Self::from_value(&value)
     }
 
-    /// Writes the canonical rendering (plus trailing newline) to `path`,
-    /// atomically: a reader (or a crash) can observe the previous file or
-    /// the new one, never a torn mix — see [`write_atomic`].
+    /// The checkpoint file's text: the canonical rendering plus a trailing
+    /// newline.
+    pub fn to_json_line(&self) -> String {
+        let mut text = self.to_json();
+        text.push('\n');
+        text
+    }
+
+    /// Writes [`to_json_line`](Self::to_json_line) to `path` atomically —
+    /// a reader (or a crash) can observe the previous file or the new one,
+    /// never a torn mix, see [`write_atomic`] — and returns the text written.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn write_to(&self, path: &std::path::Path) -> Result<(), StreamError> {
-        let mut text = self.to_json();
-        text.push('\n');
+    pub fn write_to(&self, path: &std::path::Path) -> Result<String, StreamError> {
+        let text = self.to_json_line();
         write_atomic(path, &text)?;
-        Ok(())
+        Ok(text)
     }
 
     /// Reads and parses a checkpoint file.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures and parse errors.
+    /// A [`StreamError::CheckpointFile`] when the file cannot be read or is
+    /// not JSON (`read <path>: ...`, `parse <path>: ...`), and what
+    /// [`from_value`](Self::from_value) refuses.
     pub fn read_from(path: &std::path::Path) -> Result<Self, StreamError> {
-        Self::from_json(&std::fs::read_to_string(path)?)
+        let failed = |action, message: String| StreamError::CheckpointFile {
+            action,
+            path: path.display().to_string(),
+            message,
+        };
+        let text = std::fs::read_to_string(path).map_err(|e| failed("read", e.to_string()))?;
+        let value: Value =
+            serde_json::from_str(&text).map_err(|e| failed("parse", e.to_string()))?;
+        Self::from_value(&value)
     }
 }
 

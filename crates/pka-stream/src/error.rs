@@ -30,6 +30,15 @@ pub enum StreamError {
         /// What was inconsistent.
         message: String,
     },
+    /// A checkpoint file could not be read, or its text is not JSON.
+    CheckpointFile {
+        /// What failed: `read` or `parse`.
+        action: &'static str,
+        /// The file, as given.
+        path: String,
+        /// The underlying error.
+        message: String,
+    },
     /// The run was stopped through a [`CancelToken`](crate::CancelToken).
     /// The pipeline delivered a teardown checkpoint through `on_checkpoint`
     /// before returning this, so the stream is resumable from where it
@@ -49,6 +58,11 @@ impl fmt::Display for StreamError {
             }
             StreamError::Pipeline { message } => write!(f, "stream pipeline: {message}"),
             StreamError::Checkpoint { message } => write!(f, "stream checkpoint: {message}"),
+            StreamError::CheckpointFile {
+                action,
+                path,
+                message,
+            } => write!(f, "{action} {path}: {message}"),
             StreamError::Cancelled => write!(f, "stream cancelled at a batch boundary"),
         }
     }

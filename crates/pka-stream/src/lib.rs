@@ -28,6 +28,10 @@
 //!   uses, with periodic resumable checkpoints ([`Checkpoint`], schema
 //!   `pka.stream_checkpoint/v1`).
 //!
+//! [`StreamJob`] is that pipeline as `pka stream` and the `pka serve`
+//! stream sessions both run it: resume from a checkpoint file, config
+//! overrides, and one atomic write per checkpoint.
+//!
 //! # Examples
 //!
 //! ```
@@ -51,6 +55,7 @@ mod cancel;
 mod checkpoint;
 mod drift;
 mod error;
+mod job;
 mod normalize;
 mod pipeline;
 mod source;
@@ -59,6 +64,7 @@ pub use cancel::CancelToken;
 pub use checkpoint::{Checkpoint, ReservoirItem, ReservoirState, CHECKPOINT_SCHEMA};
 pub use drift::{Drift, DriftTracker};
 pub use error::StreamError;
+pub use job::{ConfigOverrides, StreamJob};
 pub use normalize::StreamingNormalizer;
 pub use pipeline::{StreamConfig, StreamOutcome, StreamPks, StreamReport};
 pub use source::{

@@ -159,7 +159,7 @@ impl StreamConfig {
     }
 
     /// Canonical JSON echo of this configuration, embedded in every
-    /// checkpoint. [`StreamPks::resume`] refuses a checkpoint whose echo
+    /// checkpoint. [`StreamPks::run_from`] refuses a checkpoint whose echo
     /// disagrees with the live configuration — resuming under different
     /// parameters would silently break byte-for-byte reproducibility.
     pub fn to_value(&self) -> Value {
@@ -418,24 +418,36 @@ impl StreamPks {
         S: KernelSource + ?Sized,
         F: FnMut(&Checkpoint) -> Result<(), StreamError>,
     {
-        self.run_with_cancel(source, on_checkpoint, &CancelToken::new())
+        self.run_from(source, None, on_checkpoint, &CancelToken::new())
     }
 
-    /// [`run`](Self::run) with cooperative cancellation: `cancel` is polled
-    /// at every batch boundary of the tail. When it fires, one final
-    /// teardown checkpoint (at the exact record count folded so far) is
-    /// delivered through `on_checkpoint` and the run returns
-    /// [`StreamError::Cancelled`] — every record that was classified is in
-    /// that checkpoint, so [`resume`](Self::resume) continues from it
+    /// [`run`](Self::run), resumed from `checkpoint` when one is given, with
+    /// cooperative cancellation.
+    ///
+    /// Resuming re-derives the detailed prefix deterministically (it is not
+    /// stored in checkpoints), validates it against the snapshot, and
+    /// restores the tail state bit-exactly; `source` must restart, and is
+    /// then fast-forwarded to the snapshot position. The run continues as
+    /// if never interrupted — the final checkpoint is byte-identical to an
+    /// uninterrupted run's.
+    ///
+    /// `cancel` is polled at every batch boundary of the tail. When it
+    /// fires, one final teardown checkpoint (at the exact record count
+    /// folded so far) is delivered through `on_checkpoint` and the run
+    /// returns [`StreamError::Cancelled`] — every record that was
+    /// classified is in that checkpoint, so a resume from it continues
     /// without re-processing anything.
     ///
     /// # Errors
     ///
-    /// Everything [`run`](Self::run) can fail with, plus
-    /// [`StreamError::Cancelled`] when the token fires.
-    pub fn run_with_cancel<S, F>(
+    /// Everything [`run`](Self::run) can fail with; a
+    /// [`StreamError::Checkpoint`] when `checkpoint` is inconsistent with
+    /// this configuration or source; the source's error when it cannot
+    /// restart; and [`StreamError::Cancelled`] when the token fires.
+    pub fn run_from<S, F>(
         &self,
         source: &mut S,
+        checkpoint: Option<&Checkpoint>,
         on_checkpoint: F,
         cancel: &CancelToken,
     ) -> Result<StreamOutcome, StreamError>
@@ -443,7 +455,10 @@ impl StreamPks {
         S: KernelSource + ?Sized,
         F: FnMut(&Checkpoint) -> Result<(), StreamError>,
     {
-        let (mut state, ensemble, source_name) = self.bootstrap(source)?;
+        let (mut state, ensemble, source_name) = match checkpoint {
+            None => self.bootstrap(source)?,
+            Some(checkpoint) => self.restore(source, checkpoint)?,
+        };
         self.drain_tail(
             source,
             &mut state,
@@ -454,50 +469,15 @@ impl StreamPks {
         )
     }
 
-    /// Resumes from `checkpoint` against a restartable `source`.
-    ///
-    /// The detailed prefix is re-derived deterministically (it is not
-    /// stored in checkpoints), validated against the snapshot, and the tail
-    /// state is restored bit-exactly; the source is then fast-forwarded to
-    /// the snapshot position and the run continues as if never interrupted
-    /// — the final checkpoint is byte-identical to an uninterrupted run's.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the checkpoint is inconsistent with this configuration or
-    /// source, when the source cannot restart, and for anything
-    /// [`run`](Self::run) can fail with.
-    pub fn resume<S, F>(
+    /// Restarts `source`, re-derives the prefix, adopts `checkpoint`'s tail
+    /// state and skips `source` to the snapshot position.
+    fn restore<S>(
         &self,
         source: &mut S,
         checkpoint: &Checkpoint,
-        on_checkpoint: F,
-    ) -> Result<StreamOutcome, StreamError>
+    ) -> Result<(TailState, Option<Ensemble>, String), StreamError>
     where
         S: KernelSource + ?Sized,
-        F: FnMut(&Checkpoint) -> Result<(), StreamError>,
-    {
-        self.resume_with_cancel(source, checkpoint, on_checkpoint, &CancelToken::new())
-    }
-
-    /// [`resume`](Self::resume) with cooperative cancellation, with the
-    /// same batch-boundary semantics as
-    /// [`run_with_cancel`](Self::run_with_cancel).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`resume`](Self::resume) can fail with, plus
-    /// [`StreamError::Cancelled`] when the token fires.
-    pub fn resume_with_cancel<S, F>(
-        &self,
-        source: &mut S,
-        checkpoint: &Checkpoint,
-        on_checkpoint: F,
-        cancel: &CancelToken,
-    ) -> Result<StreamOutcome, StreamError>
-    where
-        S: KernelSource + ?Sized,
-        F: FnMut(&Checkpoint) -> Result<(), StreamError>,
     {
         let corrupt = |message: String| StreamError::Checkpoint { message };
         if checkpoint.config != self.config.to_value() {
@@ -571,14 +551,7 @@ impl StreamPks {
                 }),
             );
         }
-        self.drain_tail(
-            source,
-            &mut state,
-            ensemble.as_ref(),
-            &source_name,
-            on_checkpoint,
-            cancel,
-        )
+        Ok((state, ensemble, source_name))
     }
 
     /// Buffers the detailed prefix, runs batch PKS over it, trains the tail
@@ -730,7 +703,7 @@ impl StreamPks {
 
     /// Streams the tail in bounded batches until end of stream (or until
     /// `cancel` fires at a batch boundary — see
-    /// [`run_with_cancel`](Self::run_with_cancel)).
+    /// [`run_from`](Self::run_from)).
     fn drain_tail<S, F>(
         &self,
         source: &mut S,
@@ -1207,7 +1180,12 @@ mod tests {
             .unwrap();
         let other = StreamPks::new(small_config().with_batch(32));
         let err = other
-            .resume(&mut src, &outcome.final_checkpoint, |_| Ok(()))
+            .run_from(
+                &mut src,
+                Some(&outcome.final_checkpoint),
+                |_| Ok(()),
+                &CancelToken::new(),
+            )
             .unwrap_err();
         assert!(matches!(err, StreamError::Checkpoint { .. }), "{err:?}");
     }
@@ -1228,8 +1206,9 @@ mod tests {
         let mut src = source(3_000);
         let cancel = CancelToken::new();
         let mut teardown: Option<Checkpoint> = None;
-        let result = StreamPks::new(small_config()).run_with_cancel(
+        let result = StreamPks::new(small_config()).run_from(
             &mut src,
+            None,
             |cp| {
                 // Fire after the first delivered checkpoint: the next batch
                 // boundary must stop the run.
@@ -1256,7 +1235,7 @@ mod tests {
 
         let mut src = source(3_000);
         let resumed = StreamPks::new(small_config())
-            .resume(&mut src, &teardown, |_| Ok(()))
+            .run_from(&mut src, Some(&teardown), |_| Ok(()), &CancelToken::new())
             .unwrap();
         assert_eq!(resumed.report.records, 3_000);
         assert_eq!(resumed.report.selected_k, full.report.selected_k);
@@ -1279,8 +1258,9 @@ mod tests {
         cancel.cancel();
         let mut checkpoints = 0u32;
         let mut at_records = 0u64;
-        let result = StreamPks::new(small_config()).run_with_cancel(
+        let result = StreamPks::new(small_config()).run_from(
             &mut src,
+            None,
             |cp| {
                 checkpoints += 1;
                 at_records = cp.records;

@@ -5,7 +5,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use pka_gpu::{KernelDescriptor, KernelId, KernelMetrics};
+use pka_gpu::{GpuConfig, KernelDescriptor, KernelId, KernelMetrics};
 use pka_profile::{DetailedRecord, LightweightRecord, Profiler};
 use pka_workloads::{KernelTemplate, Suite, Workload};
 use serde_json::{Map, Value};
@@ -205,6 +205,31 @@ impl WorkloadSource {
             profiler,
             pos: 0,
         }
+    }
+
+    /// Resolves a source spec naming a workload: `synthetic:N` (the
+    /// [`synthetic_workload`] of `N` kernels) or a built-in workload's name,
+    /// profiled on `gpu`. `Ok(None)` when `spec` is neither, so each front
+    /// end words that refusal itself.
+    ///
+    /// # Errors
+    ///
+    /// A `synthetic:` spec whose `N` is not a positive integer.
+    pub fn by_spec(spec: &str, gpu: &GpuConfig) -> Result<Option<Self>, &'static str> {
+        let workload = if let Some(n) = spec.strip_prefix("synthetic:") {
+            let n: u64 = n
+                .parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or("synthetic:N needs a positive integer N")?;
+            synthetic_workload(n)
+        } else {
+            match pka_workloads::workload_by_name(spec) {
+                Some(w) => w,
+                None => return Ok(None),
+            }
+        };
+        Ok(Some(Self::new(workload, Profiler::new(gpu.clone()))))
     }
 
     /// The workload backing this source.

@@ -59,6 +59,11 @@ pub fn all_workloads() -> Vec<Workload> {
     out
 }
 
+/// The workload named `name` (as `pka list` prints it), if any.
+pub fn workload_by_name(name: &str) -> Option<Workload> {
+    all_workloads().into_iter().find(|w| w.name() == name)
+}
+
 /// The classic (non-MLPerf) workloads — the set for which full simulation
 /// is tractable and against which TBPoint can be compared.
 pub fn classic_workloads() -> Vec<Workload> {

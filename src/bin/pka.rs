@@ -33,7 +33,7 @@ use principal_kernel_analysis::gpu::GpuConfig;
 use principal_kernel_analysis::ml::{silhouette_score, Matrix};
 use principal_kernel_analysis::profile::Profiler;
 use principal_kernel_analysis::sim::cost::{format_duration, projected_sim_seconds};
-use principal_kernel_analysis::workloads::{all_workloads, Workload};
+use principal_kernel_analysis::workloads::{all_workloads, workload_by_name, Workload};
 
 /// Report output goes through [`out!`]/[`outln!`] to [`write_stdout`], never
 /// `print!`, which panics when the reader of a pipe has gone away.
@@ -458,20 +458,11 @@ fn find_workload(flags: &HashMap<String, String>) -> Result<Workload, String> {
     let name = flags
         .get("workload")
         .ok_or("--workload NAME is required")?;
-    all_workloads()
-        .into_iter()
-        .find(|w| w.name() == name)
-        .ok_or_else(|| format!("unknown workload `{name}` (see `pka list`)"))
+    workload_by_name(name).ok_or_else(|| format!("unknown workload `{name}` (see `pka list`)"))
 }
 
 fn gpu_from(flags: &HashMap<String, String>) -> Result<GpuConfig, String> {
-    match flags.get("gpu").map(String::as_str).unwrap_or("v100") {
-        "v100" => Ok(GpuConfig::v100()),
-        "rtx2060" => Ok(GpuConfig::rtx2060()),
-        "rtx3070" => Ok(GpuConfig::rtx3070()),
-        "v100-half" => Ok(GpuConfig::v100_half_sms()),
-        other => Err(format!("unknown gpu `{other}`")),
-    }
+    GpuConfig::by_name(flags.get("gpu").map_or("v100", String::as_str)).map_err(|e| e.to_string())
 }
 
 fn cmd_list(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -523,8 +514,7 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes the `pka.attribution/v1` artifact for `--attribution-out` (pretty
-/// JSON with a trailing newline, so the bytes are shell/jq friendly) and
+/// Writes the `pka.attribution/v1` artifact for `--attribution-out` and
 /// registers its checksum when observability is on. No-op without the flag.
 fn write_attribution(
     flags: &HashMap<String, String>,
@@ -533,11 +523,9 @@ fn write_attribution(
     let Some(path) = flags.get("attribution-out") else {
         return Ok(());
     };
-    let attribution =
-        attribution.expect("attribution is computed whenever --attribution-out is present");
-    let mut payload = serde_json::to_string_pretty(attribution)
-        .map_err(|e| format!("serialise attribution: {e}"))?;
-    payload.push('\n');
+    let payload = attribution
+        .expect("attribution is computed whenever --attribution-out is present")
+        .to_artifact_text();
     std::fs::write(path, &payload).map_err(|e| format!("write {path}: {e}"))?;
     record_checksum("attribution", &payload);
     outln!("attribution written to {path}");
@@ -791,8 +779,7 @@ fn int_flag(flags: &HashMap<String, String>, name: &str) -> Result<Option<u64>, 
 fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     use principal_kernel_analysis::core::{Executor, TwoLevel, TwoLevelConfig};
     use principal_kernel_analysis::stream::{
-        synthetic_workload, Checkpoint, JsonlSource, KernelSource, StreamConfig, StreamError,
-        StreamPks, WorkloadSource,
+        CancelToken, ConfigOverrides, JsonlSource, KernelSource, StreamJob, WorkloadSource,
     };
 
     let gpu = gpu_from(flags)?;
@@ -803,81 +790,41 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     // A resume adopts the checkpoint's embedded config echo, so the original
     // run's parameters need not be re-specified; explicit flags still apply
     // on top (and the resume path refuses any true mismatch).
-    let resume_cp = if flags.contains_key("resume") {
-        let p = flags
-            .get("checkpoint")
-            .ok_or("--resume requires --checkpoint FILE.json")?;
-        let text = std::fs::read_to_string(p).map_err(|e| format!("read {p}: {e}"))?;
-        let v: serde_json::Value =
-            serde_json::from_str(&text).map_err(|e| format!("parse {p}: {e}"))?;
-        Some(Checkpoint::from_value(&v).map_err(|e| e.to_string())?)
-    } else {
-        None
+    let ckpt_path = flags.get("checkpoint").map(std::path::PathBuf::from);
+    let resume = flags.contains_key("resume");
+    if resume && ckpt_path.is_none() {
+        return Err("--resume requires --checkpoint FILE.json".to_string());
+    }
+    let job = StreamJob::load(ckpt_path.clone(), resume).map_err(|e| e.to_string())?;
+    let overrides = ConfigOverrides {
+        prefix: int_flag(flags, "prefix")?,
+        checkpoint_every: int_flag(flags, "checkpoint-every")?,
+        reservoir: int_flag(flags, "reservoir")?,
+        batch: int_flag(flags, "batch")?,
     };
-    let mut config = match &resume_cp {
-        Some(cp) => StreamConfig::from_value(&cp.config).map_err(|e| e.to_string())?,
-        None => StreamConfig::default(),
-    };
-    if let Some(j) = int_flag(flags, "prefix")? {
-        config = config.with_prefix(j);
-    }
-    if let Some(n) = int_flag(flags, "checkpoint-every")? {
-        config = config.with_checkpoint_every(n);
-    }
-    if let Some(n) = int_flag(flags, "reservoir")? {
-        config = config.with_reservoir(n as usize);
-    }
-    if let Some(n) = int_flag(flags, "batch")? {
-        config = config.with_batch(n as usize);
-    }
     let exec = Executor::new(workers_from(flags)?);
+    let job = job.with_overrides(overrides).with_executor(exec);
 
     // A workload-backed source keeps the workload around so `--verify-batch`
-    // can run the batch two-level pipeline over the same kernels.
-    let (mut source, workload): (Box<dyn KernelSource>, Option<Workload>) =
-        if let Some(n) = spec.strip_prefix("synthetic:") {
-            let n: u64 = n
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or("synthetic:N needs a positive integer N")?;
-            let w = synthetic_workload(n);
-            let src = WorkloadSource::new(w.clone(), Profiler::new(gpu.clone()));
-            (Box::new(src), Some(w))
-        } else if spec == "-" {
-            (Box::new(JsonlSource::stdin()), None)
-        } else if std::path::Path::new(spec).is_file() {
-            let src = JsonlSource::open(std::path::Path::new(spec)).map_err(|e| e.to_string())?;
-            (Box::new(src), None)
-        } else if let Some(w) = all_workloads().into_iter().find(|w| w.name() == spec) {
-            let src = WorkloadSource::new(w.clone(), Profiler::new(gpu.clone()));
-            (Box::new(src), Some(w))
-        } else {
-            return Err(format!(
-                "--source `{spec}` is neither a file, `-`, `synthetic:N`, nor a workload name"
-            ));
-        };
-
-    let ckpt_path = flags.get("checkpoint").map(std::path::PathBuf::from);
-
-    let stream = StreamPks::new(config).with_executor(exec);
-    let on_checkpoint = |cp: &Checkpoint| -> Result<(), StreamError> {
-        match &ckpt_path {
-            Some(p) => cp.write_to(p),
-            None => Ok(()),
-        }
+    // can run the batch two-level pipeline over the same kernels. A file
+    // shadows a workload of the same name, never a `synthetic:N` spec.
+    let (mut source, workload): (Box<dyn KernelSource>, Option<Workload>) = if spec == "-" {
+        (Box::new(JsonlSource::stdin()), None)
+    } else if !spec.starts_with("synthetic:") && std::path::Path::new(spec).is_file() {
+        let src = JsonlSource::open(std::path::Path::new(spec)).map_err(|e| e.to_string())?;
+        (Box::new(src), None)
+    } else if let Some(src) = WorkloadSource::by_spec(spec, &gpu)? {
+        let w = src.workload().clone();
+        (Box::new(src), Some(w))
+    } else {
+        return Err(format!(
+            "--source `{spec}` is neither a file, `-`, `synthetic:N`, nor a workload name"
+        ));
     };
-    let outcome = match &resume_cp {
-        Some(cp) => stream.resume(&mut *source, cp, on_checkpoint),
-        None => stream.run(&mut *source, on_checkpoint),
-    }
-    .map_err(|e| e.to_string())?;
-    if let Some(p) = &ckpt_path {
-        outcome
-            .final_checkpoint
-            .write_to(p)
-            .map_err(|e| e.to_string())?;
-    }
+
+    let (outcome, final_text) = job
+        .run(&mut *source, &CancelToken::new(), |_, _| Ok(()))
+        .map_err(|e| e.to_string())?;
     let report = &outcome.report;
     let selection = &outcome.selection;
     outln!("stream:   {spec}");
@@ -913,6 +860,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
         let w = workload.as_ref().ok_or(
             "--verify-batch needs a workload-backed --source (synthetic:N or a workload name)",
         )?;
+        let config = job.config();
         let two = TwoLevel::new(
             TwoLevelConfig::default()
                 .with_pks(config.pks())
@@ -947,7 +895,10 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     if principal_kernel_analysis::obs::enabled() {
-        record_checksum("stream_checkpoint", &outcome.final_checkpoint.to_json());
+        // The checksum covers the canonical rendering, without the file's
+        // trailing newline.
+        let text = final_text.unwrap_or_else(|| outcome.final_checkpoint.to_json_line());
+        record_checksum("stream_checkpoint", text.trim_end_matches('\n'));
         let mut value = report.to_value();
         if let serde_json::Value::Object(m) = &mut value {
             m.insert(

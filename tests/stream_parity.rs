@@ -12,7 +12,7 @@ use principal_kernel_analysis::core::{Executor, TwoLevel, TwoLevelConfig};
 use principal_kernel_analysis::gpu::GpuConfig;
 use principal_kernel_analysis::profile::Profiler;
 use principal_kernel_analysis::stream::{
-    synthetic_workload, Checkpoint, JsonlSource, StreamConfig, StreamPks, WorkloadSource,
+    synthetic_workload, CancelToken, Checkpoint, JsonlSource, StreamConfig, StreamPks, WorkloadSource,
 };
 use principal_kernel_analysis::workloads::{all_workloads, Workload};
 
@@ -127,7 +127,7 @@ fn checkpoint_resume_reproduces_the_final_checkpoint_byte_for_byte() {
     let mut source = WorkloadSource::new(w.clone(), Profiler::new(GpuConfig::v100()));
     let resumed = StreamPks::new(config)
         .with_executor(Executor::new(1))
-        .resume(&mut source, &mid, |_| Ok(()))
+        .run_from(&mut source, Some(&mid), |_| Ok(()), &CancelToken::new())
         .expect("resume runs");
     assert_eq!(
         resumed.final_checkpoint.to_json(),

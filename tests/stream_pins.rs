@@ -197,8 +197,9 @@ fn cancel_then_resume_holds_its_pin() {
             let cancel = CancelToken::new();
             let mut periodic = Vec::new();
             let mut source = WorkloadSource::new(synthetic_workload(4_000), v100());
-            let stopped = engine.run_with_cancel(
+            let stopped = engine.run_from(
                 &mut source,
+                None,
                 |cp| {
                     periodic.push(cp.clone());
                     if periodic.len() == 2 {
@@ -214,10 +215,15 @@ fn cancel_then_resume_holds_its_pin() {
 
             let mut source = WorkloadSource::new(synthetic_workload(4_000), v100());
             let outcome = engine
-                .resume(&mut source, &teardown, |cp| {
-                    periodic.push(cp.clone());
-                    Ok(())
-                })
+                .run_from(
+                    &mut source,
+                    Some(&teardown),
+                    |cp| {
+                        periodic.push(cp.clone());
+                        Ok(())
+                    },
+                    &CancelToken::new(),
+                )
                 .expect("resume runs");
             assert_eq!(outcome.report.records, 4_000);
             digest(&periodic, &outcome)

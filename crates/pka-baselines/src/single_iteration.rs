@@ -57,12 +57,14 @@ impl SingleIteration {
     /// simulation failures.
     pub fn evaluate(&self, workload: &Workload) -> Result<SingleIterationReport, PkaError> {
         let _span = pka_obs::span("baseline.single_iteration");
-        let period = workload.iteration_hint().ok_or_else(|| PkaError::InvalidInput {
-            message: format!(
-                "`{}` has no iteration structure; single-iteration scaling needs one",
-                workload.name()
-            ),
-        })?;
+        let period = workload
+            .iteration_hint()
+            .ok_or_else(|| PkaError::InvalidInput {
+                message: format!(
+                    "`{}` has no iteration structure; single-iteration scaling needs one",
+                    workload.name()
+                ),
+            })?;
         let silicon = self.profiler.silicon_run(workload)?;
 
         let mut iteration_cycles = 0u64;

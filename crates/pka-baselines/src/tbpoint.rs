@@ -269,7 +269,9 @@ mod tests {
     #[test]
     fn clusters_homogeneous_workload_to_one_group() {
         let tb = TbPoint::new(tiny_gpu(), SimOptions::default(), TbPointConfig::default());
-        let r = tb.evaluate(&find(rodinia::workloads(), "bfs65536")).unwrap();
+        let r = tb
+            .evaluate(&find(rodinia::workloads(), "bfs65536"))
+            .unwrap();
         assert_eq!(r.clusters, 1);
         // The error budget includes the simulator-vs-silicon gap, which is
         // substantial for an irregular kernel on a small configuration.

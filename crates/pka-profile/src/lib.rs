@@ -140,9 +140,13 @@ impl Profiler {
         self.exec.try_map(&ids, |_, &id| {
             let kernel = workload.kernel(KernelId::new(id));
             let silicon = self.silicon.execute(&kernel)?;
-            let metrics =
-                KernelMetrics::from_descriptor(&kernel, self.config().generation());
-            Ok(DetailedRecord::new(KernelId::new(id), &kernel, metrics, silicon))
+            let metrics = KernelMetrics::from_descriptor(&kernel, self.config().generation());
+            Ok(DetailedRecord::new(
+                KernelId::new(id),
+                &kernel,
+                metrics,
+                silicon,
+            ))
         })
     }
 

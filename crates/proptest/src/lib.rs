@@ -126,10 +126,7 @@ pub trait Strategy {
         Self: Sized,
         F: Fn(Self::Value) -> U,
     {
-        MapStrategy {
-            inner: self,
-            map,
-        }
+        MapStrategy { inner: self, map }
     }
 }
 
@@ -492,7 +489,10 @@ macro_rules! prop_assert_eq {
         $crate::prop_assert!(
             *left == *right,
             "assertion failed: `{} == {}`\n  left: {:?}\n right: {:?}",
-            stringify!($left), stringify!($right), left, right
+            stringify!($left),
+            stringify!($right),
+            left,
+            right
         );
     }};
 }
@@ -505,7 +505,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             *left != *right,
             "assertion failed: `{} != {}`\n  both: {:?}",
-            stringify!($left), stringify!($right), left
+            stringify!($left),
+            stringify!($right),
+            left
         );
     }};
 }

@@ -72,7 +72,9 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
         other => return Err(format!("expected `struct` or `enum`, found {other:?}")),
     };
     if kind != "struct" && kind != "enum" {
-        return Err(format!("derive supports only structs and enums, found `{kind}`"));
+        return Err(format!(
+            "derive supports only structs and enums, found `{kind}`"
+        ));
     }
     let name = match iter.next() {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -98,7 +100,9 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
                 })
             }
         }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis && kind == "struct" => {
+        Some(TokenTree::Group(g))
+            if g.delimiter() == Delimiter::Parenthesis && kind == "struct" =>
+        {
             let n = count_tuple_fields(g.stream());
             if n == 1 {
                 Ok(Shape::NewtypeStruct { name })

@@ -7,7 +7,8 @@
 #
 # Stages:
 #   0. formatting — `cargo fmt --check` over pka-stream, pka-server,
-#      pka-gpu, serde and serde_json (the other crates are not
+#      pka-gpu, pka-profile, pka-baselines, serde, serde_json,
+#      serde_derive, proptest and criterion (the other crates are not
 #      rustfmt-clean yet)
 #   1. release build (the binaries the experiments run through)
 #   2. tier-1 test suite (root package: integration + parity + property tests)
@@ -76,8 +77,9 @@ rm -rf "$OUT"
 mkdir -p "$OUT"
 PKA=./target/release/pka
 
-echo "==> cargo fmt --check (pka-stream, pka-server, pka-gpu, serde, serde_json)"
-cargo fmt --check -p pka-stream -p pka-server -p pka-gpu -p serde -p serde_json
+echo "==> cargo fmt --check (pka-stream, pka-server, pka-gpu, pka-profile, pka-baselines, serde, serde_json, serde_derive, proptest, criterion)"
+cargo fmt --check -p pka-stream -p pka-server -p pka-gpu -p pka-profile -p pka-baselines \
+    -p serde -p serde_json -p serde_derive -p proptest -p criterion
 
 echo "==> cargo build --release"
 cargo build --release
@@ -106,6 +108,7 @@ jq -e '
     and any(.[]; .name == "server_session_roundtrip/http_session/100000")
     and any(.[]; .name == "server_session_roundtrip/feed/100000")
     and any(.[]; .name == "checkpoint_render/synthetic_100000")
+    and any(.[]; .name == "record_render/synthetic_100000")
     and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
     and any(.[]; .name == "pka_evaluate/backprop_full")
 ' "$OUT/bench_smoke.json" >/dev/null

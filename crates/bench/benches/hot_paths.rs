@@ -23,6 +23,9 @@
 //!   `pka.stream_checkpoint/v1` of a 100k-record synthetic stream (prefix
 //!   2,000, a full 4,096-item reservoir), the text a `pka serve` session
 //!   and `pka stream --checkpoint` produce at every checkpoint.
+//! * `record_render` — 100k synthetic records (the first 2,000 with the
+//!   detailed view) rendered as `pka.kernel_record/v1` lines, the text a
+//!   live producer feeds a `pka serve` session.
 //!
 //! Run with `cargo bench -p pka-bench --bench hot_paths`; CI runs a
 //! reduced-iteration smoke via `PKA_BENCH_SAMPLES` / `PKA_BENCH_WARMUP`.
@@ -206,6 +209,30 @@ fn bench_checkpoint_render(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_record_render(c: &mut Criterion) {
+    const N: u64 = 100_000;
+    const PREFIX: usize = 2_000;
+    let mut source = WorkloadSource::new(synthetic_workload(N), Profiler::new(GpuConfig::v100()));
+    let mut records = Vec::new();
+    while let Some(rec) = source
+        .next_record(records.len() < PREFIX)
+        .expect("pull record")
+    {
+        records.push(rec);
+    }
+    let mut group = c.benchmark_group("record_render");
+    group.sample_size(20);
+    group.bench_function(format!("synthetic_{N}"), |b| {
+        b.iter(|| {
+            black_box(&records)
+                .iter()
+                .map(|r| r.to_jsonl().len())
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
 /// One raw-socket HTTP exchange against the in-process service.
 fn http_roundtrip(
     addr: std::net::SocketAddr,
@@ -253,7 +280,7 @@ fn ndjson_bodies(n: u64, prefix: u64, per_body: u64) -> Vec<String> {
     let mut body = String::new();
     let mut i = 0u64;
     while let Some(rec) = source.next_record(i < prefix).expect("render record") {
-        body.push_str(&rec.to_jsonl().to_string());
+        body.push_str(&rec.to_jsonl());
         body.push('\n');
         i += 1;
         if i.is_multiple_of(per_body) {
@@ -356,6 +383,7 @@ criterion_group!(
     bench_pkp_engine,
     bench_stream_ingest,
     bench_server_roundtrip,
-    bench_checkpoint_render
+    bench_checkpoint_render,
+    bench_record_render
 );
 criterion_main!(hot_paths);

@@ -609,17 +609,23 @@ impl PkaServer {
                     s => Response::json(202, &json!({ "status": s.as_str() })),
                 }
             }
+            // Only the `Arc` handle is cloned under the lock; the body is
+            // copied after the guard drops.
             ("GET", Some("checkpoint")) => {
                 let st = session.cell.state.lock().expect("session state");
-                match st.final_checkpoint.clone() {
-                    Some(b) => Response::raw(200, "application/json", b),
+                let text = st.final_checkpoint.clone();
+                drop(st);
+                match text {
+                    Some(text) => Response::raw(200, "application/json", text.as_bytes()),
                     None => Response::error(404, "no checkpoint yet"),
                 }
             }
             ("GET", Some("attribution")) => {
                 let st = session.cell.state.lock().expect("session state");
-                match st.attribution.clone() {
-                    Some(b) => Response::raw(200, "application/json", b),
+                let text = st.attribution.clone();
+                drop(st);
+                match text {
+                    Some(text) => Response::raw(200, "application/json", text.as_bytes()),
                     None => Response::error(404, "no attribution yet"),
                 }
             }

@@ -96,11 +96,13 @@ pub struct SessionState {
     pub result: Option<Value>,
     /// Exact bytes of the latest checkpoint (the checkpoint file's text):
     /// each periodic or teardown checkpoint as it is taken, overwritten by
-    /// the final one when the run completes.
-    pub final_checkpoint: Option<String>,
+    /// the final one when the run completes. Shared, so a request clones
+    /// the handle under the lock rather than the text.
+    pub final_checkpoint: Option<Arc<String>>,
     /// Exact bytes of the `pka.attribution/v1` artifact (pretty + `\n`,
-    /// matching the CLI's `--attribution-out` file).
-    pub attribution: Option<String>,
+    /// matching the CLI's `--attribution-out` file), shared like
+    /// `final_checkpoint`.
+    pub attribution: Option<Arc<String>>,
     /// `pka.snapshot/v1` lines (bounded ring), each with the checkpoint
     /// `seq` it is stamped with.
     pub progress: VecDeque<(u64, String)>,
@@ -722,7 +724,7 @@ fn run_stream(
             let mut st = cell.state.lock().expect("session state");
             st.records = cp.records;
             st.selected_k = Some(cp.selected_k);
-            st.final_checkpoint = Some(text);
+            st.final_checkpoint = Some(Arc::new(text));
             push_progress(&mut st, cp.seq, line);
             drop(st);
             cell.progress_wake.notify_all();
@@ -734,8 +736,8 @@ fn run_stream(
     let mut st = cell.state.lock().expect("session state");
     st.records = outcome.report.records;
     st.selected_k = Some(outcome.report.selected_k);
-    st.final_checkpoint = Some(final_text);
-    st.attribution = Some(attribution);
+    st.final_checkpoint = Some(Arc::new(final_text));
+    st.attribution = Some(Arc::new(attribution));
     drop(st);
     Ok(json!({
         "mode": "stream",
@@ -765,7 +767,7 @@ fn run_select(
     let mut st = cell.state.lock().expect("session state");
     st.records = workload.kernel_count();
     st.selected_k = Some(selection.k());
-    st.attribution = Some(attribution);
+    st.attribution = Some(Arc::new(attribution));
     drop(st);
     let groups: Vec<Value> = selection
         .groups()
@@ -811,7 +813,7 @@ fn run_simulate(
     let mut st = cell.state.lock().expect("session state");
     st.records = workload.kernel_count();
     st.selected_k = Some(report.per_representative.len());
-    st.attribution = Some(attribution);
+    st.attribution = Some(Arc::new(attribution));
     drop(st);
     let per_rep: Vec<Value> = report
         .per_representative

@@ -2,6 +2,7 @@ use pka_stats::OnlineStats;
 use serde_json::{Map, Value};
 
 use crate::drift::DriftTracker;
+use crate::json_text::JsonText;
 use crate::StreamError;
 
 /// Schema identifier stamped into every checkpoint.
@@ -80,73 +81,8 @@ pub struct Checkpoint {
     pub config: Value,
 }
 
-/// `"00" "01" … "99"`: the two-digit table [`JsonText::u64`] writes from.
-const DIGIT_PAIRS: [u8; 200] = {
-    let mut table = [0u8; 200];
-    let mut i = 0;
-    while i < 100 {
-        table[2 * i] = b'0' + (i / 10) as u8;
-        table[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
-    }
-    table
-};
-
-/// Compact JSON text under construction. Bytes go into a `Vec<u8>` and
-/// are checked as UTF-8 once, at [`finish`](Self::finish); every write
-/// appends ASCII or a `&str`.
-struct JsonText(Vec<u8>);
-
+/// The checkpoint's nested objects, in sorted key order.
 impl JsonText {
-    /// Appends literal JSON syntax (punctuation and quoted keys).
-    fn raw(&mut self, s: &str) {
-        self.0.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends `n` in decimal, two digits per division.
-    fn u64(&mut self, mut n: u64) {
-        let mut buf = [0u8; 20];
-        let mut at = buf.len();
-        while n >= 100 {
-            let pair = (n % 100) as usize * 2;
-            n /= 100;
-            at -= 2;
-            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-        }
-        if n >= 10 {
-            let pair = n as usize * 2;
-            at -= 2;
-            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-        } else {
-            at -= 1;
-            buf[at] = b'0' + n as u8;
-        }
-        self.0.extend_from_slice(&buf[at..]);
-    }
-
-    /// Appends `x`'s IEEE-754 bit pattern as a decimal integer.
-    fn bits(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-
-    /// Appends `s` as a quoted, escaped JSON string.
-    fn string(&mut self, s: &str) {
-        // Appending to a `Vec` cannot fail.
-        let _ = serde_json::write_escaped(s, self);
-    }
-
-    /// Appends `[e0,e1,…]`, each element written by `each`.
-    fn array<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) {
-        self.0.push(b'[');
-        for (i, item) in items.iter().enumerate() {
-            if i > 0 {
-                self.0.push(b',');
-            }
-            each(self, item);
-        }
-        self.0.push(b']');
-    }
-
     fn stats(&mut self, s: &OnlineStats) {
         self.raw("{\"count\":");
         self.u64(s.count());
@@ -189,17 +125,6 @@ impl JsonText {
         self.raw(",\"pos\":");
         self.u64(item.pos);
         self.raw("}");
-    }
-
-    fn finish(self) -> String {
-        String::from_utf8(self.0).expect("JSON text is built from ASCII and `&str`s")
-    }
-}
-
-impl std::fmt::Write for JsonText {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.raw(s);
-        Ok(())
     }
 }
 
@@ -308,7 +233,7 @@ impl Checkpoint {
         let selection = self.selection.to_string();
         let config = self.config.to_string();
         let bound = self.json_len_bound(selection.len() + config.len());
-        let mut w = JsonText(Vec::with_capacity(bound));
+        let mut w = JsonText::with_capacity(bound);
         w.raw("{\"centroid_counts\":");
         w.array(&self.centroid_counts, |w, &c| w.u64(c));
         w.raw(",\"centroids\":");

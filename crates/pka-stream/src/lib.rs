@@ -56,6 +56,7 @@ mod checkpoint;
 mod drift;
 mod error;
 mod job;
+mod json_text;
 mod normalize;
 mod pipeline;
 mod source;

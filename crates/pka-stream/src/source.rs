@@ -8,8 +8,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use pka_gpu::{GpuConfig, KernelDescriptor, KernelId, KernelMetrics};
 use pka_profile::{DetailedRecord, LightweightRecord, Profiler};
 use pka_workloads::{KernelTemplate, Suite, Workload};
-use serde_json::{Map, Value};
+use serde_json::Value;
 
+use crate::json_text::JsonText;
 use crate::StreamError;
 
 /// One record pulled from a [`KernelSource`]: the lightweight view always,
@@ -25,76 +26,86 @@ pub struct SourceRecord {
 }
 
 impl SourceRecord {
-    /// Serialises the record as one `pka.kernel_record/v1` JSONL object —
-    /// the wire format [`JsonlSource`] reads back. Detailed fields are
-    /// emitted only when the detailed view is present.
-    pub fn to_jsonl(&self) -> Value {
+    /// Serialises the record as one `pka.kernel_record/v1` JSONL line (no
+    /// trailing newline), the wire format [`JsonlSource`] reads back.
+    /// Detailed fields are emitted only when the detailed view is present.
+    ///
+    /// The line is written straight into one pre-sized buffer, with no
+    /// intermediate `Value` tree, and is byte-identical to the compact
+    /// rendering of the equivalent tree: keys in sorted byte order
+    /// (`block_threads`, `cycles`, `dram_util_pct`, `grid_blocks`, `id`,
+    /// `l2_miss_rate_pct`, `metrics`, `name`, `seconds`,
+    /// `shared_mem_bytes`, `tensor_elements`), floats in their shortest
+    /// round-trip form and `null` when not finite.
+    pub fn to_jsonl(&self) -> String {
         let lw = &self.lightweight;
-        let mut obj = Map::new();
-        obj.insert("id".into(), Value::from(lw.kernel_id.index()));
-        obj.insert("name".into(), Value::from(lw.name.clone()));
-        obj.insert("grid_blocks".into(), Value::from(lw.grid_blocks));
-        obj.insert(
-            "block_threads".into(),
-            Value::from(u64::from(lw.block_threads)),
-        );
-        obj.insert(
-            "shared_mem_bytes".into(),
-            Value::from(u64::from(lw.shared_mem_bytes)),
-        );
-        obj.insert("tensor_elements".into(), Value::from(lw.tensor_elements));
+        let mut w = JsonText::with_capacity(self.jsonl_len_bound());
+        w.raw("{\"block_threads\":");
+        w.u64(u64::from(lw.block_threads));
         if let Some(d) = &self.detailed {
-            obj.insert("cycles".into(), Value::from(d.cycles));
-            obj.insert("seconds".into(), Value::from(d.seconds));
-            obj.insert("dram_util_pct".into(), Value::from(d.dram_util_pct));
-            obj.insert("l2_miss_rate_pct".into(), Value::from(d.l2_miss_rate_pct));
-            let m = &d.metrics;
-            let mut metrics = Map::new();
-            metrics.insert(
-                "coalesced_global_loads".into(),
-                Value::from(m.coalesced_global_loads),
-            );
-            metrics.insert(
-                "coalesced_global_stores".into(),
-                Value::from(m.coalesced_global_stores),
-            );
-            metrics.insert(
-                "coalesced_local_loads".into(),
-                Value::from(m.coalesced_local_loads),
-            );
-            metrics.insert(
-                "thread_global_loads".into(),
-                Value::from(m.thread_global_loads),
-            );
-            metrics.insert(
-                "thread_global_stores".into(),
-                Value::from(m.thread_global_stores),
-            );
-            metrics.insert(
-                "thread_local_loads".into(),
-                Value::from(m.thread_local_loads),
-            );
-            metrics.insert(
-                "thread_shared_loads".into(),
-                Value::from(m.thread_shared_loads),
-            );
-            metrics.insert(
-                "thread_shared_stores".into(),
-                Value::from(m.thread_shared_stores),
-            );
-            metrics.insert(
-                "thread_global_atomics".into(),
-                Value::from(m.thread_global_atomics),
-            );
-            metrics.insert("instructions".into(), Value::from(m.instructions));
-            metrics.insert(
-                "divergence_efficiency".into(),
-                Value::from(m.divergence_efficiency),
-            );
-            metrics.insert("thread_blocks".into(), Value::from(m.thread_blocks));
-            obj.insert("metrics".into(), Value::Object(metrics));
+            w.raw(",\"cycles\":");
+            w.u64(d.cycles);
+            w.raw(",\"dram_util_pct\":");
+            w.f64(d.dram_util_pct);
         }
-        Value::Object(obj)
+        w.raw(",\"grid_blocks\":");
+        w.u64(lw.grid_blocks);
+        w.raw(",\"id\":");
+        w.u64(lw.kernel_id.index());
+        if let Some(d) = &self.detailed {
+            let m = &d.metrics;
+            w.raw(",\"l2_miss_rate_pct\":");
+            w.f64(d.l2_miss_rate_pct);
+            w.raw(",\"metrics\":{\"coalesced_global_loads\":");
+            w.f64(m.coalesced_global_loads);
+            w.raw(",\"coalesced_global_stores\":");
+            w.f64(m.coalesced_global_stores);
+            w.raw(",\"coalesced_local_loads\":");
+            w.f64(m.coalesced_local_loads);
+            w.raw(",\"divergence_efficiency\":");
+            w.f64(m.divergence_efficiency);
+            w.raw(",\"instructions\":");
+            w.f64(m.instructions);
+            w.raw(",\"thread_blocks\":");
+            w.u64(m.thread_blocks);
+            w.raw(",\"thread_global_atomics\":");
+            w.f64(m.thread_global_atomics);
+            w.raw(",\"thread_global_loads\":");
+            w.f64(m.thread_global_loads);
+            w.raw(",\"thread_global_stores\":");
+            w.f64(m.thread_global_stores);
+            w.raw(",\"thread_local_loads\":");
+            w.f64(m.thread_local_loads);
+            w.raw(",\"thread_shared_loads\":");
+            w.f64(m.thread_shared_loads);
+            w.raw(",\"thread_shared_stores\":");
+            w.f64(m.thread_shared_stores);
+            w.raw("}");
+        }
+        w.raw(",\"name\":");
+        w.string(&lw.name);
+        if let Some(d) = &self.detailed {
+            w.raw(",\"seconds\":");
+            w.f64(d.seconds);
+        }
+        w.raw(",\"shared_mem_bytes\":");
+        w.u64(u64::from(lw.shared_mem_bytes));
+        w.raw(",\"tensor_elements\":");
+        w.u64(lw.tensor_elements);
+        w.raw("}");
+        w.finish()
+    }
+
+    /// The capacity [`to_jsonl`](Self::to_jsonl) reserves: the key text,
+    /// 20 characters per integer and 24 per float
+    /// (`-2.2250738585072014e-308`), and the name's bytes plus its quotes.
+    /// It bounds every line whose name needs no escape; an escaped name
+    /// may grow the buffer once.
+    fn jsonl_len_bound(&self) -> usize {
+        const LIGHTWEIGHT: usize = 86 + 5 * 20;
+        const DETAILED: usize = 347 + 2 * 20 + 14 * 24;
+        let detailed = if self.detailed.is_some() { DETAILED } else { 0 };
+        LIGHTWEIGHT + detailed + self.lightweight.name.len() + 2
     }
 }
 
@@ -1020,6 +1031,7 @@ mod tests {
     use super::*;
     use pka_gpu::GpuConfig;
     use proptest::TestRng;
+    use serde_json::Map;
 
     #[test]
     fn synthetic_workload_has_exact_count_and_varied_kernels() {
@@ -1079,7 +1091,7 @@ mod tests {
             let mut src = WorkloadSource::new(w, profiler);
             let mut lines = String::new();
             while let Some(rec) = src.next_record(false).unwrap() {
-                lines.push_str(&rec.to_jsonl().to_string());
+                lines.push_str(&rec.to_jsonl());
                 lines.push('\n');
             }
             JsonlSource::from_reader("jsonl:test", std::io::Cursor::new(lines))
@@ -1115,7 +1127,7 @@ mod tests {
         let mut lines = String::new();
         let mut originals = Vec::new();
         while let Some(rec) = src.next_record(true).unwrap() {
-            lines.push_str(&rec.to_jsonl().to_string());
+            lines.push_str(&rec.to_jsonl());
             lines.push('\n');
             originals.push(rec);
         }
@@ -1165,7 +1177,7 @@ mod tests {
         let mut reference = Vec::new();
         let mut src = records;
         while let Some(r) = src.next_record(true).unwrap() {
-            lines.push_str(&r.to_jsonl().to_string());
+            lines.push_str(&r.to_jsonl());
             lines.push('\n');
             reference.push(r);
         }
@@ -1417,7 +1429,7 @@ mod tests {
             let mut src = RecordsSource::profile(&w, &Profiler::new(GpuConfig::v100())).unwrap();
             let mut lines = Vec::new();
             while let Some(r) = src.next_record(true).unwrap() {
-                lines.push(r.to_jsonl().to_string());
+                lines.push(r.to_jsonl());
             }
             lines
         })
@@ -1720,6 +1732,246 @@ mod tests {
                         "line {line:?} detailed {want_detailed}\n  got: {got:?}\n want: {want:?}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The `Map` builder [`SourceRecord::to_jsonl`] used before it wrote
+    /// text directly. Kept as the differential oracle for its bytes.
+    fn to_jsonl_tree(record: &SourceRecord) -> Value {
+        let lw = &record.lightweight;
+        let mut obj = Map::new();
+        obj.insert("id".into(), Value::from(lw.kernel_id.index()));
+        obj.insert("name".into(), Value::from(lw.name.clone()));
+        obj.insert("grid_blocks".into(), Value::from(lw.grid_blocks));
+        obj.insert(
+            "block_threads".into(),
+            Value::from(u64::from(lw.block_threads)),
+        );
+        obj.insert(
+            "shared_mem_bytes".into(),
+            Value::from(u64::from(lw.shared_mem_bytes)),
+        );
+        obj.insert("tensor_elements".into(), Value::from(lw.tensor_elements));
+        if let Some(d) = &record.detailed {
+            obj.insert("cycles".into(), Value::from(d.cycles));
+            obj.insert("seconds".into(), Value::from(d.seconds));
+            obj.insert("dram_util_pct".into(), Value::from(d.dram_util_pct));
+            obj.insert("l2_miss_rate_pct".into(), Value::from(d.l2_miss_rate_pct));
+            let m = &d.metrics;
+            let mut metrics = Map::new();
+            metrics.insert(
+                "coalesced_global_loads".into(),
+                Value::from(m.coalesced_global_loads),
+            );
+            metrics.insert(
+                "coalesced_global_stores".into(),
+                Value::from(m.coalesced_global_stores),
+            );
+            metrics.insert(
+                "coalesced_local_loads".into(),
+                Value::from(m.coalesced_local_loads),
+            );
+            metrics.insert(
+                "thread_global_loads".into(),
+                Value::from(m.thread_global_loads),
+            );
+            metrics.insert(
+                "thread_global_stores".into(),
+                Value::from(m.thread_global_stores),
+            );
+            metrics.insert(
+                "thread_local_loads".into(),
+                Value::from(m.thread_local_loads),
+            );
+            metrics.insert(
+                "thread_shared_loads".into(),
+                Value::from(m.thread_shared_loads),
+            );
+            metrics.insert(
+                "thread_shared_stores".into(),
+                Value::from(m.thread_shared_stores),
+            );
+            metrics.insert(
+                "thread_global_atomics".into(),
+                Value::from(m.thread_global_atomics),
+            );
+            metrics.insert("instructions".into(), Value::from(m.instructions));
+            metrics.insert(
+                "divergence_efficiency".into(),
+                Value::from(m.divergence_efficiency),
+            );
+            metrics.insert("thread_blocks".into(), Value::from(m.thread_blocks));
+            obj.insert("metrics".into(), Value::Object(metrics));
+        }
+        Value::Object(obj)
+    }
+
+    /// A name mixing quotes, backslashes, control characters and non-ASCII
+    /// text, or empty.
+    fn arb_name(rng: &mut TestRng) -> String {
+        const PIECES: [&str; 14] = [
+            "gemm_",
+            "k",
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{8}",
+            "\u{c}",
+            "\u{1f}",
+            "\u{7f}",
+            "é日本",
+            "😀\u{2028}",
+        ];
+        (0..rng.next_below(6))
+            .map(|_| PIECES[rng.next_below(PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A `u64` at a digit-count boundary, at the `u32`/`u64` limits, or
+    /// random.
+    fn arb_u64(rng: &mut TestRng) -> u64 {
+        const EDGES: [u64; 12] = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            999,
+            1_000,
+            u32::MAX as u64,
+            1 << 32,
+            9_999_999_999_999_999_999,
+            10_000_000_000_000_000_000,
+            u64::MAX,
+        ];
+        match rng.next_below(3) {
+            0 => EDGES[rng.next_below(EDGES.len() as u64) as usize],
+            1 => rng.next_below(10_000),
+            _ => rng.next_u64(),
+        }
+    }
+
+    fn arb_u32(rng: &mut TestRng) -> u32 {
+        match rng.next_below(4) {
+            0 => u32::MAX,
+            _ => arb_u64(rng) as u32,
+        }
+    }
+
+    /// An `f64` that is non-finite, −0.0, subnormal, whole, at the edge of
+    /// the `{:?}` form's switch to exponents, extreme, or random.
+    fn arb_f64(rng: &mut TestRng) -> f64 {
+        const EDGES: [f64; 16] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            100.0,
+            1e15,
+            1e16,
+            1e-4,
+            1e-5,
+            0.1,
+            f64::MAX,
+            f64::MIN,
+        ];
+        match rng.next_below(4) {
+            0 => EDGES[rng.next_below(EDGES.len() as u64) as usize],
+            // Subnormals, from the smallest to the largest.
+            1 => f64::from_bits(1 + rng.next_below(0x000F_FFFF_FFFF_FFFF)),
+            2 => rng.next_f64() * 100.0,
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    /// A random record, lightweight or detailed, whose detailed view
+    /// repeats the launch's id and name as every source produces it.
+    fn arb_record(rng: &mut TestRng) -> SourceRecord {
+        let lightweight = LightweightRecord {
+            kernel_id: KernelId::new(arb_u64(rng)),
+            name: arb_name(rng),
+            grid_blocks: arb_u64(rng),
+            block_threads: arb_u32(rng),
+            shared_mem_bytes: arb_u32(rng),
+            tensor_elements: arb_u64(rng),
+        };
+        let detailed = (rng.next_below(2) == 0).then(|| DetailedRecord {
+            kernel_id: lightweight.kernel_id,
+            name: lightweight.name.clone(),
+            metrics: KernelMetrics {
+                coalesced_global_loads: arb_f64(rng),
+                coalesced_global_stores: arb_f64(rng),
+                coalesced_local_loads: arb_f64(rng),
+                thread_global_loads: arb_f64(rng),
+                thread_global_stores: arb_f64(rng),
+                thread_local_loads: arb_f64(rng),
+                thread_shared_loads: arb_f64(rng),
+                thread_shared_stores: arb_f64(rng),
+                thread_global_atomics: arb_f64(rng),
+                instructions: arb_f64(rng),
+                divergence_efficiency: arb_f64(rng),
+                thread_blocks: arb_u64(rng),
+            },
+            cycles: arb_u64(rng),
+            seconds: arb_f64(rng),
+            dram_util_pct: arb_f64(rng),
+            l2_miss_rate_pct: arb_f64(rng),
+        });
+        SourceRecord {
+            lightweight,
+            detailed,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The direct writer emits exactly the compact rendering of the
+        /// tree-built record, within its reserved capacity whenever the
+        /// name needs no escape, and a line whose floats are all finite
+        /// reads back to the same record.
+        #[test]
+        fn to_jsonl_equals_the_value_tree_rendering(seed in proptest::any::<u64>()) {
+            let mut rng = TestRng::from_seed(seed);
+            let record = arb_record(&mut rng);
+            let text = record.to_jsonl();
+            proptest::prop_assert_eq!(&text, &to_jsonl_tree(&record).to_string());
+            let name = &record.lightweight.name;
+            if !name.chars().any(|c| c == '"' || c == '\\' || c < ' ') {
+                proptest::prop_assert!(text.len() <= record.jsonl_len_bound());
+            }
+            let finite = record.detailed.as_ref().is_none_or(|d| {
+                let m = &d.metrics;
+                [
+                    d.seconds,
+                    d.dram_util_pct,
+                    d.l2_miss_rate_pct,
+                    m.coalesced_global_loads,
+                    m.coalesced_global_stores,
+                    m.coalesced_local_loads,
+                    m.thread_global_loads,
+                    m.thread_global_stores,
+                    m.thread_local_loads,
+                    m.thread_shared_loads,
+                    m.thread_shared_stores,
+                    m.thread_global_atomics,
+                    m.instructions,
+                    m.divergence_efficiency,
+                ]
+                .iter()
+                .all(|x| x.is_finite())
+            });
+            if finite {
+                let back = parse_record_line(&text, 1, record.detailed.is_some());
+                proptest::prop_assert_eq!(back, Ok(record));
             }
         }
     }

@@ -277,24 +277,38 @@ pub(crate) fn write_number(n: &Number, f: &mut impl fmt::Write) -> fmt::Result {
 /// characters escaped. The one string escaper behind every rendering of a
 /// [`Value`], exposed so a hand-written JSON writer emits the same bytes.
 ///
+/// Each run of characters that needs no escape goes to the sink in one
+/// `write_str`. Every escaped character is ASCII, so a run ends on a
+/// `char` boundary.
+///
 /// # Errors
 ///
 /// Propagates the sink's error (never for a `String`).
 pub fn write_escaped(s: &str, f: &mut impl fmt::Write) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0c}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_char(c)?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            // The other control characters take the `\u00XX` form below.
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(escape)?;
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -326,3 +340,81 @@ impl fmt::Display for ValueError {
 }
 
 impl std::error::Error for ValueError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The escaper before it copied runs: one `write_char` per `char`.
+    /// Kept as the oracle for [`write_escaped`].
+    fn write_escaped_by_char(s: &str, f: &mut impl fmt::Write) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                '\u{08}' => f.write_str("\\b")?,
+                '\u{0c}' => f.write_str("\\f")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_str("\"")
+    }
+
+    /// `s` through both escapers, into a `String` and, by way of
+    /// `Value`'s `Display`, into a `Formatter`.
+    fn check(s: &str) -> Result<(), TestCaseError> {
+        let mut want = String::new();
+        write_escaped_by_char(s, &mut want).unwrap();
+        let mut got = String::new();
+        write_escaped(s, &mut got).unwrap();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(Value::String(s.into()).to_string(), want);
+        Ok(())
+    }
+
+    /// A string of pieces that need an escape (`"`, `\`, control
+    /// characters), DEL, and 1- to 4-byte UTF-8 text, so escapes land at
+    /// the start, at the end, side by side and between runs.
+    fn arb_text(rng: &mut TestRng) -> String {
+        const TEXT: [&str; 8] = ["a", "run", "\u{7f}", "é", "日本", "😀", "\u{2028}", "é😀x"];
+        (0..rng.next_below(12))
+            .map(|_| match rng.next_below(3) {
+                0 => ['"', '\\'][rng.next_below(2) as usize].to_string(),
+                1 => char::from(rng.next_below(0x20) as u8).to_string(),
+                _ => TEXT[rng.next_below(TEXT.len() as u64) as usize].to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_control_character_matches_the_char_oracle() {
+        for c in (0u8..0x20).chain([b'"', b'\\', 0x7f]).map(char::from) {
+            for s in [
+                format!("{c}"),
+                format!("{c}ab"),
+                format!("ab{c}"),
+                format!("é{c}😀"),
+            ] {
+                check(&s).unwrap();
+            }
+        }
+        check("").unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Copying runs writes exactly the bytes of escaping char by char.
+        #[test]
+        fn write_escaped_equals_the_char_by_char_oracle(seed in any::<u64>()) {
+            let mut rng = TestRng::from_seed(seed);
+            check(&arb_text(&mut rng))?;
+        }
+    }
+}

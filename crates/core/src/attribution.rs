@@ -345,7 +345,11 @@ impl ErrorAttribution {
             }
         };
         check("pks_err_pct", self.pks_term_sum().abs(), self.pks_err_pct)?;
-        check("pks_err_signed_pct", self.pks_term_sum(), self.pks_err_signed_pct)?;
+        check(
+            "pks_err_signed_pct",
+            self.pks_term_sum(),
+            self.pks_err_signed_pct,
+        )?;
         if let (Some(signed), Some(abs)) = (self.pka_err_signed_pct, self.pka_err_pct) {
             check("pka_err_pct", self.total_term_sum().abs(), abs)?;
             check("pka_err_signed_pct", self.total_term_sum(), signed)?;
@@ -760,7 +764,10 @@ pub fn simulation_attribution(
         pks_err_signed_pct: signed_pct(pks_projected as f64, silicon),
         pks_err_pct: pka_stats::error::abs_pct_error(pks_projected as f64, silicon),
         pka_err_signed_pct: Some(signed_pct(pka_projected as f64, silicon)),
-        pka_err_pct: Some(pka_stats::error::abs_pct_error(pka_projected as f64, silicon)),
+        pka_err_pct: Some(pka_stats::error::abs_pct_error(
+            pka_projected as f64,
+            silicon,
+        )),
         dram_util_pct: Some(dram_util),
         groups,
     }

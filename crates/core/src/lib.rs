@@ -59,9 +59,9 @@ pub use attribution::{
     GroupProvenance, RepSimulation, ATTRIBUTION_SCHEMA,
 };
 pub use error::PkaError;
-pub use pka_stats::Executor;
 pub use features::feature_matrix;
 pub use pipeline::{Pka, PkaConfig, RepProjection, SiliconPksReport, SimulationReport};
+pub use pka_stats::Executor;
 pub use pkp::{PkpConfig, PkpMonitor, ProjectedKernel};
 pub use pks::{KernelGroup, Pks, PksConfig, RepresentativePolicy, Selection};
 pub use two_level::{fit_tail_ensemble, TwoLevel, TwoLevelConfig};

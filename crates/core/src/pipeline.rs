@@ -6,8 +6,9 @@ use pka_stats::Executor;
 use pka_workloads::Workload;
 
 use crate::{
-    selection_attribution, simulation_attribution, ErrorAttribution, PkaError, Pks, PkpConfig,
-    PkpMonitor, PksConfig, ProjectedKernel, RepSimulation, Selection, TwoLevel, TwoLevelConfig,
+    selection_attribution, simulation_attribution, ErrorAttribution, PkaError, PkpConfig,
+    PkpMonitor, Pks, PksConfig, ProjectedKernel, RepSimulation, Selection, TwoLevel,
+    TwoLevelConfig,
 };
 
 /// End-to-end PKA configuration: selection, projection, two-level and
@@ -299,7 +300,9 @@ impl Pka {
         // the float seconds in representative order for bitwise stability.
         let reps: Vec<_> = selection.representative_ids();
         let rep_runs = self.config.exec.try_map(&reps, |_, id| {
-            let records = self.profiler.detailed(workload, id.index()..id.index() + 1)?;
+            let records = self
+                .profiler
+                .detailed(workload, id.index()..id.index() + 1)?;
             Ok::<_, PkaError>((records[0].cycles, records[0].seconds))
         })?;
         let mut rep_cycles = Vec::with_capacity(selection.k());
@@ -669,8 +672,7 @@ mod tests {
         assert!(report.pka_speedup() >= report.pks_speedup() * 0.99);
         // PKS projection should be a sane estimate of full sim.
         let fullsim = report.fullsim_cycles.unwrap() as f64;
-        let pks_vs_full =
-            (report.pks_projected_cycles as f64 - fullsim).abs() / fullsim * 100.0;
+        let pks_vs_full = (report.pks_projected_cycles as f64 - fullsim).abs() / fullsim * 100.0;
         assert!(pks_vs_full < 25.0, "pks vs fullsim {pks_vs_full}%");
     }
 
@@ -705,7 +707,10 @@ mod tests {
         assert_eq!(attribution.kind, "simulation");
         assert_eq!(attribution.pks_err_pct, report.pks_error_pct);
         assert_eq!(attribution.pka_err_pct, Some(report.pka_error_pct));
-        assert_eq!(attribution.pks_projected_cycles, report.pks_projected_cycles);
+        assert_eq!(
+            attribution.pks_projected_cycles,
+            report.pks_projected_cycles
+        );
         assert_eq!(
             attribution.pka_projected_cycles,
             Some(report.pka_projected_cycles)

@@ -340,10 +340,7 @@ mod tests {
         let sim = tiny();
         let k = stable_kernel(512);
         let mut with_wave = PkpMonitor::new(PkpConfig::default(), 200);
-        let mut without = PkpMonitor::new(
-            PkpConfig::default().with_wave_constraint(false),
-            200,
-        );
+        let mut without = PkpMonitor::new(PkpConfig::default().with_wave_constraint(false), 200);
         let a = sim.run_kernel_monitored(&k, &mut with_wave).unwrap();
         let b = sim.run_kernel_monitored(&k, &mut without).unwrap();
         assert!(a.cycles >= b.cycles, "{} < {}", a.cycles, b.cycles);
@@ -381,7 +378,12 @@ mod tests {
         let mut strict = PkpMonitor::new(PkpConfig::default().with_threshold(0.025), 200);
         let a = sim.run_kernel_monitored(&k, &mut loose).unwrap();
         let b = sim.run_kernel_monitored(&k, &mut strict).unwrap();
-        assert!(a.cycles <= b.cycles, "loose {} strict {}", a.cycles, b.cycles);
+        assert!(
+            a.cycles <= b.cycles,
+            "loose {} strict {}",
+            a.cycles,
+            b.cycles
+        );
     }
 
     #[test]
@@ -397,8 +399,16 @@ mod tests {
             .coalescing_sectors(12.0)
             .divergence_efficiency(0.5)
             .phases(vec![
-                KernelPhase { fraction: 0.2, mem_scale: 2.0, compute_scale: 0.5 },
-                KernelPhase { fraction: 0.8, mem_scale: 0.8, compute_scale: 1.1 },
+                KernelPhase {
+                    fraction: 0.2,
+                    mem_scale: 2.0,
+                    compute_scale: 0.5,
+                },
+                KernelPhase {
+                    fraction: 0.8,
+                    mem_scale: 0.8,
+                    compute_scale: 1.1,
+                },
             ])
             .build()
             .unwrap();
@@ -407,8 +417,7 @@ mod tests {
         let r = sim.run_kernel_monitored(&k, &mut m).unwrap();
         if r.early_stop {
             let projected = ProjectedKernel::from_result(&r);
-            let err =
-                (projected.cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
+            let err = (projected.cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
             assert!(err < 0.6, "irregular projection error {err}");
         }
     }

@@ -1,10 +1,10 @@
 use pka_gpu::KernelId;
-use serde::{Deserialize, Serialize};
 use pka_ml::{KMeans, KMeansFit, Matrix, Pca, StandardScaler};
 use pka_profile::DetailedRecord;
 use pka_stats::error::abs_pct_error;
 use pka_stats::hash::UnitStream;
 use pka_stats::Executor;
+use serde::{Deserialize, Serialize};
 
 use crate::{feature_matrix, PkaError};
 
@@ -513,10 +513,7 @@ impl Pks {
         k: usize,
         reference: u64,
     ) -> Result<Selection, PkaError> {
-        let fit = self
-            .kmeans_for(k)
-            .with_executor(self.exec)
-            .fit(projected)?;
+        let fit = self.kmeans_for(k).with_executor(self.exec).fit(projected)?;
         Ok(self.selection_from_fit(records, &fit, projected, reference))
     }
 
@@ -600,9 +597,7 @@ impl Pks {
         let member_deviation: f64 = labels
             .iter()
             .zip(records)
-            .map(|(&l, r)| {
-                (r.cycles as f64 - groups[l].representative_cycles as f64).abs()
-            })
+            .map(|(&l, r)| (r.cycles as f64 - groups[l].representative_cycles as f64).abs())
             .sum();
         let member_deviation_pct = if reference == 0 {
             0.0

@@ -7,7 +7,7 @@ use pka_profile::{LightweightRecord, Profiler};
 use pka_stats::Executor;
 use pka_workloads::Workload;
 
-use crate::{Pks, PksConfig, PkaError, Selection};
+use crate::{PkaError, Pks, PksConfig, Selection};
 
 /// Tail kernels classified per parallel work item. Large enough that the
 /// per-chunk overhead vanishes, small enough to load-balance millions of

@@ -157,8 +157,7 @@ impl Executor {
                             }
                         }
                         if let Some(start) = start {
-                            let ns =
-                                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                             pka_obs::stage("executor.worker_busy").record_ns(ns);
                             pka_obs::stage(pka_obs::intern(&format!("executor.worker_busy.w{w}")))
                                 .record_ns(ns);
@@ -169,8 +168,11 @@ impl Executor {
             }
             drop(tx);
             let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-            let mut traces: Vec<Option<pka_obs::CapturedTrace>> =
-                if tracing { (0..n).map(|_| None).collect() } else { Vec::new() };
+            let mut traces: Vec<Option<pka_obs::CapturedTrace>> = if tracing {
+                (0..n).map(|_| None).collect()
+            } else {
+                Vec::new()
+            };
             for (i, value, trace) in rx {
                 slots[i] = Some(value);
                 if tracing {
@@ -276,73 +278,75 @@ impl Executor {
                 let f = &f;
                 let busy = &busy;
                 let worker = std::thread::Builder::new().name(format!("pka-w{w}"));
-                worker.spawn_scoped(scope, move || {
-                    let mut seen = 0u64;
-                    // Busy time accumulates locally and flushes once at pool
-                    // shutdown, so the per-chunk hot path never touches a
-                    // shared atomic.
-                    let mut busy_ns = 0u64;
-                    loop {
-                        let mut st = ctl.m.lock().expect("pool mutex");
+                worker
+                    .spawn_scoped(scope, move || {
+                        let mut seen = 0u64;
+                        // Busy time accumulates locally and flushes once at pool
+                        // shutdown, so the per-chunk hot path never touches a
+                        // shared atomic.
+                        let mut busy_ns = 0u64;
                         loop {
-                            if st.stop {
-                                if busy_ns > 0 {
-                                    pka_obs::stage("executor.worker_busy").record_ns(busy_ns);
-                                    pka_obs::stage(pka_obs::intern(&format!(
-                                        "executor.worker_busy.w{w}"
-                                    )))
-                                    .record_ns(busy_ns);
+                            let mut st = ctl.m.lock().expect("pool mutex");
+                            loop {
+                                if st.stop {
+                                    if busy_ns > 0 {
+                                        pka_obs::stage("executor.worker_busy").record_ns(busy_ns);
+                                        pka_obs::stage(pka_obs::intern(&format!(
+                                            "executor.worker_busy.w{w}"
+                                        )))
+                                        .record_ns(busy_ns);
+                                    }
+                                    if obs {
+                                        busy.lock().expect("busy vec").push(busy_ns);
+                                    }
+                                    return;
                                 }
-                                if obs {
-                                    busy.lock().expect("busy vec").push(busy_ns);
-                                }
-                                return;
-                            }
-                            if st.round > seen {
-                                seen = st.round;
-                                break;
-                            }
-                            st = ctl.work.wait(st).expect("pool mutex");
-                        }
-                        drop(st);
-                        loop {
-                            let i = {
-                                let mut st = ctl.m.lock().expect("pool mutex");
-                                if st.next_chunk >= n_chunks {
+                                if st.round > seen {
+                                    seen = st.round;
                                     break;
                                 }
-                                let i = st.next_chunk;
-                                st.next_chunk += 1;
-                                i
-                            };
-                            let (result, trace) = if obs {
-                                let t0 = std::time::Instant::now();
-                                let (r, trace) = if tracing {
-                                    let (r, t) = pka_obs::capture_trace(|| f(i, chunk_range(i)));
-                                    (r, Some(t))
+                                st = ctl.work.wait(st).expect("pool mutex");
+                            }
+                            drop(st);
+                            loop {
+                                let i = {
+                                    let mut st = ctl.m.lock().expect("pool mutex");
+                                    if st.next_chunk >= n_chunks {
+                                        break;
+                                    }
+                                    let i = st.next_chunk;
+                                    st.next_chunk += 1;
+                                    i
+                                };
+                                let (result, trace) = if obs {
+                                    let t0 = std::time::Instant::now();
+                                    let (r, trace) = if tracing {
+                                        let (r, t) =
+                                            pka_obs::capture_trace(|| f(i, chunk_range(i)));
+                                        (r, Some(t))
+                                    } else {
+                                        (f(i, chunk_range(i)), None)
+                                    };
+                                    busy_ns = busy_ns.saturating_add(
+                                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                                    );
+                                    (r, trace)
                                 } else {
                                     (f(i, chunk_range(i)), None)
                                 };
-                                busy_ns = busy_ns.saturating_add(
-                                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                );
-                                (r, trace)
-                            } else {
-                                (f(i, chunk_range(i)), None)
-                            };
-                            let mut st = ctl.m.lock().expect("pool mutex");
-                            st.results[i] = Some(result);
-                            if let Some(trace) = trace {
-                                st.traces[i] = Some(trace);
-                            }
-                            st.remaining -= 1;
-                            if st.remaining == 0 {
-                                ctl.done.notify_all();
+                                let mut st = ctl.m.lock().expect("pool mutex");
+                                st.results[i] = Some(result);
+                                if let Some(trace) = trace {
+                                    st.traces[i] = Some(trace);
+                                }
+                                st.remaining -= 1;
+                                if st.remaining == 0 {
+                                    ctl.done.notify_all();
+                                }
                             }
                         }
-                    }
-                })
-                .expect("spawn executor worker");
+                    })
+                    .expect("spawn executor worker");
             }
 
             let mut run = || {
@@ -549,8 +553,7 @@ mod tests {
     fn rounds_handles_empty_and_single_chunk() {
         for workers in [1, 4] {
             let exec = Executor::new(workers);
-            let empty: Vec<Vec<usize>> =
-                exec.rounds(0, 8, |i, _| i, |run| vec![run(), run()]);
+            let empty: Vec<Vec<usize>> = exec.rounds(0, 8, |i, _| i, |run| vec![run(), run()]);
             assert_eq!(empty, vec![Vec::new(), Vec::new()]);
             let single: Vec<usize> = exec.rounds(5, 8, |_, r| r.len(), |run| run());
             assert_eq!(single, vec![5]);

@@ -157,8 +157,8 @@ impl OnlineStats {
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
         let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
+        self.m2 +=
+            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
         self.mean = new_mean;
         self.count = total;
         self.min = self.min.min(other.min);
@@ -337,7 +337,9 @@ mod tests {
 
     #[test]
     fn matches_two_pass_computation() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() * 100.0 + 5.0).collect();
+        let xs: Vec<f64> = (0..1000)
+            .map(|i| (i as f64 * 0.37).sin() * 100.0 + 5.0)
+            .collect();
         let s: OnlineStats = xs.iter().copied().collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;

@@ -100,7 +100,11 @@ impl RollingStats {
             return 0.0;
         }
         let mean = self.mean();
-        self.buf.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64
+        self.buf
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f64>()
+            / n as f64
     }
 
     /// Population standard deviation of the window contents.

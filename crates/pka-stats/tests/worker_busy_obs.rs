@@ -90,7 +90,9 @@ fn fan_outs_publish_per_worker_busy_and_spread_gauges() {
             "round pool records the aggregate stage"
         );
         assert!(
-            (0..spawned).any(|w| snap.stages.contains_key(&format!("executor.worker_busy.w{w}"))),
+            (0..spawned).any(|w| snap
+                .stages
+                .contains_key(&format!("executor.worker_busy.w{w}"))),
             "round pool records at least one per-worker stage"
         );
         let max = snap.gauges["executor.busy_max_ns"];

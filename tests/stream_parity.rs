@@ -250,3 +250,58 @@ fn cli_refuses_the_retired_shard_flag_and_checkpoint_layout() {
     assert!(stderr.contains("sharded checkpoints"), "{stderr}");
     assert!(stderr.contains("no longer supported"), "{stderr}");
 }
+
+/// `pka stream --resume` refuses a checkpoint whose `selection` is not a
+/// selection, and one whose config echo cannot be the config it resumes
+/// under (`prefix: 0`, which the builder raises to 1), each with its own
+/// text and exit status 1.
+#[test]
+fn cli_resume_refuses_a_corrupt_selection_and_a_foreign_config_echo() {
+    let path = std::env::temp_dir().join(format!(
+        "pka_stream_parity_refusals_{}.json",
+        std::process::id()
+    ));
+    let ckpt = path.to_str().expect("utf8 path");
+    let pka = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_pka"))
+            .args(["stream", "--source", "synthetic:2000", "--checkpoint", ckpt])
+            .args(args)
+            .output()
+            .expect("pka runs")
+    };
+    let out = pka(&["--prefix", "200", "--checkpoint-every", "1000"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let written: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).expect("read checkpoint"))
+            .expect("checkpoint json");
+
+    let damaged = |edit: &dyn Fn(&mut serde_json::Map)| {
+        let mut doc = written.clone();
+        match &mut doc {
+            serde_json::Value::Object(m) => edit(m),
+            _ => panic!("a checkpoint is an object"),
+        }
+        std::fs::write(&path, doc.to_string()).expect("write checkpoint");
+        let out = pka(&["--resume"]);
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (code, stderr) = damaged(&|m| {
+        m.insert("selection".into(), serde_json::json!(5));
+    });
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("stream checkpoint: checkpoint selection does not parse: "),
+        "{stderr}"
+    );
+    let (code, stderr) = damaged(&|m| {
+        if let Some(serde_json::Value::Object(config)) = m.get_mut("config") {
+            config.insert("prefix".into(), serde_json::json!(0));
+        }
+    });
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint was taken under a different configuration"),
+        "{stderr}"
+    );
+}

@@ -7,9 +7,9 @@
 #
 # Stages:
 #   0. formatting — `cargo fmt --check` over pka-stream, pka-server,
-#      pka-gpu, pka-profile, pka-baselines, serde, serde_json,
-#      serde_derive, proptest and criterion (the other crates are not
-#      rustfmt-clean yet)
+#      pka-gpu, pka-profile, pka-baselines, pka-core, pka-stats, serde,
+#      serde_json, serde_derive, proptest and criterion (the other crates
+#      are not rustfmt-clean yet)
 #   1. release build (the binaries the experiments run through)
 #   2. tier-1 test suite (root package: integration + parity + property tests)
 #   3. tier-1 again, single-threaded — the parity suite spawns its own
@@ -77,9 +77,9 @@ rm -rf "$OUT"
 mkdir -p "$OUT"
 PKA=./target/release/pka
 
-echo "==> cargo fmt --check (pka-stream, pka-server, pka-gpu, pka-profile, pka-baselines, serde, serde_json, serde_derive, proptest, criterion)"
+echo "==> cargo fmt --check (pka-stream, pka-server, pka-gpu, pka-profile, pka-baselines, pka-core, pka-stats, serde, serde_json, serde_derive, proptest, criterion)"
 cargo fmt --check -p pka-stream -p pka-server -p pka-gpu -p pka-profile -p pka-baselines \
-    -p serde -p serde_json -p serde_derive -p proptest -p criterion
+    -p pka-core -p pka-stats -p serde -p serde_json -p serde_derive -p proptest -p criterion
 
 echo "==> cargo build --release"
 cargo build --release

@@ -26,10 +26,9 @@ use std::time::Instant;
 
 use pka_core::{Executor, Pka, PkaConfig, PkpConfig, PksConfig};
 use pka_gpu::GpuConfig;
-use pka_obs::SnapshotRecord;
 use pka_stream::{
-    CancelToken, Checkpoint, ConfigOverrides, FeedHandle, FeedSource, KernelSource, StreamError,
-    StreamJob, WorkloadSource,
+    CancelToken, ConfigOverrides, FeedHandle, FeedSource, KernelSource, StreamError, StreamJob,
+    WorkloadSource,
 };
 use pka_workloads::Workload;
 use serde_json::{json, Map, Value};
@@ -670,34 +669,6 @@ fn push_progress(st: &mut SessionState, seq: u64, line: String) {
     st.progress.push_back((seq, line));
 }
 
-/// The `count` of each of a serialised `Selection`'s groups, read in
-/// place (empty when the value is not shaped like one).
-fn group_counts_of(selection: &Value) -> Vec<u64> {
-    let Value::Array(groups) = &selection["groups"] else {
-        return Vec::new();
-    };
-    groups
-        .iter()
-        .map(|g| g["count"].as_u64())
-        .collect::<Option<_>>()
-        .unwrap_or_default()
-}
-
-fn progress_record(cp: &Checkpoint) -> SnapshotRecord {
-    SnapshotRecord {
-        phase: "tail".to_string(),
-        records: cp.records,
-        selected_k: cp.selected_k as i64,
-        group_counts: group_counts_of(&cp.selection),
-        reservoir_len: cp.reservoir.items.len() as u64,
-        reservoir_cap: cp.reservoir.cap as u64,
-        drifts: cp.drifts,
-        reclusters: cp.reclusters,
-        checkpoints: cp.seq,
-        max_buffered: cp.max_buffered,
-    }
-}
-
 /// Runs a stream session through the same [`StreamJob`] as `pka stream`,
 /// so checkpoints, the checkpoint file and the attribution artifact are the
 /// CLI's bytes. Each checkpoint's text is rendered once, by the file write
@@ -720,7 +691,9 @@ fn run_stream(
             // `timing` stays empty: progress served over HTTP is built purely
             // from checkpoint state, so interleaved sessions produce
             // byte-identical progress to serial runs.
-            let line = progress_record(cp).stamped_line(cp.seq, Map::new());
+            let line = cp
+                .snapshot_record("tail", cp.seq)
+                .stamped_line(cp.seq, Map::new());
             let mut st = cell.state.lock().expect("session state");
             st.records = cp.records;
             st.selected_k = Some(cp.selected_k);

@@ -360,24 +360,14 @@ pub struct StreamPks {
     exec: Executor,
 }
 
-/// Tail-side mutable state (everything a checkpoint snapshots).
+/// Tail-side mutable state: the checkpoint the tail folds into, plus what
+/// a checkpoint does not carry.
 struct TailState {
-    selection: Selection,
+    cp: Checkpoint,
     /// Representative provenance, fixed at bootstrap (never checkpointed:
     /// resume re-derives it from the same prefix).
     provenance: Vec<GroupProvenance>,
-    normalizer: StreamingNormalizer,
-    centroids: Vec<Vec<f64>>,
-    centroid_counts: Vec<u64>,
-    drift: Vec<DriftTracker>,
-    reservoir_items: Vec<ReservoirItem>,
-    reservoir_seen: u64,
-    records: u64,
-    seq: u64,
-    drifts: u64,
-    reclusters: u64,
     checkpoints_emitted: u64,
-    max_buffered: u64,
     /// Cumulative `on_checkpoint` callback time (observability only:
     /// wall-clock data never enters checkpoints, so this field is not
     /// snapshotted and restarts at zero on resume).
@@ -455,18 +445,11 @@ impl StreamPks {
         S: KernelSource + ?Sized,
         F: FnMut(&Checkpoint) -> Result<(), StreamError>,
     {
-        let (mut state, ensemble, source_name) = match checkpoint {
+        let (state, ensemble) = match checkpoint {
             None => self.bootstrap(source)?,
             Some(checkpoint) => self.restore(source, checkpoint)?,
         };
-        self.drain_tail(
-            source,
-            &mut state,
-            ensemble.as_ref(),
-            &source_name,
-            on_checkpoint,
-            cancel,
-        )
+        self.drain_tail(source, state, ensemble.as_ref(), on_checkpoint, cancel)
     }
 
     /// Restarts `source`, re-derives the prefix, adopts `checkpoint`'s tail
@@ -475,7 +458,7 @@ impl StreamPks {
         &self,
         source: &mut S,
         checkpoint: &Checkpoint,
-    ) -> Result<(TailState, Option<Ensemble>, String), StreamError>
+    ) -> Result<(TailState, Option<Ensemble>), StreamError>
     where
         S: KernelSource + ?Sized,
     {
@@ -493,23 +476,20 @@ impl StreamPks {
                 source.name()
             )));
         }
-        let (mut state, ensemble, source_name) = self.bootstrap(source)?;
-        if state.records != checkpoint.prefix {
+        let (mut state, ensemble) = self.bootstrap(source)?;
+        if state.cp.records != checkpoint.prefix {
             return Err(corrupt(format!(
                 "source prefix is {} records, checkpoint recorded {}",
-                state.records, checkpoint.prefix
+                state.cp.records, checkpoint.prefix
             )));
         }
-        if state.selection.k() != checkpoint.selected_k {
+        if state.cp.selected_k != checkpoint.selected_k {
             return Err(corrupt(format!(
                 "re-derived prefix selects K={}, checkpoint recorded K={}",
-                state.selection.k(),
-                checkpoint.selected_k
+                state.cp.selected_k, checkpoint.selected_k
             )));
         }
-        let snapshot: Selection = serde_json::from_value(checkpoint.selection.clone())
-            .map_err(|e| corrupt(format!("checkpoint selection does not parse: {e}")))?;
-        if snapshot.representative_ids() != state.selection.representative_ids() {
+        if checkpoint.selection.representative_ids() != state.cp.selection.representative_ids() {
             return Err(corrupt(
                 "checkpoint selection has different representatives than the \
                  re-derived prefix — wrong stream or corrupted checkpoint"
@@ -519,18 +499,7 @@ impl StreamPks {
 
         // Adopt the snapshot wholesale: selection (carries the classified
         // tail counts), normalizer, centroids, drift, reservoir, counters.
-        state.selection = snapshot;
-        state.normalizer = StreamingNormalizer::from_stats(checkpoint.normalizer.clone());
-        state.centroids = checkpoint.centroids.clone();
-        state.centroid_counts = checkpoint.centroid_counts.clone();
-        state.drift = checkpoint.drift.clone();
-        state.reservoir_items = checkpoint.reservoir.items.clone();
-        state.reservoir_seen = checkpoint.reservoir.seen;
-        state.records = checkpoint.records;
-        state.seq = checkpoint.seq;
-        state.drifts = checkpoint.drifts;
-        state.reclusters = checkpoint.reclusters;
-        state.max_buffered = checkpoint.max_buffered;
+        state.cp = checkpoint.clone();
 
         let to_skip = checkpoint.records - checkpoint.prefix;
         let skipped = source.skip(to_skip)?;
@@ -551,7 +520,7 @@ impl StreamPks {
                 }),
             );
         }
-        Ok((state, ensemble, source_name))
+        Ok((state, ensemble))
     }
 
     /// Buffers the detailed prefix, runs batch PKS over it, trains the tail
@@ -559,10 +528,7 @@ impl StreamPks {
     /// The prefix buffer is dropped before returning — from here on memory
     /// is bounded. The ensemble is `None` when the stream ended inside the
     /// prefix (no tail to label).
-    fn bootstrap<S>(
-        &self,
-        source: &mut S,
-    ) -> Result<(TailState, Option<Ensemble>, String), StreamError>
+    fn bootstrap<S>(&self, source: &mut S) -> Result<(TailState, Option<Ensemble>), StreamError>
     where
         S: KernelSource + ?Sized,
     {
@@ -650,55 +616,45 @@ impl StreamPks {
             pka_obs::gauge("stream.selected_k").set(k as i64);
         }
         let state = TailState {
-            checkpoint_write_ns: 0,
-            selection,
+            cp: Checkpoint {
+                seq: 0,
+                records,
+                // What was profiled: the stream may end inside the
+                // configured prefix.
+                prefix: records,
+                source: source_name,
+                selected_k: k,
+                projected_cycles: selection.projected_cycles(),
+                selection,
+                normalizer,
+                centroids,
+                centroid_counts,
+                drift: vec![
+                    DriftTracker::new(
+                        config.drift_calibration,
+                        config.drift_sigma,
+                        config.drift_alpha
+                    );
+                    k
+                ],
+                reservoir: ReservoirState {
+                    cap: config.reservoir,
+                    seen: 0,
+                    items: Vec::new(),
+                },
+                drifts: 0,
+                reclusters: 0,
+                max_buffered: 0,
+                config: config.to_value(),
+            },
             provenance,
-            normalizer,
-            centroids,
-            centroid_counts,
-            drift: vec![
-                DriftTracker::new(
-                    config.drift_calibration,
-                    config.drift_sigma,
-                    config.drift_alpha
-                );
-                k
-            ],
-            reservoir_items: Vec::new(),
-            reservoir_seen: 0,
-            records,
-            seq: 0,
-            drifts: 0,
-            reclusters: 0,
             checkpoints_emitted: 0,
-            max_buffered: 0,
+            checkpoint_write_ns: 0,
         };
         if pka_obs::enabled() {
-            self.emit_live_snapshot(&state, "prefix");
+            emit_live_snapshot(&state, "prefix");
         }
-        Ok((state, ensemble, source_name))
-    }
-
-    /// Emits one `pka.snapshot/v1` record reflecting `state`. Every field
-    /// of the record payload is deterministic; throughput and cumulative
-    /// checkpoint write time ride in the sink's volatile `timing` object.
-    fn emit_live_snapshot(&self, state: &TailState, phase: &str) {
-        let record = pka_obs::SnapshotRecord {
-            phase: phase.to_string(),
-            records: state.records,
-            selected_k: state.selection.k() as i64,
-            group_counts: state.selection.groups().iter().map(|g| g.count()).collect(),
-            reservoir_len: state.reservoir_items.len() as u64,
-            reservoir_cap: self.config.reservoir as u64,
-            drifts: state.drifts,
-            reclusters: state.reclusters,
-            checkpoints: state.checkpoints_emitted,
-            max_buffered: state.max_buffered,
-        };
-        pka_obs::emit_snapshot(
-            &record,
-            json!({ "checkpoint_write_ns": state.checkpoint_write_ns }),
-        );
+        Ok((state, ensemble))
     }
 
     /// Streams the tail in bounded batches until end of stream (or until
@@ -707,9 +663,8 @@ impl StreamPks {
     fn drain_tail<S, F>(
         &self,
         source: &mut S,
-        state: &mut TailState,
+        mut state: TailState,
         ensemble: Option<&Ensemble>,
-        source_name: &str,
         mut on_checkpoint: F,
         cancel: &CancelToken,
     ) -> Result<StreamOutcome, StreamError>
@@ -748,8 +703,8 @@ impl StreamPks {
                     // record is in the teardown checkpoint and no
                     // half-classified batch is observable.
                     if cancel.is_cancelled() {
-                        let checkpoint = self.snapshot(state, source_name, true);
-                        on_checkpoint(&checkpoint)?;
+                        let checkpoint = snapshot(&mut state, true);
+                        on_checkpoint(checkpoint)?;
                         if obs {
                             pka_obs::counter("stream.cancels").incr();
                             pka_obs::trace_event(
@@ -767,18 +722,21 @@ impl StreamPks {
                     if filled == 0 {
                         break;
                     }
-                    let buffered = filled as u64 + state.reservoir_items.len() as u64;
-                    state.max_buffered = state.max_buffered.max(buffered);
+                    let cp = &mut state.cp;
+                    let buffered = filled as u64 + cp.reservoir.items.len() as u64;
+                    cp.max_buffered = cp.max_buffered.max(buffered);
                     let hits = memo.predict_into(&batch, &mut labels)?;
 
                     // Strictly in-order fold: counts, normalizer, centroids,
                     // drift, reservoir, checkpoints.
                     for (features, &label) in batch.chunks_exact(dims).zip(&labels) {
-                        self.fold_record(state, label, features, &mut scratch);
-                        if state.records.is_multiple_of(self.config.checkpoint_every) {
-                            let checkpoint = self.snapshot(state, source_name, true);
+                        self.fold_record(&mut state.cp, label, features, &mut scratch);
+                        let records = state.cp.records;
+                        if records.is_multiple_of(self.config.checkpoint_every) {
+                            let checkpoint = snapshot(&mut state, true);
                             let t0 = obs.then(std::time::Instant::now);
-                            on_checkpoint(&checkpoint)?;
+                            on_checkpoint(checkpoint)?;
+                            let seq = checkpoint.seq;
                             if let Some(t0) = t0 {
                                 let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                                 state.checkpoint_write_ns =
@@ -793,18 +751,18 @@ impl StreamPks {
                                 // canonicalize byte-identically across runs.
                                 pka_obs::trace_event(
                                     "stream.checkpoint",
-                                    json!({ "seq": checkpoint.seq, "records": checkpoint.records }),
+                                    json!({ "seq": seq, "records": records }),
                                 );
                             }
                         }
-                        if snap_every != 0 && state.records.is_multiple_of(snap_every) {
-                            self.emit_live_snapshot(state, "tail");
+                        if snap_every != 0 && records.is_multiple_of(snap_every) {
+                            emit_live_snapshot(&state, "tail");
                         }
                     }
                     if obs {
                         pka_obs::counter("stream.records").add(filled as u64);
                         pka_obs::counter("stream.memo_hits").add(hits as u64);
-                        pka_obs::gauge("stream.max_buffered").set(state.max_buffered as i64);
+                        pka_obs::gauge("stream.max_buffered").set(state.cp.max_buffered as i64);
                     }
                 }
             }
@@ -812,35 +770,36 @@ impl StreamPks {
 
         if obs {
             pka_obs::counter("stream.checkpoints").add(state.checkpoints_emitted);
-            pka_obs::counter("stream.drifts").add(state.drifts);
-            pka_obs::counter("stream.reclusters").add(state.reclusters);
+            pka_obs::counter("stream.drifts").add(state.cp.drifts);
+            pka_obs::counter("stream.reclusters").add(state.cp.reclusters);
             // End-of-stream snapshot, so even short tails leave at least
             // one `phase: "tail"` record in the snapshot file.
             if snap_every != 0 {
-                self.emit_live_snapshot(state, "tail");
+                emit_live_snapshot(&state, "tail");
             }
         }
-        let final_checkpoint = self.snapshot(state, source_name, false);
+        snapshot(&mut state, false);
+        let cp = state.cp;
         let report = StreamReport {
-            records: state.records,
-            prefix: self.config.prefix.min(state.records),
-            selected_k: state.selection.k(),
-            projected_cycles: state.selection.projected_cycles(),
-            group_counts: state.selection.groups().iter().map(|g| g.count()).collect(),
-            drifts: state.drifts,
-            reclusters: state.reclusters,
+            records: cp.records,
+            prefix: cp.prefix,
+            selected_k: cp.selected_k,
+            projected_cycles: cp.projected_cycles,
+            group_counts: cp.selection.groups().iter().map(|g| g.count()).collect(),
+            drifts: cp.drifts,
+            reclusters: cp.reclusters,
             checkpoints: state.checkpoints_emitted,
-            max_buffered: state.max_buffered,
+            max_buffered: cp.max_buffered,
         };
         // Attribution over the final selection: tail classification only
         // bumps member counts, so every error term still measures the
         // profiled prefix — the same decomposition the batch two-level
         // pipeline would report for this stream.
-        let attribution = selection_attribution(source_name, &state.selection, &state.provenance);
+        let attribution = selection_attribution(&cp.source, &cp.selection, &state.provenance);
         Ok(StreamOutcome {
             report,
-            selection: state.selection.clone(),
-            final_checkpoint,
+            selection: cp.selection.clone(),
+            final_checkpoint: cp,
             attribution,
         })
     }
@@ -848,22 +807,16 @@ impl StreamPks {
     /// Folds one classified tail record into the online state. `raw` is
     /// the record's feature row; `features` is scratch the fold normalises
     /// it into.
-    fn fold_record(
-        &self,
-        state: &mut TailState,
-        label: usize,
-        raw: &[f64],
-        features: &mut Vec<f64>,
-    ) {
-        let t = state.records; // absolute 0-based position of this record
-        state.selection.add_classified_member(label);
-        state.normalizer.observe(raw);
+    fn fold_record(&self, cp: &mut Checkpoint, label: usize, raw: &[f64], features: &mut Vec<f64>) {
+        let t = cp.records; // absolute 0-based position of this record
+        cp.selection.add_classified_member(label);
+        cp.normalizer.observe(raw);
         features.clear();
         features.extend_from_slice(raw);
-        state.normalizer.normalize(features);
+        cp.normalizer.normalize(features);
 
         // Distance to the group's centroid *before* this record moves it.
-        let distance = state.centroids[label]
+        let distance = cp.centroids[label]
             .iter()
             .zip(features.iter())
             .map(|(c, x)| (x - c) * (x - c))
@@ -872,26 +825,27 @@ impl StreamPks {
 
         // Sculley mini-batch update: the centroid drifts toward the new
         // member with a per-centroid learning rate of 1/count.
-        state.centroid_counts[label] += 1;
-        let n = state.centroid_counts[label] as f64;
-        for (c, x) in state.centroids[label].iter_mut().zip(features.iter()) {
+        cp.centroid_counts[label] += 1;
+        let n = cp.centroid_counts[label] as f64;
+        for (c, x) in cp.centroids[label].iter_mut().zip(features.iter()) {
             *c += (x - *c) / n;
         }
 
         // Reservoir (Algorithm R with a stateless per-record RNG: resume
         // needs no generator state, only `seen`).
-        state.reservoir_seen += 1;
-        if state.reservoir_items.len() < self.config.reservoir {
-            state.reservoir_items.push(ReservoirItem {
+        let reservoir = &mut cp.reservoir;
+        reservoir.seen += 1;
+        if reservoir.items.len() < self.config.reservoir {
+            reservoir.items.push(ReservoirItem {
                 pos: t,
                 label,
                 features: features.clone(),
             });
         } else {
-            let slot = UnitStream::new(mix64(self.config.seed ^ t))
-                .next_index(state.reservoir_seen as usize);
+            let slot =
+                UnitStream::new(mix64(self.config.seed ^ t)).next_index(reservoir.seen as usize);
             if slot < self.config.reservoir {
-                state.reservoir_items[slot] = ReservoirItem {
+                reservoir.items[slot] = ReservoirItem {
                     pos: t,
                     label,
                     features: features.clone(),
@@ -899,8 +853,8 @@ impl StreamPks {
             }
         }
 
-        if state.drift[label].observe(distance) == Drift::Fired {
-            state.drifts += 1;
+        if cp.drift[label].observe(distance) == Drift::Fired {
+            cp.drifts += 1;
             // Drift firings are rare (EWMA-gated), so a per-firing gate +
             // event costs nothing on the per-record path. The fold runs
             // strictly in record order on one thread, so these events land
@@ -908,88 +862,76 @@ impl StreamPks {
             if pka_obs::enabled() {
                 pka_obs::trace_event(
                     "stream.drift",
-                    json!({ "group": label, "record": t, "drifts": state.drifts }),
+                    json!({ "group": label, "record": t, "drifts": cp.drifts }),
                 );
             }
-            self.recluster(state);
+            self.recluster(cp);
         }
-        state.records += 1;
+        cp.records += 1;
     }
 
     /// Bounded re-cluster: a few Lloyd iterations over the reservoir only,
     /// initialised at the current centroids. Re-centres the drift
     /// envelopes' reference points without touching classification — group
     /// membership stays the ensemble's call, so batch parity is preserved.
-    fn recluster(&self, state: &mut TailState) {
-        let k = state.centroids.len();
-        if k == 0 || state.reservoir_items.is_empty() {
+    fn recluster(&self, cp: &mut Checkpoint) {
+        let k = cp.centroids.len();
+        let items = &cp.reservoir.items;
+        if k == 0 || items.is_empty() {
             return;
         }
-        lloyd_iterations(
-            &mut state.centroids,
-            &state.reservoir_items,
-            self.config.recluster_iters,
-        );
+        lloyd_iterations(&mut cp.centroids, items, self.config.recluster_iters);
         // Moved centroids invalidate every frozen envelope; learning rates
         // restart from the reservoir populations.
-        for tracker in &mut state.drift {
+        for tracker in &mut cp.drift {
             tracker.reset();
         }
         let mut counts = vec![0u64; k];
-        for item in &state.reservoir_items {
+        for item in items {
             if item.label < k {
                 counts[item.label] += 1;
             }
         }
-        for (cc, c) in state.centroid_counts.iter_mut().zip(counts) {
+        for (cc, c) in cp.centroid_counts.iter_mut().zip(counts) {
             *cc = c.max(1);
         }
-        state.reclusters += 1;
+        cp.reclusters += 1;
         if pka_obs::enabled() {
             pka_obs::trace_event(
                 "stream.recluster",
                 json!({
-                    "reclusters": state.reclusters,
-                    "record": state.records,
-                    "reservoir": state.reservoir_items.len() as u64,
+                    "reclusters": cp.reclusters,
+                    "record": cp.records,
+                    "reservoir": items.len() as u64,
                     "iters": self.config.recluster_iters as u64,
                 }),
             );
         }
     }
+}
 
-    /// Builds a checkpoint of the current state. `periodic` bumps the
-    /// emission counters (the final snapshot returned in the outcome gets
-    /// the next sequence number but is not counted as emitted).
-    fn snapshot(&self, state: &mut TailState, source_name: &str, periodic: bool) -> Checkpoint {
-        state.seq += 1;
-        if periodic {
-            state.checkpoints_emitted += 1;
-        }
-        Checkpoint {
-            seq: state.seq,
-            records: state.records,
-            prefix: self.config.prefix.min(state.records),
-            source: source_name.to_string(),
-            selected_k: state.selection.k(),
-            selection: serde_json::to_value(&state.selection)
-                .expect("selection serialises to json"),
-            projected_cycles: state.selection.projected_cycles(),
-            normalizer: state.normalizer.stats(),
-            centroids: state.centroids.clone(),
-            centroid_counts: state.centroid_counts.clone(),
-            drift: state.drift.clone(),
-            reservoir: ReservoirState {
-                cap: self.config.reservoir,
-                seen: state.reservoir_seen,
-                items: state.reservoir_items.clone(),
-            },
-            drifts: state.drifts,
-            reclusters: state.reclusters,
-            max_buffered: state.max_buffered,
-            config: self.config.to_value(),
-        }
+/// Takes a checkpoint of the current state: the next sequence number and
+/// the projection over the current counts. `periodic` bumps the emission
+/// counter (the final snapshot returned in the outcome gets the next
+/// sequence number but is not counted as emitted).
+fn snapshot(state: &mut TailState, periodic: bool) -> &Checkpoint {
+    let cp = &mut state.cp;
+    cp.seq += 1;
+    cp.projected_cycles = cp.selection.projected_cycles();
+    if periodic {
+        state.checkpoints_emitted += 1;
     }
+    &state.cp
+}
+
+/// Emits one `pka.snapshot/v1` record reflecting `state`. Every field of
+/// the record payload is deterministic; throughput and cumulative
+/// checkpoint write time ride in the sink's volatile `timing` object.
+fn emit_live_snapshot(state: &TailState, phase: &str) {
+    pka_obs::emit_snapshot(
+        &state.cp.snapshot_record(phase, state.checkpoints_emitted),
+        json!({ "checkpoint_write_ns": state.checkpoint_write_ns }),
+    );
 }
 
 /// A few Lloyd iterations over `items` only, initialised at (and updating)

@@ -4,6 +4,8 @@
 //! zero-external-dependency like the rest of the workspace.
 
 use std::io::{BufRead, ErrorKind, IoSlice, Read, Take, Write};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use serde_json::Value;
 
@@ -158,6 +160,39 @@ fn head_line<R: BufRead>(head: &mut Take<&mut R>, line: &mut String) -> Result<u
     Ok(read?)
 }
 
+/// A response body: bytes of its own, or a text shared with the session
+/// that holds it, so serving a ~1 MB artifact copies nothing.
+#[derive(Debug)]
+pub enum Body {
+    /// Bytes rendered for this response.
+    Owned(Vec<u8>),
+    /// A session artifact's text.
+    Shared(Arc<String>),
+}
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl From<String> for Body {
+    fn from(text: String) -> Self {
+        Body::Owned(text.into_bytes())
+    }
+}
+
+impl From<Arc<String>> for Body {
+    fn from(text: Arc<String>) -> Self {
+        Body::Shared(text)
+    }
+}
+
 /// One response, ready to serialise.
 #[derive(Debug)]
 pub struct Response {
@@ -166,7 +201,7 @@ pub struct Response {
     /// `Content-Type` value.
     pub content_type: &'static str,
     /// Response body bytes.
-    pub body: Vec<u8>,
+    pub body: Body,
 }
 
 impl Response {
@@ -178,12 +213,12 @@ impl Response {
         Self {
             status,
             content_type: "application/json",
-            body,
+            body: Body::Owned(body),
         }
     }
 
     /// A raw pre-rendered body (NDJSON streams, artifact bytes).
-    pub fn raw(status: u16, content_type: &'static str, body: impl Into<Vec<u8>>) -> Self {
+    pub fn raw(status: u16, content_type: &'static str, body: impl Into<Body>) -> Self {
         Self {
             status,
             content_type,

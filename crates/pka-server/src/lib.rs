@@ -57,7 +57,7 @@
 mod http;
 mod session;
 
-pub use http::{read_request, ReadError, Request, Response};
+pub use http::{read_request, Body, ReadError, Request, Response};
 pub use session::{Registry, Session, SessionState, Status, PROGRESS_CAP};
 
 use std::io::{BufReader, Write};
@@ -609,14 +609,14 @@ impl PkaServer {
                     s => Response::json(202, &json!({ "status": s.as_str() })),
                 }
             }
-            // Only the `Arc` handle is cloned under the lock; the body is
-            // copied after the guard drops.
+            // Only the `Arc` handle is cloned under the lock, and the
+            // response body shares it: the text is not copied.
             ("GET", Some("checkpoint")) => {
                 let st = session.cell.state.lock().expect("session state");
                 let text = st.final_checkpoint.clone();
                 drop(st);
                 match text {
-                    Some(text) => Response::raw(200, "application/json", text.as_bytes()),
+                    Some(text) => Response::raw(200, "application/json", text),
                     None => Response::error(404, "no checkpoint yet"),
                 }
             }
@@ -625,7 +625,7 @@ impl PkaServer {
                 let text = st.attribution.clone();
                 drop(st);
                 match text {
-                    Some(text) => Response::raw(200, "application/json", text.as_bytes()),
+                    Some(text) => Response::raw(200, "application/json", text),
                     None => Response::error(404, "no attribution yet"),
                 }
             }

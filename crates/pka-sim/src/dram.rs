@@ -55,12 +55,12 @@ impl DramModel {
         let ch = (addr >> 5) as usize % self.busy_until.len();
         let start = self.busy_until[ch].max(now);
         // Accumulate fractional service cycles so bandwidth is exact even
-        // when a sector takes less than one cycle.
-        let mut svc = self.service_cycles + self.service_carry[ch];
-        let whole = svc.floor();
-        self.service_carry[ch] = svc - whole;
-        svc = whole;
-        let done = start + svc as u64;
+        // when a sector takes less than one cycle. `svc` is finite and not
+        // negative, so truncating it is its floor.
+        let svc = self.service_cycles + self.service_carry[ch];
+        let whole = svc as u64;
+        self.service_carry[ch] = svc - whole as f64;
+        let done = start + whole;
         self.busy_cycles += done - start;
         self.busy_until[ch] = done;
         self.sectors_served += 1;

@@ -353,12 +353,24 @@ impl Checkpoint {
             ));
         }
         let selected_k = r.u64("selected_k")? as usize;
-        let normalizer = StreamingNormalizer::from_stats(
-            r.array("normalizer")?
-                .iter()
-                .map(|v| stats_from_value(v, "normalizer[]"))
-                .collect::<Result<_, _>>()?,
-        );
+        let stats = r
+            .array("normalizer")?
+            .iter()
+            .map(|v| stats_from_value(v, "normalizer[]"))
+            .collect::<Result<Vec<_>, _>>()?;
+        // One normalizer folds every row into every feature, so a feature
+        // with another count was not written by one.
+        if let Some(first) = stats.first() {
+            let odd = stats.iter().position(|s| s.count() != first.count());
+            if let Some(i) = odd {
+                return Err(corrupt(format!(
+                    "`normalizer` per-feature counts disagree: feature 0 has {}, feature {i} has {}",
+                    first.count(),
+                    stats[i].count()
+                )));
+            }
+        }
+        let normalizer = StreamingNormalizer::from_stats(stats);
         let centroids = r
             .array("centroids")?
             .iter()
@@ -724,6 +736,25 @@ mod tests {
     }
 
     #[test]
+    fn normalizer_counts_that_disagree_are_rejected() {
+        let mut v = sample_value();
+        if let Value::Object(m) = &mut v {
+            if let Some(Value::Array(features)) = m.get_mut("normalizer") {
+                if let Some(Value::Object(second)) = features.get_mut(1) {
+                    second.insert("count".into(), Value::from(5u64));
+                }
+            }
+        }
+        match Checkpoint::from_value(&v) {
+            Err(StreamError::Checkpoint { message }) => {
+                assert!(message.contains("`normalizer`"), "{message}");
+                assert!(message.contains("feature 1 has 5"), "{message}");
+            }
+            other => panic!("expected checkpoint error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn missing_field_names_the_path() {
         let mut v = sample_value();
         if let Value::Object(m) = &mut v {
@@ -834,9 +865,10 @@ mod tests {
         }
     }
 
-    fn arb_stats(rng: &mut UnitStream) -> OnlineStats {
+    /// An accumulator that has seen `count` values.
+    fn arb_stats(rng: &mut UnitStream, count: u64) -> OnlineStats {
         OnlineStats::from_raw(
-            arb_u64(rng),
+            count,
             arb_f64(rng),
             arb_f64(rng),
             arb_f64(rng),
@@ -952,19 +984,24 @@ mod tests {
             selected_k: k,
             selection: arb_selection(rng),
             projected_cycles: arb_u64(rng),
-            normalizer: StreamingNormalizer::from_stats(
-                (0..dims).map(|_| arb_stats(rng)).collect(),
-            ),
+            // One count for every feature, as one normalizer keeps it.
+            normalizer: {
+                let count = arb_u64(rng);
+                StreamingNormalizer::from_stats((0..dims).map(|_| arb_stats(rng, count)).collect())
+            },
             centroids: (0..k).map(|_| features(rng)).collect(),
             centroid_counts: (0..k).map(|_| arb_u64(rng)).collect(),
             drift: (0..k)
                 .map(|_| {
                     let threshold = (rng.next_index(2) == 0).then(|| arb_f64(rng));
+                    let calibration = arb_u64(rng);
+                    let (sigma, alpha) = (arb_f64(rng), arb_f64(rng));
+                    let count = arb_u64(rng);
                     DriftTracker::from_raw(
-                        arb_u64(rng),
-                        arb_f64(rng),
-                        arb_f64(rng),
-                        arb_stats(rng),
+                        calibration,
+                        sigma,
+                        alpha,
+                        arb_stats(rng, count),
                         threshold,
                         arb_f64(rng),
                     )

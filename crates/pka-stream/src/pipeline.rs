@@ -468,6 +468,14 @@ impl StreamPks {
                 "checkpoint was taken under a different configuration".into(),
             ));
         }
+        // The fold samples against the configured cap; a reservoir kept
+        // under another one cannot be carried on.
+        if checkpoint.reservoir.cap != self.config.reservoir {
+            return Err(corrupt(format!(
+                "checkpoint reservoir cap is {}, the configured reservoir is {}",
+                checkpoint.reservoir.cap, self.config.reservoir
+            )));
+        }
         source.restart()?;
         if checkpoint.source != source.name() {
             return Err(corrupt(format!(

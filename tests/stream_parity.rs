@@ -305,3 +305,41 @@ fn cli_resume_refuses_a_corrupt_selection_and_a_foreign_config_echo() {
         "{stderr}"
     );
 }
+
+/// `pka stream --resume` refuses a checkpoint whose reservoir cap is not
+/// the configured reservoir, naming both caps, with exit status 1.
+#[test]
+fn cli_resume_refuses_an_edited_reservoir_cap() {
+    let path = std::env::temp_dir().join(format!(
+        "pka_stream_parity_reservoir_cap_{}.json",
+        std::process::id()
+    ));
+    let ckpt = path.to_str().expect("utf8 path");
+    let pka = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_pka"))
+            .args(["stream", "--source", "synthetic:2000", "--prefix", "200"])
+            .args(["--reservoir", "64", "--checkpoint", ckpt])
+            .args(args)
+            .output()
+            .expect("pka runs")
+    };
+    let out = pka(&["--checkpoint-every", "1000"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut doc: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).expect("read checkpoint"))
+            .expect("checkpoint json");
+    if let serde_json::Value::Object(m) = &mut doc {
+        if let Some(serde_json::Value::Object(reservoir)) = m.get_mut("reservoir") {
+            reservoir.insert("cap".into(), serde_json::json!(65));
+        }
+    }
+    std::fs::write(&path, doc.to_string()).expect("write checkpoint");
+    let out = pka(&["--resume"]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint reservoir cap is 65, the configured reservoir is 64"),
+        "{stderr}"
+    );
+}

@@ -1694,12 +1694,25 @@ mod tests {
                 break;
             }
         }
-        let mut line = render(&members, rng);
+        damaged(render(&members, rng), rng)
+    }
+
+    /// `line` as it is, or damaged: wrapped in an array, followed by
+    /// trailing text, whitespace or a `\r\n` ending, truncated, one byte
+    /// overwritten, or replaced by a non-object document.
+    fn damaged(mut line: String, rng: &mut TestRng) -> String {
+        let pick = |rng: &mut TestRng, n: usize| rng.next_below(n as u64) as usize;
         match rng.next_below(10) {
             0 => line = format!("[{line}]"),
-            1 => line.push_str([" x", "}", ",", " {}", "\t "][pick(rng, 5)]),
-            2 => line.truncate(pick(rng, line.len() + 1)),
-            3 => {
+            1 => line.push_str([" x", "}", ",", " {}", "\t ", "\r\n", "0"][pick(rng, 7)]),
+            2 => {
+                let mut at = pick(rng, line.len() + 1);
+                while !line.is_char_boundary(at) {
+                    at -= 1;
+                }
+                line.truncate(at);
+            }
+            3 if !line.is_empty() => {
                 let at = pick(rng, line.len());
                 let byte = b" \"\\{}[]:,0-eE.tnfx\x7f\xff"[pick(rng, 20)];
                 let mut bytes = line.into_bytes();
@@ -1707,9 +1720,51 @@ mod tests {
                 line = String::from_utf8_lossy(&bytes).into_owned();
             }
             4 => line = ["\"k\"", "42", "null", "", "  "][pick(rng, 5)].to_string(),
+            5 => line = format!("{}{line}", [" ", "\t", "\u{a0}"][pick(rng, 3)]),
             _ => {}
         }
         line
+    }
+
+    /// The exact `to_jsonl` line of a random tail record — the compact
+    /// layout a live producer writes — with, sometimes, one integer
+    /// re-spelled (leading zeros, 20 digits, past `u32`, negative zero),
+    /// then damaged like [`mutated_line`]'s lines.
+    fn tail_jsonl_line(rng: &mut TestRng) -> String {
+        const KEYS: [&str; 5] = [
+            "block_threads",
+            "grid_blocks",
+            "id",
+            "shared_mem_bytes",
+            "tensor_elements",
+        ];
+        const SPELLINGS: [&str; 12] = [
+            "0",
+            "00",
+            "01",
+            "007",
+            "-0",
+            "999999999",
+            "1000000000",
+            "4294967295",
+            "4294967296",
+            "9999999999999999999",
+            "10000000000000000000",
+            "18446744073709551616",
+        ];
+        let mut record = arb_record(rng);
+        record.detailed = None;
+        let mut line = record.to_jsonl();
+        if rng.next_below(3) == 0 {
+            // Keys precede the name or follow it; an escaped name never
+            // holds `"key":`, so the first match is the member itself.
+            let key = format!("\"{}\":", KEYS[rng.next_below(5) as usize]);
+            let start = line.find(&key).expect("every tail key") + key.len();
+            let end = start + line[start..].find([',', '}']).expect("value ends");
+            let spelling = SPELLINGS[rng.next_below(SPELLINGS.len() as u64) as usize];
+            line.replace_range(start..end, spelling);
+        }
+        damaged(line, rng)
     }
 
     proptest::proptest! {
@@ -1718,11 +1773,17 @@ mod tests {
         /// The tree-free decoder returns exactly what the `Value`-tree
         /// oracle returns, record or error (message and line number
         /// included), in both views, on valid and damaged lines alike.
+        /// Half the lines are exact tail renderings, with names and
+        /// integers at every edge the compact layout can carry.
         #[test]
         fn decoder_equals_the_value_tree_oracle(seed in proptest::any::<u64>()) {
             let mut rng = TestRng::from_seed(seed);
             for _ in 0..16 {
-                let line = mutated_line(&mut rng, detailed_lines());
+                let line = if rng.next_below(2) == 0 {
+                    tail_jsonl_line(&mut rng)
+                } else {
+                    mutated_line(&mut rng, detailed_lines())
+                };
                 let number = 1 + rng.next_below(1000);
                 for want_detailed in [false, true] {
                     let got = parse_record_line(&line, number, want_detailed);
@@ -1834,7 +1895,7 @@ mod tests {
     /// A `u64` at a digit-count boundary, at the `u32`/`u64` limits, or
     /// random.
     fn arb_u64(rng: &mut TestRng) -> u64 {
-        const EDGES: [u64; 12] = [
+        const EDGES: [u64; 14] = [
             0,
             9,
             10,
@@ -1842,6 +1903,8 @@ mod tests {
             100,
             999,
             1_000,
+            999_999_999,
+            1_000_000_000,
             u32::MAX as u64,
             1 << 32,
             9_999_999_999_999_999_999,

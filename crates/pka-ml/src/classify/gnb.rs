@@ -163,12 +163,7 @@ impl Classifier for GaussianNb {
         Ok(self.classes[best])
     }
 
-    fn predict_into(
-        &self,
-        samples: &[f64],
-        d: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MlError> {
+    fn predict_into(&self, samples: &[f64], d: usize, out: &mut Vec<usize>) -> Result<(), MlError> {
         crate::classify::check_batch(samples, d)?;
         if d != self.n_features {
             return Err(MlError::DimensionMismatch {

@@ -197,12 +197,7 @@ impl Classifier for MlpClassifier {
         Ok(self.classes[best])
     }
 
-    fn predict_into(
-        &self,
-        samples: &[f64],
-        d: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MlError> {
+    fn predict_into(&self, samples: &[f64], d: usize, out: &mut Vec<usize>) -> Result<(), MlError> {
         crate::classify::check_batch(samples, d)?;
         let mut scaled = vec![0.0; self.w1.first().map_or(0, |w| w.len() - 1)];
         let mut hidden = vec![0.0; self.w1.len()];
@@ -212,8 +207,7 @@ impl Classifier for MlpClassifier {
             self.scaler.transform_row_into(row, &mut scaled)?;
             let dd = scaled.len();
             for (hz, w) in hidden.iter_mut().zip(&self.w1) {
-                let z: f64 =
-                    w[..dd].iter().zip(&scaled).map(|(a, b)| a * b).sum::<f64>() + w[dd];
+                let z: f64 = w[..dd].iter().zip(&scaled).map(|(a, b)| a * b).sum::<f64>() + w[dd];
                 *hz = z.max(0.0);
             }
             let best = self

@@ -54,12 +54,7 @@ pub trait Classifier {
     /// Returns [`MlError::DimensionMismatch`] if `d` is zero, if
     /// `samples.len()` is not a multiple of `d`, or if `d` does not match
     /// the fitted feature count.
-    fn predict_into(
-        &self,
-        samples: &[f64],
-        d: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MlError> {
+    fn predict_into(&self, samples: &[f64], d: usize, out: &mut Vec<usize>) -> Result<(), MlError> {
         check_batch(samples, d)?;
         out.clear();
         out.reserve(samples.len() / d);
@@ -207,12 +202,7 @@ impl Classifier for Ensemble {
     /// on every row; members skipped by the short-circuit are not asked to
     /// validate the row (all members share the fitted dimensionality, so
     /// shape errors are still caught by the members that do run).
-    fn predict_into(
-        &self,
-        samples: &[f64],
-        d: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MlError> {
+    fn predict_into(&self, samples: &[f64], d: usize, out: &mut Vec<usize>) -> Result<(), MlError> {
         check_batch(samples, d)?;
         if self.members.len() != 3 {
             out.clear();

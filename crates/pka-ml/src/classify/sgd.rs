@@ -145,12 +145,7 @@ impl Classifier for SgdClassifier {
         Ok(self.classes[argmax(&probs)])
     }
 
-    fn predict_into(
-        &self,
-        samples: &[f64],
-        d: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MlError> {
+    fn predict_into(&self, samples: &[f64], d: usize, out: &mut Vec<usize>) -> Result<(), MlError> {
         crate::classify::check_batch(samples, d)?;
         let mut scaled = vec![0.0; self.scaler.means().len()];
         let mut probs = vec![0.0; self.weights.len()];

@@ -85,7 +85,8 @@ pub fn jacobi_eigen(m: &Matrix) -> Result<EigenDecomposition, MlError> {
                     row[p] = c * akp - s * akq;
                     row[q] = s * akp + c * akq;
                 }
-#[allow(clippy::needless_range_loop)] // rows p and q alias; iter_mut cannot express this
+                #[allow(clippy::needless_range_loop)]
+                // rows p and q alias; iter_mut cannot express this
                 for k in 0..n {
                     let apk = a[p][k];
                     let aqk = a[q][k];

@@ -237,10 +237,7 @@ impl Dendrogram {
 
     /// Cluster count at a cut height.
     pub fn cluster_count(&self, threshold: f64) -> usize {
-        self.cut(threshold)
-            .into_iter()
-            .max()
-            .map_or(0, |m| m + 1)
+        self.cut(threshold).into_iter().max().map_or(0, |m| m + 1)
     }
 }
 
@@ -333,8 +330,7 @@ mod tests {
     fn chain_behaviour_differs_single_vs_complete() {
         // A chain 0 - 1 - 2 - ... each 1.0 apart. Single linkage merges the
         // whole chain at threshold 1.0; complete linkage does not.
-        let data =
-            Matrix::from_rows(&(0..6).map(|i| vec![i as f64]).collect::<Vec<_>>()).unwrap();
+        let data = Matrix::from_rows(&(0..6).map(|i| vec![i as f64]).collect::<Vec<_>>()).unwrap();
         let single = Agglomerative::new()
             .with_linkage(Linkage::Single)
             .cluster_count(&data, 1.0)

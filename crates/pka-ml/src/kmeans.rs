@@ -421,10 +421,8 @@ impl KMeans {
                         let mut min_sq = f64::INFINITY;
                         for c2 in 0..k {
                             if c2 != c {
-                                let sq = Matrix::sq_dist_hot(
-                                    st.centroids.row(c),
-                                    st.centroids.row(c2),
-                                );
+                                let sq =
+                                    Matrix::sq_dist_hot(st.centroids.row(c), st.centroids.row(c2));
                                 if sq < min_sq {
                                     min_sq = sq;
                                 }
@@ -680,7 +678,11 @@ const CUM_PAD: f64 = 1e-12;
 /// if that still fails does the point pay the full scan — whose comparison
 /// sequence is identical to the reference [`nearest`], so any label it
 /// produces matches the reference bit for bit.
-fn assign_chunk(data: &Matrix, st: &AssignState, range: std::ops::Range<usize>) -> Vec<PointUpdate> {
+fn assign_chunk(
+    data: &Matrix,
+    st: &AssignState,
+    range: std::ops::Range<usize>,
+) -> Vec<PointUpdate> {
     let range_len = range.len();
     // Full-scan fallbacks are tallied locally; together with `out.len()`
     // they classify every point in the chunk (prune / tighten / scan), so
@@ -726,7 +728,9 @@ fn assign_chunk(data: &Matrix, st: &AssignState, range: std::ops::Range<usize>) 
         });
     }
     if pka_obs::enabled() {
-        obs_counters().bound_prunes.add((range_len - out.len()) as u64);
+        obs_counters()
+            .bound_prunes
+            .add((range_len - out.len()) as u64);
         obs_counters().tighten_hits.add(out.len() as u64 - scans);
         obs_counters().full_scans.add(scans);
     }
@@ -1160,10 +1164,7 @@ mod tests {
             let d = 1 + (rng.next_u64() % 8) as usize;
             let a: Vec<f64> = (0..d).map(|_| rng.next_range(-1e3, 1e3)).collect();
             let b: Vec<f64> = (0..d).map(|_| rng.next_range(-1e3, 1e3)).collect();
-            let lb = norm_lower_bound(
-                Matrix::sq_norm(&a).sqrt(),
-                Matrix::sq_norm(&b).sqrt(),
-            );
+            let lb = norm_lower_bound(Matrix::sq_norm(&a).sqrt(), Matrix::sq_norm(&b).sqrt());
             assert!(
                 lb <= Matrix::sq_dist(&a, &b),
                 "bound {lb} above distance for {a:?} vs {b:?}"
@@ -1179,8 +1180,7 @@ mod tests {
             .collect();
         let sequential: Vec<KMeansFit> = configs.iter().map(|c| c.fit(&data).unwrap()).collect();
         for workers in [1, 2, 5] {
-            let batch =
-                KMeans::fit_batch(&configs, &data, &Executor::new(workers)).unwrap();
+            let batch = KMeans::fit_batch(&configs, &data, &Executor::new(workers)).unwrap();
             assert_eq!(batch.len(), sequential.len());
             for (b, s) in batch.iter().zip(&sequential) {
                 assert_eq!(b.labels(), s.labels());
@@ -1205,12 +1205,12 @@ mod tests {
         let config = KMeans::new(4).with_seed(9);
         let sequential = config.fit(&data).unwrap();
         for workers in [2, 4, 8] {
-            let parallel = config.with_executor(Executor::new(workers)).fit(&data).unwrap();
+            let parallel = config
+                .with_executor(Executor::new(workers))
+                .fit(&data)
+                .unwrap();
             assert_eq!(parallel, sequential, "{workers} workers diverged");
-            assert_eq!(
-                parallel.inertia().to_bits(),
-                sequential.inertia().to_bits()
-            );
+            assert_eq!(parallel.inertia().to_bits(), sequential.inertia().to_bits());
         }
     }
 }

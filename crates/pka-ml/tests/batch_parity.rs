@@ -36,10 +36,7 @@ fn flat(m: &Matrix) -> Vec<f64> {
 fn assert_batch_matches(clf: &dyn Classifier, data: &Matrix) {
     let mut batched = Vec::new();
     clf.predict_into(&flat(data), D, &mut batched).unwrap();
-    let per_row: Vec<usize> = data
-        .iter_rows()
-        .map(|r| clf.predict(r).unwrap())
-        .collect();
+    let per_row: Vec<usize> = data.iter_rows().map(|r| clf.predict(r).unwrap()).collect();
     assert_eq!(batched, per_row);
 }
 

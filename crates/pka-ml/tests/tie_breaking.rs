@@ -30,13 +30,7 @@ impl Classifier for Fixed {
 /// exactly equal Gaussian log-posteriors (same priors, same variances,
 /// means at `-1` and `+1`).
 fn mirrored_gnb() -> GaussianNb {
-    let x = Matrix::from_rows(&[
-        vec![-1.5],
-        vec![-0.5],
-        vec![0.5],
-        vec![1.5],
-    ])
-    .unwrap();
+    let x = Matrix::from_rows(&[vec![-1.5], vec![-0.5], vec![0.5], vec![1.5]]).unwrap();
     // Deliberately non-contiguous labels, listed out of order: `classes()`
     // must sort them, and the tie must go to the *label* order, not the
     // order of first appearance.
@@ -94,9 +88,8 @@ fn refit_with_same_seed_reproduces_every_prediction() {
     let grid: Vec<Vec<f64>> = (-8..=8)
         .map(|i| vec![i as f64 / 4.0, -(i as f64) / 8.0])
         .collect();
-    let predict_grid = |c: &dyn Classifier| -> Vec<usize> {
-        grid.iter().map(|s| c.predict(s).unwrap()).collect()
-    };
+    let predict_grid =
+        |c: &dyn Classifier| -> Vec<usize> { grid.iter().map(|s| c.predict(s).unwrap()).collect() };
 
     let sgd_a = predict_grid(&SgdClassifier::fit(&x, &y, 7).unwrap());
     let sgd_b = predict_grid(&SgdClassifier::fit(&x, &y, 7).unwrap());
@@ -126,7 +119,10 @@ fn tie_labels_are_identical_across_worker_counts() {
     };
 
     let gnb_seq = labels_with(Executor::sequential(), &gnb);
-    assert!(gnb_seq.iter().all(|&l| l == 5), "tie resolves high everywhere");
+    assert!(
+        gnb_seq.iter().all(|&l| l == 5),
+        "tie resolves high everywhere"
+    );
     let ens_seq = labels_with(Executor::sequential(), &ensemble);
     assert!(ens_seq.iter().all(|&l| l == 5), "earliest vote everywhere");
     for workers in [2, 4] {

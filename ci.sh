@@ -8,8 +8,8 @@
 # Stages:
 #   0. formatting — `cargo fmt --check` over pka-stream, pka-server,
 #      pka-gpu, pka-profile, pka-baselines, pka-core, pka-stats, pka-sim,
-#      serde, serde_json, serde_derive, proptest and criterion (the other
-#      crates are not rustfmt-clean yet)
+#      pka-ml, serde, serde_json, serde_derive, proptest and criterion (the
+#      other crates are not rustfmt-clean yet)
 #   1. release build (the binaries the experiments run through), then the
 #      whole-corpus simulator identity gate (tests/sim_corpus.rs: one
 #      exhaustive result digest per workload x GPU x interconnect option
@@ -80,10 +80,10 @@ rm -rf "$OUT"
 mkdir -p "$OUT"
 PKA=./target/release/pka
 
-echo "==> cargo fmt --check (pka-stream, pka-server, pka-gpu, pka-profile, pka-baselines, pka-core, pka-stats, pka-sim, serde, serde_json, serde_derive, proptest, criterion)"
+echo "==> cargo fmt --check (pka-stream, pka-server, pka-gpu, pka-profile, pka-baselines, pka-core, pka-stats, pka-sim, pka-ml, serde, serde_json, serde_derive, proptest, criterion)"
 cargo fmt --check -p pka-stream -p pka-server -p pka-gpu -p pka-profile -p pka-baselines \
-    -p pka-core -p pka-stats -p pka-sim -p serde -p serde_json -p serde_derive -p proptest \
-    -p criterion
+    -p pka-core -p pka-stats -p pka-sim -p pka-ml -p serde -p serde_json -p serde_derive \
+    -p proptest -p criterion
 
 echo "==> cargo build --release"
 cargo build --release

@@ -69,8 +69,7 @@ pub fn bootstrap_ci(
     let mut resample = vec![0.0; xs.len()];
     for _ in 0..RESAMPLES {
         for slot in resample.iter_mut() {
-            let idx = (rng.next_f64() * xs.len() as f64) as usize % xs.len();
-            *slot = xs[idx];
+            *slot = xs[draw_index(rng.next_f64(), xs.len())];
         }
         stats.push(statistic(&resample));
     }
@@ -80,6 +79,18 @@ pub fn bootstrap_ci(
         low: percentile(&stats, alpha),
         high: percentile(&stats, 100.0 - alpha),
         level,
+    }
+}
+
+/// The resample index of a uniform draw `u` in `[0, 1)` over `n` samples:
+/// `(u * n) as usize % n`. The product reaches `n` only by rounding, so a
+/// compare and subtract replace the 64-bit division.
+fn draw_index(u: f64, n: usize) -> usize {
+    let idx = (u * n as f64) as usize;
+    if idx >= n {
+        idx - n
+    } else {
+        idx
     }
 }
 
@@ -140,6 +151,21 @@ mod tests {
         assert!((ci.low - 7.0).abs() < 1e-12, "{}", ci.low);
         assert!((ci.high - 7.0).abs() < 1e-12, "{}", ci.high);
         assert!(ci.half_width() < 1e-12);
+    }
+
+    #[test]
+    fn draw_index_equals_the_modulo_form() {
+        // Zero and the largest draw below 1 bracket every product; the
+        // last lengths are not exact in `f64`.
+        let top = 1.0 - f64::EPSILON / 2.0;
+        for n in [1usize, 2, 3, 7, 40, 1_000, 99_991, 1 << 40, (1 << 53) + 3] {
+            let mut rng = UnitStream::new(n as u64);
+            let draws = (0..100_000).map(|_| rng.next_f64());
+            for u in draws.chain([0.0, top]) {
+                let want = (u * n as f64) as usize % n;
+                assert_eq!(draw_index(u, n), want, "u = {u:e}, n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -615,6 +615,83 @@ impl RecordMembers {
     }
 }
 
+/// A cursor over a line in the exact compact layout
+/// [`SourceRecord::to_jsonl`] writes for a record without the detailed
+/// view. Every read returns `None` at the first byte that layout could not
+/// hold there.
+struct TailLine<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl TailLine<'_> {
+    fn literal(&mut self, text: &str) -> Option<()> {
+        let end = self.pos + text.len();
+        (self.bytes.get(self.pos..end)? == text.as_bytes()).then(|| self.pos = end)
+    }
+
+    /// An integer of 1–19 digits without a leading zero: exactly the
+    /// spellings `to_jsonl` writes below 10^19, all of which fit a `u64`.
+    fn integer(&mut self) -> Option<u64> {
+        let digits = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let text = &self.bytes[self.pos..self.pos + digits];
+        if digits == 0 || digits > 19 || (digits > 1 && text[0] == b'0') {
+            return None;
+        }
+        self.pos += digits;
+        Some(text.iter().fold(0, |n, &b| n * 10 + u64::from(b - b'0')))
+    }
+
+    /// The byte range of a string's body, up to its closing quote, when it
+    /// holds no escape and no control character: the body is the value.
+    fn plain_string(&mut self) -> Option<Range<usize>> {
+        let start = self.pos;
+        let len = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        self.pos = start + len;
+        self.literal("\"")?;
+        Some(start..start + len)
+    }
+}
+
+/// Reads a trimmed tail line straight into a [`LightweightRecord`] when it
+/// is byte for byte what [`SourceRecord::to_jsonl`] writes: its key order,
+/// no whitespace, a name without escapes, integers without leading zeros,
+/// and `block_threads` and `shared_mem_bytes` within `u32`. `None` sends
+/// any other line to the member-slot decoder, which reads such a line to
+/// the same record, so the input alone picks the path.
+fn read_tail_line(text: &str) -> Option<LightweightRecord> {
+    let mut r = TailLine {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    r.literal("{\"block_threads\":")?;
+    let block_threads = u32::try_from(r.integer()?).ok()?;
+    r.literal(",\"grid_blocks\":")?;
+    let grid_blocks = r.integer()?;
+    r.literal(",\"id\":")?;
+    let id = r.integer()?;
+    r.literal(",\"name\":\"")?;
+    let name = r.plain_string()?;
+    r.literal(",\"shared_mem_bytes\":")?;
+    let shared_mem_bytes = u32::try_from(r.integer()?).ok()?;
+    r.literal(",\"tensor_elements\":")?;
+    let tensor_elements = r.integer()?;
+    r.literal("}")?;
+    (r.pos == text.len()).then(|| LightweightRecord {
+        kernel_id: KernelId::new(id),
+        name: text[name].to_owned(),
+        grid_blocks,
+        block_threads,
+        shared_mem_bytes,
+        tensor_elements,
+    })
+}
+
 /// Parses one `pka.kernel_record/v1` JSONL line (the format
 /// [`SourceRecord::to_jsonl`] emits) into a [`SourceRecord`]. `line` is the
 /// 1-based position used in parse errors. The detailed view is only
@@ -622,17 +699,27 @@ impl RecordMembers {
 /// behaviour, which also backs [`FeedSource`] so records fed over the wire
 /// parse byte-for-byte like records read from a file.
 ///
-/// The line is fully validated as JSON, but no object is built: the
-/// record's members land in fixed slots as they are parsed, and a tail
-/// record allocates only its name.
+/// A tail line in `to_jsonl`'s own layout is read by [`read_tail_line`]
+/// with no JSON parser at all. Every other line is fully validated as
+/// JSON, but no object is built: the record's members land in fixed slots
+/// as they are parsed. Either way a tail record allocates only its name.
 fn parse_record_line(
     text: &str,
     line: u64,
     want_detailed: bool,
 ) -> Result<SourceRecord, StreamError> {
+    let text = text.trim();
+    if !want_detailed {
+        if let Some(lightweight) = read_tail_line(text) {
+            return Ok(SourceRecord {
+                lightweight,
+                detailed: None,
+            });
+        }
+    }
     let bad = |message: String| StreamError::Parse { line, message };
     let mut members = RecordMembers::default();
-    let is_object = serde_json::walk_object(text.trim(), |key, value| members.set(&key, value))
+    let is_object = serde_json::walk_object(text, |key, value| members.set(&key, value))
         .map_err(|e| bad(format!("invalid json: {e}")))?;
     if !is_object {
         return Err(bad("record is not a json object".into()));

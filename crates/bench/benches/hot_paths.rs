@@ -26,21 +26,32 @@
 //! * `record_render` — 100k synthetic records (the first 2,000 with the
 //!   detailed view) rendered as `pka.kernel_record/v1` lines, the text a
 //!   live producer feeds a `pka serve` session.
+//! * `record_decode` — the 100k synthetic records' tail lines (no
+//!   detailed view) read back through `JsonlSource`, the per-record parse
+//!   a `pka serve` feed session and `pka stream --source <file>` pay.
+//! * `mlp_fit` — one `MlpClassifier` fit on the detailed prefix the
+//!   stream engine trains on: the first 2,000 synthetic records'
+//!   lightweight features labelled by batch PKS, the engine's MLP seed.
 //!
 //! Run with `cargo bench -p pka-bench --bench hot_paths`; CI runs a
 //! reduced-iteration smoke via `PKA_BENCH_SAMPLES` / `PKA_BENCH_WARMUP`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pka_core::{PkpConfig, PkpMonitor};
+use pka_core::{PkpConfig, PkpMonitor, Pks, PksConfig};
 use pka_gpu::{GpuConfig, KernelDescriptor};
+use pka_ml::classify::MlpClassifier;
 use pka_ml::{KMeans, Matrix, Pca, StandardScaler};
 use pka_profile::Profiler;
 use pka_server::{PkaServer, ServerConfig};
 use pka_sim::{SimOptions, Simulator};
 use pka_stats::hash::UnitStream;
 use pka_stats::Executor;
-use pka_stream::{synthetic_workload, KernelSource, StreamConfig, StreamPks, WorkloadSource};
+use pka_stream::{
+    synthetic_workload, JsonlSource, KernelSource, StreamConfig, StreamPks, WorkloadSource,
+};
 use std::hint::black_box;
+use std::io::Cursor;
+use std::sync::Arc;
 
 /// Synthetic kernel-metric cloud: `n` points around 24 behavioural centres
 /// in `d`-dimensional space (Table 2 uses 12 metrics; the clustering sweep
@@ -233,6 +244,61 @@ fn bench_record_render(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_record_decode(c: &mut Criterion) {
+    const N: u64 = 100_000;
+    let mut source = WorkloadSource::new(synthetic_workload(N), Profiler::new(GpuConfig::v100()));
+    let mut text = String::new();
+    while let Some(rec) = source.next_record(false).expect("pull record") {
+        text.push_str(&rec.to_jsonl());
+        text.push('\n');
+    }
+    let text: Arc<[u8]> = text.into_bytes().into();
+    let mut group = c.benchmark_group("record_decode");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(N));
+    group.bench_function(format!("synthetic_{N}"), |b| {
+        b.iter(|| {
+            let mut lines = JsonlSource::from_reader("bench", Cursor::new(Arc::clone(&text)));
+            let mut records = 0u64;
+            while let Some(rec) = lines.next_record(false).expect("tail line decodes") {
+                records += rec.lightweight.grid_blocks & 1;
+            }
+            records
+        })
+    });
+    group.finish();
+}
+
+fn bench_mlp_fit(c: &mut Criterion) {
+    const PREFIX: usize = 2_000;
+    let mut source = WorkloadSource::new(
+        synthetic_workload(100_000),
+        Profiler::new(GpuConfig::v100()),
+    );
+    let mut rows = Vec::with_capacity(PREFIX);
+    let mut detailed = Vec::with_capacity(PREFIX);
+    for _ in 0..PREFIX {
+        let rec = source
+            .next_record(true)
+            .expect("pull record")
+            .expect("workload is longer than the prefix");
+        rows.push(rec.lightweight.to_feature_vector());
+        detailed.push(rec.detailed.expect("detailed view"));
+    }
+    let labels = Pks::new(PksConfig::default())
+        .select(&detailed)
+        .expect("PKS selects on the prefix")
+        .labels()
+        .to_vec();
+    let x = Matrix::from_rows(&rows).expect("feature matrix");
+    let mut group = c.benchmark_group("mlp_fit");
+    group.sample_size(10);
+    group.bench_function(format!("synthetic_prefix_{PREFIX}"), |b| {
+        b.iter(|| MlpClassifier::fit(black_box(&x), &labels, 0xff).expect("mlp fits"))
+    });
+    group.finish();
+}
+
 /// One raw-socket HTTP exchange against the in-process service.
 fn http_roundtrip(
     addr: std::net::SocketAddr,
@@ -384,6 +450,8 @@ criterion_group!(
     bench_stream_ingest,
     bench_server_roundtrip,
     bench_checkpoint_render,
-    bench_record_render
+    bench_record_render,
+    bench_record_decode,
+    bench_mlp_fit
 );
 criterion_main!(hot_paths);

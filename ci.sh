@@ -116,6 +116,8 @@ jq -e '
     and any(.[]; .name == "server_session_roundtrip/feed/100000")
     and any(.[]; .name == "checkpoint_render/synthetic_100000")
     and any(.[]; .name == "record_render/synthetic_100000")
+    and any(.[]; .name == "record_decode/synthetic_100000")
+    and any(.[]; .name == "mlp_fit/synthetic_prefix_2000")
     and any(.[]; .name == "simulator_throughput/micro_kernel_sequence")
     and any(.[]; .name == "pka_evaluate/backprop_full")
 ' "$OUT/bench_smoke.json" >/dev/null

@@ -64,16 +64,18 @@ impl MlpClassifier {
         let mut rng = UnitStream::new(seed ^ 0xa076_1d64_78bd_642f);
         // Training keeps the input layer transposed: `w1t[j][h]` is input
         // `j`'s weight into hidden unit `h`, and `w1t[d]` holds the biases.
-        // Each hidden unit is then one of `HIDDEN` independent lanes, so its
-        // forward sum and its update vectorise across units while every
-        // unit's own arithmetic keeps the order of the row-wise loop: the
-        // sum starts at -0.0 as `Sum for f64` does and adds inputs in order,
-        // the step is `(lr * dh) * x`, and a dead unit keeps its weights
-        // untouched (a select, not a zero step, which would flip -0.0 and
-        // spread a NaN input). The output layer stays row-major, rows of
-        // `HIDDEN + 1` with the bias last: transposing it over the runtime
-        // class count measured 10-20% slower. `tests/classifier_pins.rs`
-        // pins the fitted bits.
+        // The forward pass runs the 16 hidden units as independent lanes,
+        // each sum in the row-wise loop's order (from -0.0, as `Sum for
+        // f64` starts, adding inputs in turn), so it vectorises across
+        // units. The update still visits only live units, one column each,
+        // with the step `(lr * dh) * x`, so a dead unit keeps its weights
+        // untouched. Measured on the synthetic 2,000-row prefix (SSE2
+        // lanes hold two weights, and about 6 of 16 units are live per
+        // step): updating all 16 lanes under a select was ~9% slower than
+        // the row-wise loop, and transposing the output layer over the
+        // runtime class count ~12% slower, so the output layer stays
+        // row-major, rows of `HIDDEN + 1` with the bias last.
+        // `tests/classifier_pins.rs` pins the fitted bits.
         // He-style initialisation scaled for ReLU; biases start at zero.
         let scale1 = (2.0 / d as f64).sqrt();
         let mut w1t = vec![[0.0; HIDDEN]; d + 1];
@@ -153,12 +155,13 @@ impl MlpClassifier {
                     }
                     w[HIDDEN] -= lr * dl;
                 }
-                let step = dhidden.map(|dh| lr * dh);
-                let alive = hidden.map(|hz| hz > 0.0);
-                for (w, xj) in w1t.iter_mut().zip(row.iter().chain([&1.0])) {
-                    for ((wh, s), &live) in w.iter_mut().zip(&step).zip(&alive) {
-                        let updated = *wh - s * xj;
-                        *wh = if live { updated } else { *wh };
+                for (h, (&dh, &hz)) in dhidden.iter().zip(&hidden).enumerate() {
+                    if hz > 0.0 {
+                        let step = lr * dh;
+                        for (w, &xj) in w1t.iter_mut().zip(row) {
+                            w[h] -= step * xj;
+                        }
+                        w1t[d][h] -= step;
                     }
                 }
             }

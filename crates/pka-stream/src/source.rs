@@ -1884,6 +1884,28 @@ mod tests {
         }
     }
 
+    /// The tail-line reader takes every `to_jsonl` line it can carry — a
+    /// name needing no escape, integers below 10^19 — so live producers
+    /// never fall back to the general decoder, and declines the rest.
+    #[test]
+    fn tail_reader_takes_every_plain_tail_rendering() {
+        let mut rng = TestRng::from_seed(0x7a11);
+        let mut taken = 0;
+        for _ in 0..2_000 {
+            let mut record = arb_record(&mut rng);
+            record.detailed = None;
+            let lw = &record.lightweight;
+            let plain = !lw.name.chars().any(|c| c == '"' || c == '\\' || c < ' ')
+                && [lw.kernel_id.index(), lw.grid_blocks, lw.tensor_elements]
+                    .iter()
+                    .all(|&n| n < 10_000_000_000_000_000_000);
+            let got = read_tail_line(&record.to_jsonl());
+            assert_eq!(got.as_ref(), plain.then_some(lw), "{record:?}");
+            taken += usize::from(plain);
+        }
+        assert!(taken > 100, "only {taken} plain renderings drawn");
+    }
+
     /// The `Map` builder [`SourceRecord::to_jsonl`] used before it wrote
     /// text directly. Kept as the differential oracle for its bytes.
     fn to_jsonl_tree(record: &SourceRecord) -> Value {

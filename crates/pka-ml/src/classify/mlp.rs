@@ -69,13 +69,14 @@ impl MlpClassifier {
         // f64` starts, adding inputs in turn), so it vectorises across
         // units. The update still visits only live units, one column each,
         // with the step `(lr * dh) * x`, so a dead unit keeps its weights
-        // untouched. Measured on the synthetic 2,000-row prefix (SSE2
-        // lanes hold two weights, and about 6 of 16 units are live per
-        // step): updating all 16 lanes under a select was ~9% slower than
-        // the row-wise loop, and transposing the output layer over the
-        // runtime class count ~12% slower, so the output layer stays
-        // row-major, rows of `HIDDEN + 1` with the bias last.
-        // `tests/classifier_pins.rs` pins the fitted bits.
+        // untouched. The output layer stays row-major (rows of
+        // `HIDDEN + 1`, bias last) and is read and updated in one pass.
+        // Measured on the synthetic 2,000-row prefix (SSE2 lanes hold two
+        // weights, and about 6 of 16 units are live per step): updating
+        // all 16 input lanes under a select was ~9% slower than the
+        // row-wise loop, and transposing the output layer over the runtime
+        // class count ~12% slower. `tests/classifier_pins.rs` pins the
+        // fitted bits.
         // He-style initialisation scaled for ReLU; biases start at zero.
         let scale1 = (2.0 / d as f64).sqrt();
         let mut w1t = vec![[0.0; HIDDEN]; d + 1];
@@ -102,7 +103,6 @@ impl MlpClassifier {
         // loop.
         let mut hidden = [0.0; HIDDEN];
         let mut probs = vec![0.0; k];
-        let mut dlogits = vec![0.0; k];
 
         for epoch in 0..EPOCHS {
             for i in (1..order.len()).rev() {
@@ -132,7 +132,10 @@ impl MlpClassifier {
                 }
                 let max = probs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 for p in probs.iter_mut() {
-                    *p = (*p - max).exp();
+                    // `x - max` is zero only for the maximum itself, and
+                    // `exp(±0)` is exactly 1.
+                    let shifted = *p - max;
+                    *p = if shifted == 0.0 { 1.0 } else { shifted.exp() };
                 }
                 let sum: f64 = probs.iter().sum();
                 for p in probs.iter_mut() {
@@ -141,19 +144,19 @@ impl MlpClassifier {
 
                 // Backward. The cross-entropy gradient is `p - onehot`, and
                 // `p - 0.0` is `p` exactly, so only the target moves.
-                dlogits.copy_from_slice(&probs);
+                let dlogits = &mut probs;
                 dlogits[targets[i]] -= 1.0;
+                // One pass per output row: each weight adds to `dhidden`
+                // before its own update, so `dhidden` sees the pre-step
+                // weights.
                 let mut dhidden = [0.0; HIDDEN];
-                for (dl, w) in dlogits.iter().zip(w2.chunks_exact(HIDDEN + 1)) {
-                    for (dh, wh) in dhidden.iter_mut().zip(&w[..HIDDEN]) {
-                        *dh += dl * wh;
-                    }
-                }
                 for (dl, w) in dlogits.iter().zip(w2.chunks_exact_mut(HIDDEN + 1)) {
-                    for (wh, hz) in w[..HIDDEN].iter_mut().zip(&hidden) {
-                        *wh -= lr * dl * hz;
+                    let step = lr * dl;
+                    for ((dh, wh), hz) in dhidden.iter_mut().zip(&mut w[..HIDDEN]).zip(&hidden) {
+                        *dh += dl * *wh;
+                        *wh -= step * hz;
                     }
-                    w[HIDDEN] -= lr * dl;
+                    w[HIDDEN] -= step;
                 }
                 for (h, (&dh, &hz)) in dhidden.iter().zip(&hidden).enumerate() {
                     if hz > 0.0 {
